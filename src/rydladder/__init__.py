@@ -11,9 +11,11 @@ from .basis import (
 )
 from .effective import (
     EffectiveCoefficients,
+    Flavor,
     MatchingError,
     RabiPT,
     ResonanceError,
+    TargetCouplings,
     coeffs_in_plane,
     coeffs_prism,
     coeffs_three_leg,
@@ -37,13 +39,12 @@ from .geometry import (
     LadderSpec,
     blockade_radius,
     build_ladder,
+    ladder_couplings,
     pairwise_couplings,
 )
 from .hamiltonians import (
     BoundaryCondition,
-    Flavor,
     SparseOperator,
-    TargetCouplings,
     cahm_hamiltonian,
     charge_kernel,
     effective_spin1_hamiltonian,

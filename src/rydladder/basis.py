@@ -129,6 +129,11 @@ class StateDictionary:
     def for_atoms(cls, atoms: AtomArray) -> "StateDictionary":
         return cls.for_kind(atoms.spec.kind)
 
+    @property
+    def spin_to_pattern(self) -> dict:
+        """Inverse map: spin label -> per-rung bit pattern."""
+        return {m: p for p, m in self.pattern_to_spin.items()}
+
     def spin_of_config(self, config: int, n_rungs: int) -> tuple | None:
         """Spin labels (site 1 first) for a full configuration, or None."""
         mask = (1 << self.n_legs) - 1
@@ -155,7 +160,7 @@ def project_to_spin1(basis: RydbergBasis, dictionary: StateDictionary):
     n_rungs = basis.n_atoms // nl
     spin_basis = Spin1Basis(n_rungs)
     spins = spin_basis.digits()
-    spin_to_pattern = {m: p for p, m in dictionary.pattern_to_spin.items()}
+    spin_to_pattern = dictionary.spin_to_pattern
     # Assemble the Rydberg configuration of every spin state.
     configs = np.zeros(spin_basis.dim, dtype=np.int64)
     for s in range(n_rungs):

@@ -20,21 +20,22 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .basis import RungConstraint, RydbergBasis, Spin1Basis, StateDictionary, enumerate_rydberg
+from .basis import BasisError, RungConstraint, RydbergBasis, Spin1Basis, StateDictionary, enumerate_rydberg
 from .effective import (
     EffectiveCoefficients,
+    Flavor,
     MatchingError,
     ResonanceError,
+    TargetCouplings,
     coeffs_in_plane,
     coeffs_prism,
     coeffs_three_leg,
@@ -42,11 +43,18 @@ from .effective import (
     match_forward,
     match_inverse,
 )
-from .geometry import DEFAULT_C6, TWO_PI, LadderKind, LadderSpec, blockade_radius, build_ladder, pairwise_couplings
+from .geometry import (
+    DEFAULT_C6,
+    TWO_PI,
+    LadderKind,
+    LadderSpec,
+    blockade_radius,
+    build_ladder,
+    ladder_couplings,
+    pairwise_couplings,
+)
 from .hamiltonians import (
     BoundaryCondition,
-    Flavor,
-    TargetCouplings,
     cahm_hamiltonian,
     effective_spin1_hamiltonian,
     rydberg_hamiltonian,
@@ -262,6 +270,11 @@ def geometry_coeffs(cfg: RunConfig) -> tuple[EffectiveCoefficients, list]:
     raise ConfigError(f"no effective description for geometry kind {cfg.kind!r}")
 
 
+def _target_couplings(cfg: RunConfig) -> TargetCouplings:
+    """The configured (U, X, Y, Y') targets, absent keys as zero."""
+    return TargetCouplings(**{k: cfg.targets.get(k, 0.0) for k in ("U", "X", "Y", "Yp")})
+
+
 @dataclass
 class Model:
     op: "SparseOperator"
@@ -282,19 +295,14 @@ def build_model(cfg: RunConfig, which: str | None = None) -> Model:
         op = rydberg_hamiltonian(atoms, cfg.omega, cfg.delta, couplings, basis, cfg.range_cutoff)
         try:
             dictionary = StateDictionary.for_atoms(atoms)
-        except Exception:
+        except BasisError:
             dictionary = None
         return Model(op, basis, atoms, dictionary)
     if which == "effective":
         coeffs, longrange = geometry_coeffs(cfg)
         op = effective_spin1_hamiltonian(coeffs, cfg.n_rungs, BoundaryCondition(cfg.bc), longrange)
         return Model(op, Spin1Basis(cfg.n_rungs))
-    t = TargetCouplings(
-        U=cfg.targets.get("U", 0.0),
-        X=cfg.targets.get("X", 0.0),
-        Y=cfg.targets.get("Y", 0.0),
-        Yp=cfg.targets.get("Yp", 0.0),
-    )
+    t = _target_couplings(cfg)
     if which == "cahm":
         return Model(cahm_hamiltonian(t, cfg.n_rungs), Spin1Basis(cfg.n_rungs))
     if which == "sqed-field":
@@ -334,7 +342,7 @@ def initial_state(cfg: RunConfig, model: Model) -> np.ndarray:
             return psi
         if isinstance(model.basis, RydbergBasis) and model.dictionary is not None:
             nl = model.dictionary.n_legs
-            spin_to_pattern = {m: p for p, m in model.dictionary.pattern_to_spin.items()}
+            spin_to_pattern = model.dictionary.spin_to_pattern
             config = 0
             for s, m in enumerate(ms):
                 config |= spin_to_pattern[m] << (s * nl)
@@ -362,12 +370,6 @@ def _write_csv(path: Path, header: list[str], rows):
     for row in rows:
         lines.append(",".join(fmt(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _profile(psi, model: Model):
-    if isinstance(model.basis, Spin1Basis):
-        return site_profile(psi, model.basis)
-    return site_profile(psi, model.basis, model.atoms)
 
 
 def _gs_row(cfg: RunConfig, model: Model, seed: int):
@@ -426,11 +428,7 @@ def task_match(cfg: RunConfig, outdir: Path) -> dict:
             "const_offset": const_offset,
         }
     elif cfg.direction == "inverse":
-        t = TargetCouplings(
-            U=cfg.targets.get("U", 0.0), X=cfg.targets.get("X", 0.0),
-            Y=cfg.targets.get("Y", 0.0), Yp=cfg.targets.get("Yp", 0.0),
-        )
-        params = match_inverse(t, cfg.match_case, omega=cfg.omega or 1.0)
+        params = match_inverse(_target_couplings(cfg), cfg.match_case, omega=cfg.omega or 1.0)
         record = {"device": params}
     else:
         raise ConfigError(f"[task] direction must be forward or inverse, got {cfg.direction!r}")
@@ -474,7 +472,7 @@ def task_evolve(cfg: RunConfig, outdir: Path) -> dict:
     times, states = _evolve(cfg, model)
     rows = []
     for t, psi in zip(times, states):
-        prof = _profile(psi, model)
+        prof = site_profile(psi, model.basis, model.atoms)
         for s in range(len(prof.lz)):
             rows.append((float(t), s + 1, float(prof.lz[s]), float(prof.lz2[s])))
     _write_csv(outdir / "timeseries.csv", ["t", "site", "lz", "lz2"], rows)
@@ -482,10 +480,7 @@ def task_evolve(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _sweep_point(cfg: RunConfig, value: float, seed: int):
-    point = RunConfig(**{**asdict(cfg)})
-    point.targets = dict(cfg.targets)
-    point.compare_models = cfg.compare_models
-    setattr(point, cfg.axis, value)
+    point = replace(cfg, **{cfg.axis: value})
     try:
         model = build_model(point)
         row, _ = _gs_row(point, model, seed)
@@ -533,8 +528,8 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
     rows = []
     max_dev = 0.0
     for t, pa, pb in zip(times_a, states_a, states_b):
-        prof_a = _profile(pa, model_a)
-        prof_b = _profile(pb, model_b)
+        prof_a = site_profile(pa, model_a.basis, model_a.atoms)
+        prof_b = site_profile(pb, model_b.basis, model_b.atoms)
         for s in range(len(prof_a.lz2)):
             dev = abs(float(prof_a.lz2[s]) - float(prof_b.lz2[s]))
             max_dev = max(max_dev, dev)
@@ -551,12 +546,12 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
 # manifest and entry point
 
 
-def derived_quantities(cfg: RunConfig) -> dict:
-    out = {}
+def derived_quantities(cfg: RunConfig) -> tuple[dict, list[str]]:
+    """Informative values for the manifest, and the error that cut them short."""
+    out, errors = {}, []
     try:
         if cfg.a_x > 0 and cfg.a_y > 0:
-            atoms = build_ladder(ladder_spec(cfg), delta0=cfg.delta0)
-            named = pairwise_couplings(atoms, cfg.c6).named
+            named = ladder_couplings(ladder_spec(cfg), cfg.c6)
             out.update({k: float(v) for k, v in named.items()})
         if cfg.omega > 0:
             out["R_b"] = blockade_radius(cfg.c6, cfg.omega)
@@ -568,9 +563,9 @@ def derived_quantities(cfg: RunConfig) -> dict:
         out["validity"] = coeffs.validity
         if longrange:
             out["longrange"] = [[k, rk, rpk] for k, rk, rpk in longrange]
-    except (ConfigError, ResonanceError, ValueError, ZeroDivisionError):
-        pass  # derived values are informative only
-    return out
+    except (ConfigError, ResonanceError, ValueError, ZeroDivisionError) as exc:
+        errors.append(f"{type(exc).__name__}: {exc}")
+    return out, errors
 
 
 def run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
@@ -587,11 +582,13 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
     }
     summary = dispatch[cfg.task](cfg, outdir)
     wall = time.perf_counter() - t0
+    derived, derived_errors = derived_quantities(cfg)
     manifest = {
         "tool": "rydladder",
         "version": __version__,
         "config": _config_dict(cfg),
-        "derived": derived_quantities(cfg),
+        "derived": derived,
+        "derived_errors": derived_errors,
         "seed": cfg.seed,
         "threads": cfg.threads,
         "wall_time_s": wall,

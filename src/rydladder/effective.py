@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as _dc_replace, field
+from enum import Enum
 
 import numpy as np
 
-from .basis import Spin1Basis, StateDictionary
-from .geometry import AtomArray, CouplingMatrix, LadderKind, LadderSpec, build_ladder, pairwise_couplings
+from .basis import StateDictionary
+from .geometry import AtomArray, CouplingMatrix, LadderKind, LadderSpec, ladder_couplings
 
 
 class MatchingError(ValueError):
@@ -25,6 +26,21 @@ class MatchingError(ValueError):
 
 class ResonanceError(ZeroDivisionError):
     pass
+
+
+class Flavor(str, Enum):
+    LADDER_U = "U"   # spin-1 raising/lowering, no |+1> <-> |-1> channel
+    CLOCK_C = "C"    # three-state clock, adds the |+1> <-> |-1> element
+
+
+@dataclass(frozen=True)
+class TargetCouplings:
+    """Couplings (U, X, Y, Y') of the compact-scalar-QED target family."""
+
+    U: float
+    X: float
+    Y: float
+    Yp: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -40,7 +56,7 @@ class EffectiveCoefficients:
     R: float
     Rp: float
     J: float
-    flavor: "Flavor" = None  # set in __post_init__ to avoid import cycle
+    flavor: Flavor = Flavor.LADDER_U
     const_site: float = 0.0
     const_bond: float = 0.0
     d_first: float | None = None
@@ -48,12 +64,6 @@ class EffectiveCoefficients:
     bc_lz2_edge: float = 0.0
     bc_const: float = 0.0
     validity: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.flavor is None:
-            from .hamiltonians import Flavor
-
-            object.__setattr__(self, "flavor", Flavor.LADDER_U)
 
     def const_total(self, n_sites: int) -> float:
         return n_sites * self.const_site + (n_sites - 1) * self.const_bond
@@ -81,19 +91,9 @@ def _check_denominators(named: dict):
             raise ResonanceError(f"vanishing denominator: {name} = 0")
 
 
-def couplings_two_leg(v0: float, rho: float, k: int = 1) -> tuple[float, float]:
-    """Range-k leg couplings V1^(k), V2^(k) of the two-leg ladder."""
-    v1 = v0 * rho**6 / k**6
-    v2 = v0 * rho**6 / (k**2 + rho**2) ** 3
-    return v1, v2
-
-
-def couplings_three_leg(v0: float, rho: float) -> tuple[float, float, float]:
-    """Nearest-rung couplings (V1, V2, V3) of the rectangular three-leg ladder."""
-    v1 = v0 * rho**6
-    v2 = v0 * rho**6 / (1 + rho**2) ** 3
-    v3 = v0 * rho**6 / (1 + 4 * rho**2) ** 3
-    return v1, v2, v3
+def _ladder_v(kind: LadderKind, v0: float, rho: float, shift: float | None = None) -> dict:
+    """Geometry's named couplings in units a_y = 1 (so c6 = V0) at a_x = 1/rho."""
+    return ladder_couplings(LadderSpec(kind, 1, 1.0 / rho, 1.0, shift=shift), v0)
 
 
 def coeffs_two_leg(
@@ -111,7 +111,8 @@ def coeffs_two_leg(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    v1, v2 = couplings_two_leg(v0, rho)
+    v = _ladder_v(LadderKind.TWO_LEG, v0, rho)
+    v1, v2 = v["V1"], v["V2"]
     sgn = -1.0 if staggered else 1.0
     coeffs = EffectiveCoefficients(
         D=-delta,
@@ -126,7 +127,9 @@ def coeffs_two_leg(
     )
     longrange = []
     for k in range(2, k_max + 1):
-        v1k, v2k = couplings_two_leg(v0, rho, k)
+        # range-k pairs see the same table at k times the rung spacing
+        vk = _ladder_v(LadderKind.TWO_LEG, v0, rho / k)
+        v1k, v2k = vk["V1"], vk["V2"]
         longrange.append((k, sgn * (v1k - v2k) / 2.0, (v1k + v2k) / 2.0))
     return coeffs, longrange
 
@@ -161,8 +164,6 @@ def effective_rabi(case: int, pt: RabiPT, v0: float, delta: float, omega: float)
     Case 2 (spin-1 sector above the |r.r> band): ladder operator,
     J = Omega^2 Gamma / 4.
     """
-    from .hamiltonians import Flavor
-
     diag_shift = (pt.B - pt.A) * omega**2 / 4.0
     if case == 1:
         return omega**2 / (4.0 * delta), Flavor.CLOCK_C, diag_shift
@@ -211,8 +212,8 @@ def coeffs_three_leg(
     (equal to Omega^2 Gamma / 4 at Delta_0 = 0), which also enters D; in
     case 1 the PT diagonal (B - A) Omega^2 / 4 is kept as is.
     """
-    v0p = v0 / 64.0
-    v1, v2, v3 = couplings_three_leg(v0, rho)
+    v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
+    v0p, v1, v2, v3 = v["V0p"], v["V1"], v["V2"], v["V3"]
     pt = rabi_pt_matrix(v0, v0p, delta, delta0, omega)
     j, flavor, diag_shift = effective_rabi(case, pt, v0, delta, omega)
     if case == 2:
@@ -244,10 +245,8 @@ def coeffs_prism(
     staggered: bool = False,
 ) -> EffectiveCoefficients:
     """Effective chain for the equilateral triangular prism (V0 = V0', V2 = V3)."""
-    from .hamiltonians import Flavor
-
-    v1 = v0 * rho**6
-    v2 = v0 * (rho**2 / (1.0 + rho**2)) ** 3  # C6 / (ax^2 + ay^2)^3
+    v = _ladder_v(LadderKind.PRISM, v0, rho)
+    v1, v2 = v["V1"], v["V2"]
     j = rung_rabi_j(v0, delta, omega)
     sgn = -1.0 if staggered else 1.0
     return EffectiveCoefficients(
@@ -267,22 +266,6 @@ def coeffs_prism(
     )
 
 
-def in_plane_couplings(v0: float, rho: float, shift: float | None = None):
-    """(V1, V2, V3, V4) of the in-plane triangle ladder.
-
-    ``shift`` is the leftward middle-leg displacement in units where a_y = 1;
-    ``None`` selects the equilateral triangle sqrt(3)/2.
-    """
-    s = math.sqrt(3.0) / 2.0 if shift is None else shift
-    ax = 1.0 / rho
-    c6 = v0  # a_y = 1
-    v1 = c6 / ax**6
-    v2 = c6 / ((ax - s) ** 2 + 0.25) ** 3
-    v3 = c6 / (ax**2 + 1.0) ** 3
-    v4 = c6 / ((ax + s) ** 2 + 0.25) ** 3
-    return v1, v2, v3, v4
-
-
 def coeffs_in_plane(
     v0: float,
     delta: float,
@@ -292,10 +275,13 @@ def coeffs_in_plane(
     shift: float | None = None,
     staggered: bool = False,
 ) -> EffectiveCoefficients:
-    """Effective chain for in-plane triangles with a shifted middle leg."""
-    from .hamiltonians import Flavor
+    """Effective chain for in-plane triangles with a shifted middle leg.
 
-    v1, v2, v3, v4 = in_plane_couplings(v0, rho, shift)
+    ``shift`` is the leftward middle-leg displacement in units where a_y = 1;
+    ``None`` selects the equilateral triangle sqrt(3)/2.
+    """
+    v = _ladder_v(LadderKind.IN_PLANE_TRIANGLE, v0, rho, shift)
+    v1, v2, v3, v4 = v["V1"], v["V2"], v["V3"], v["V4"]
     j = rung_rabi_j(v0, delta, omega)
     sgn = -1.0 if staggered else 1.0
     return EffectiveCoefficients(
@@ -332,7 +318,7 @@ def diagonal_expansion_oracle(
     if dictionary is None:
         dictionary = StateDictionary.for_atoms(atoms)
     nl = dictionary.n_legs
-    spin_to_pattern = {m: p for p, m in dictionary.pattern_to_spin.items()}
+    spin_to_pattern = dictionary.spin_to_pattern
     det = delta + atoms.detuning_offset
     v = couplings.v
 
@@ -353,8 +339,10 @@ def diagonal_expansion_oracle(
     const, d1, d2, r, rp = (float(x) for x in fit)
     # Bulk D combines the on-rung part with the bond contribution seen by
     # both edges of the block; the isolated-rung values separate the two.
-    single_d = _single_rung_d(atoms, delta)
-    single_c = _single_rung_const(atoms, delta)
+    # On one rung e(m) = const + d * m^2 over the three spin states.
+    e = _single_rung_energies(atoms, delta, spin_to_pattern)
+    single_d = 0.5 * (e[1] + e[-1]) - e[0]
+    single_c = e[0]
     coeffs = EffectiveCoefficients(
         D=d1 + d2 - single_d,
         R=r,
@@ -368,28 +356,14 @@ def diagonal_expansion_oracle(
     return coeffs, residual
 
 
-def _single_rung_d(atoms: AtomArray, delta: float) -> float:
-    """(L^z)^2 coefficient of one isolated rung (no inter-rung pairs)."""
+def _single_rung_energies(atoms: AtomArray, delta: float, spin_to_pattern: dict) -> dict:
+    """Detuning energy of each spin state of one isolated rung (no inter-rung pairs)."""
     rung = atoms.atoms_of_rung(1)
     det = delta + atoms.detuning_offset
-    dictionary = StateDictionary.for_atoms(atoms)
-    spin_to_pattern = {m: p for p, m in dictionary.pattern_to_spin.items()}
-
-    def e_of(m):
-        pat = spin_to_pattern[m]
-        return -sum(det[rung[b]] for b in range(len(rung)) if (pat >> b) & 1)
-
-    # e(m) = const + d * m^2 on the three rung states
-    return 0.5 * (e_of(1) + e_of(-1)) - e_of(0)
-
-
-def _single_rung_const(atoms: AtomArray, delta: float) -> float:
-    rung = atoms.atoms_of_rung(1)
-    det = delta + atoms.detuning_offset
-    dictionary = StateDictionary.for_atoms(atoms)
-    spin_to_pattern = {m: p for p, m in dictionary.pattern_to_spin.items()}
-    pat = spin_to_pattern[0]
-    return -sum(det[rung[b]] for b in range(len(rung)) if (pat >> b) & 1)
+    return {
+        m: -sum(det[rung[b]] for b in range(len(rung)) if (pat >> b) & 1)
+        for m, pat in spin_to_pattern.items()
+    }
 
 
 def ising_reduction(delta: float, v1: float, v2: float):
@@ -457,10 +431,9 @@ def match_forward(
     * ``"two-leg"``        -- two-leg ladder (reaches only Y < 0);
     * ``"clock-00bc"``     -- blockaded-rung clock variant (Y' = -3Y/2).
     """
-    from .hamiltonians import TargetCouplings
-
     if case == "three-leg-00bc":
-        v1, v2, v3 = couplings_three_leg(v0, rho)
+        v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
+        v1, v2, v3 = v["V1"], v["V2"], v["V3"]
         _check_denominators({"Delta": delta, "V0-Delta": v0 - delta})
         x = omega**2 * v0 / (2.0 * delta * (v0 - delta))
         u = 2.0 * delta0 + 2.0 * v3 - 2.0 * v1 + x
@@ -473,12 +446,13 @@ def match_forward(
         )
         return TargetCouplings(U=u, X=x, Y=y, Yp=yp), const_site, v1
     if case == "two-leg":
-        v1, v2 = couplings_two_leg(v0, rho)
+        v = _ladder_v(LadderKind.TWO_LEG, v0, rho)
+        v1, v2 = v["V1"], v["V2"]
         t = TargetCouplings(U=-2.0 * delta + 2.0 * v2, X=omega, Y=-v2, Yp=(v1 + v2) / 2.0)
         return t, 0.0, 0.0
     if case == "clock-00bc":
-        v1 = v0 * rho**6
-        v2 = v0 * (rho**2 / (1.0 + rho**2)) ** 3
+        v = _ladder_v(LadderKind.PRISM, v0, rho)
+        v1, v2 = v["V1"], v["V2"]
         _check_denominators({"Delta": delta, "V0-Delta": v0 - delta})
         x = omega**2 * v0 / (2.0 * delta * (v0 - delta))
         y = v2 - v1
@@ -537,7 +511,8 @@ def _three_leg_rho_from_ratio(ratio: float) -> float:
     from scipy.optimize import brentq
 
     def g(rho):
-        v1, v2, v3 = couplings_three_leg(1.0, rho)
+        v = _ladder_v(LadderKind.THREE_LEG, 1.0, rho)
+        v1, v2, v3 = v["V1"], v["V2"], v["V3"]
         return (2.0 * v2 - v1 - v3) / ((v1 - v3) / 2.0)
 
     lo, hi = 1e-3, 0.999
@@ -565,9 +540,10 @@ def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
         if x <= 0:
             raise MatchingError("three-leg matching requires X > 0")
         rho = _three_leg_rho_from_ratio(y / s)
-        v1u, _, v3u = couplings_three_leg(1.0, rho)
-        v0 = 2.0 * s / (v1u - v3u)
-        v1, _, v3 = couplings_three_leg(v0, rho)
+        unit = _ladder_v(LadderKind.THREE_LEG, 1.0, rho)
+        v0 = 2.0 * s / (unit["V1"] - unit["V3"])
+        v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
+        v1, v3 = v["V1"], v["V3"]
         delta0_of = lambda xx: (u - 2.0 * v3 + 2.0 * v1 - xx) / 2.0
         # X = Omega^2 V0 / (2 Delta (V0 - Delta)) attains its minimum
         # 2 Omega^2 / V0 at Delta = V0 / 2.  With (V0, rho) pinned by (Y, Y')

@@ -182,8 +182,12 @@ class CouplingMatrix:
         return self.v[key]
 
 
-def _named_couplings(atoms: AtomArray, c6: float) -> dict:
-    spec = atoms.spec
+def ladder_couplings(spec: LadderSpec, c6: float) -> dict:
+    """Named couplings (V0, V0p, V1, ...) of the ladder figures for ``spec``.
+
+    This table is the one source of the closed-form ladder couplings; the
+    effective coefficients read it in units a_y = 1, a_x = 1/rho, c6 = V0.
+    """
     ax, ay = spec.a_x, spec.a_y
 
     def v_of(r2):
@@ -236,7 +240,7 @@ def pairwise_couplings(atoms: AtomArray, c6: float = DEFAULT_C6) -> CouplingMatr
         raise GeometryError("coincident atoms have infinite coupling")
     v = np.zeros_like(r2)
     v[off] = c6 / r2[off] ** 3
-    return CouplingMatrix(v=v, named=_named_couplings(atoms, c6))
+    return CouplingMatrix(v=v, named=ladder_couplings(atoms.spec, c6))
 
 
 def blockade_radius(c6: float, omega: float) -> float:

@@ -7,7 +7,6 @@ drive phase can be chosen real), so operators are stored as real
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -16,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisError, RydbergBasis, Spin1Basis
-from .effective import EffectiveCoefficients
+from .effective import EffectiveCoefficients, Flavor, TargetCouplings
 from .geometry import AtomArray, CouplingMatrix
 
 
@@ -24,21 +23,6 @@ class BoundaryCondition(str, Enum):
     OBC = "obc"
     PBC = "pbc"
     ZERO_ZERO = "00bc"
-
-
-class Flavor(str, Enum):
-    LADDER_U = "U"   # spin-1 raising/lowering, no |+1> <-> |-1> channel
-    CLOCK_C = "C"    # three-state clock, adds the |+1> <-> |-1> element
-
-
-@dataclass(frozen=True)
-class TargetCouplings:
-    """Couplings (U, X, Y, Y') of the compact-scalar-QED target family."""
-
-    U: float
-    X: float
-    Y: float
-    Yp: float = 0.0
 
 
 @dataclass
@@ -149,12 +133,6 @@ def rydberg_hamiltonian(
     )
 
 
-def _spin1_diag_terms(n_sites: int):
-    """Digit table and helper arrays for a spin-1 chain."""
-    digits = Spin1Basis(n_sites).digits().astype(float)
-    return digits
-
-
 def _spin1_flip_entries(n_sites: int, flavor: Flavor):
     """Row/col index pairs for -J * sum_i (U+_i + U-_i) (or clock C)."""
     dim = 3**n_sites
@@ -194,7 +172,7 @@ def effective_spin1_hamiltonian(
         raise ValueError("n_sites must be >= 1")
     bc = BoundaryCondition(bc)
     dim = 3**n_sites
-    m = _spin1_diag_terms(n_sites)
+    m = Spin1Basis(n_sites).digits().astype(float)
     m2 = m * m
 
     d_site = np.full(n_sites, coeffs.D)
@@ -237,29 +215,15 @@ def effective_spin1_hamiltonian(
     )
 
 
-def cahm_hamiltonian(t: TargetCouplings, n_sites: int, m_max: int = 1) -> SparseOperator:
+def cahm_hamiltonian(t: TargetCouplings, n_sites: int) -> SparseOperator:
     """Compact Abelian Higgs chain (U/2) sum (L^z)^2 - Y sum L^z L^z - X sum U^x.
 
-    Only the spin-1 truncation is exercised; Y' is ignored.
+    This is the open effective chain with D = U/2, R = -Y, R' = 0, J = X/2
+    and the ladder flavor.  Only the spin-1 truncation is exercised; Y' is
+    ignored.
     """
-    if m_max != 1:
-        raise NotImplementedError("only the spin-1 truncation is supported")
-    dim = 3**n_sites
-    m = _spin1_diag_terms(n_sites)
-    diag = 0.5 * t.U * np.sum(m * m, axis=1)
-    for i in range(n_sites - 1):
-        diag -= t.Y * m[:, i] * m[:, i + 1]
-    rows = [np.arange(dim, dtype=np.int64)]
-    cols = [np.arange(dim, dtype=np.int64)]
-    vals = [diag]
-    if t.X != 0.0:
-        fr, fc, _ = _spin1_flip_entries(n_sites, Flavor.LADDER_U)
-        rows.append(fr)
-        cols.append(fc)
-        vals.append(np.full(len(fr), -0.5 * t.X))
-    return SparseOperator.from_coo(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    coeffs = EffectiveCoefficients(D=0.5 * t.U, R=-t.Y, Rp=0.0, J=0.5 * t.X)
+    return effective_spin1_hamiltonian(coeffs, n_sites)
 
 
 def charge_kernel(n_sites: int) -> np.ndarray:
@@ -268,13 +232,11 @@ def charge_kernel(n_sites: int) -> np.ndarray:
     return (n_sites + 1 - np.maximum.outer(j, j)).astype(float)
 
 
-def sqed_charge_hamiltonian(t: TargetCouplings, n_sites: int, m_max: int = 1):
+def sqed_charge_hamiltonian(t: TargetCouplings, n_sites: int):
     """Charge-representation Hamiltonian on n_sites+1 links, total charge 0.
 
     Returns (operator, charge_configs) with configs of shape (dim, n_sites+1).
     """
-    if m_max != 1:
-        raise NotImplementedError("only the spin-1 truncation is supported")
     n_links = n_sites + 1
     all_cfg = Spin1Basis(n_links).digits()
     keep = np.flatnonzero(all_cfg.sum(axis=1) == 0)
@@ -339,7 +301,6 @@ def sqed_field_hamiltonian(
         coeffs = coeffs.replace(
             d_first=0.5 * t.U + 0.5 * t.Y, d_last=0.5 * t.U + 0.5 * t.Y
         )
-        bc = BoundaryCondition.OBC
     elif bc is BoundaryCondition.ZERO_ZERO:
         # The boundary bonds to the frozen zero fields contribute no cross
         # terms, so 00BC is the plain uniform-D chain.

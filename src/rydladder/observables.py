@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisError, RydbergBasis, Spin1Basis, StateDictionary
+from .basis import BasisError, RydbergBasis, Spin1Basis
 from .geometry import AtomArray
 
 

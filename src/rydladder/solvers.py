@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import RydbergBasis, StateDictionary, sector_overlap
+from .basis import RydbergBasis, StateDictionary, project_to_spin1
 from .hamiltonians import SparseOperator
 
 DENSE_DIM_LIMIT = 4096
@@ -201,9 +201,8 @@ def sector_eigenstates(
     import warnings
 
     res = dense_eigs(h)
-    overlaps = np.array(
-        [sector_overlap(res.eigenvectors[:, j], basis, dictionary) for j in range(h.dim)]
-    )
+    sector_indices, _ = project_to_spin1(basis, dictionary)
+    overlaps = np.sum(np.abs(res.eigenvectors[sector_indices]) ** 2, axis=0)
     band = np.sort(np.argsort(-overlaps, kind="stable")[:k])
     if overlaps[band].max() < 0.5:
         warnings.warn("spin-1 band is ambiguous: all sector overlaps below 0.5")

@@ -252,3 +252,16 @@ def test_match_inverse_and_forward(tmp_path):
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
     record = json.loads((out / "match.json").read_text())
     assert record["device"]["rho"] == pytest.approx(0.431, abs=5e-4)
+
+
+def test_derived_errors_are_recorded(tmp_path):
+    """A chain has couplings but no effective description; the manifest says so."""
+    out = tmp_path / "chain"
+    text = BASE.format(out=out).replace("kind = three-leg", "kind = chain")
+    text = text.replace("hamiltonian = effective", "hamiltonian = rydberg")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["derived"]) == {"V1", "R_b"}
+    errors = manifest["derived_errors"]
+    assert errors and errors[0].startswith("ConfigError: ")
+    assert "no effective description" in errors[0]

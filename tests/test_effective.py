@@ -21,13 +21,13 @@ from rydladder import (
     coeffs_two_leg,
     diagonal_expansion_oracle,
     effective_rabi,
+    ladder_couplings,
     match_forward,
     match_inverse,
     pairwise_couplings,
     rabi_pt_matrix,
     rung_rabi_j,
 )
-from rydladder.effective import couplings_three_leg, couplings_two_leg
 
 
 def test_two_leg_coefficients_form():
@@ -48,8 +48,8 @@ def test_two_leg_longrange_tail_decays():
     rps = [coeffs.Rp] + [rpk for _, _, rpk in longrange]
     assert all(a > b > 0 for a, b in zip(rps, rps[1:]))
     # range-k couplings scale as 1/k^6 on the same leg
-    v1_2, _ = couplings_two_leg(640.0, 0.5, k=2)
-    v1_1, _ = couplings_two_leg(640.0, 0.5, k=1)
+    v1_2 = ladder_couplings(LadderSpec(LadderKind.TWO_LEG, 1, 2 / 0.5, 1.0), 640.0)["V1"]
+    v1_1 = ladder_couplings(LadderSpec(LadderKind.TWO_LEG, 1, 1 / 0.5, 1.0), 640.0)["V1"]
     assert v1_2 == pytest.approx(v1_1 / 64.0)
 
 
@@ -177,7 +177,8 @@ def test_match_forward_three_leg_consistency():
     """Targets recomputed independently from the coupling formulas."""
     v0, delta, delta0, omega, rho = 100.0, 40.0, 0.3, 1.0, 0.43
     t, const_site, const_offset = match_forward("three-leg-00bc", v0, delta, delta0, omega, rho)
-    v1, v2, v3 = couplings_three_leg(v0, rho)
+    v = ladder_couplings(LadderSpec(LadderKind.THREE_LEG, 1, 1 / rho, 1.0), v0)
+    v1, v2, v3 = v["V1"], v["V2"], v["V3"]
     x = omega**2 * v0 / (2 * delta * (v0 - delta))
     assert t.X == pytest.approx(x, rel=1e-12)
     assert t.U == pytest.approx(2 * delta0 + 2 * v3 - 2 * v1 + x, rel=1e-12)
@@ -188,7 +189,8 @@ def test_match_forward_three_leg_consistency():
 
 def test_match_forward_two_leg():
     v0, rho = 640.0, 0.5
-    v1, v2 = couplings_two_leg(v0, rho)
+    v = ladder_couplings(LadderSpec(LadderKind.TWO_LEG, 1, 1 / rho, 1.0), v0)
+    v1, v2 = v["V1"], v["V2"]
     t, _, _ = match_forward("two-leg", v0, 3.0, 0.0, 1.2, rho)
     assert t.U == pytest.approx(-6.0 + 2 * v2)
     assert t.X == pytest.approx(1.2)
@@ -266,12 +268,13 @@ def test_clock_forward_constraint():
 
 
 def test_in_plane_coupling_shift_dependence():
-    from rydladder.effective import in_plane_couplings
-
+    kind = LadderKind.IN_PLANE_TRIANGLE
     # equilateral default: the middle leg leans toward the previous rung
-    v1, v2, v3, v4 = in_plane_couplings(100.0, 0.4)
+    v = ladder_couplings(LadderSpec(kind, 1, 1 / 0.4, 1.0), 100.0)
+    v1, v2, v3, v4 = v["V1"], v["V2"], v["V3"], v["V4"]
     assert v2 > v4  # closer behind than ahead
     assert v1 > v3
     # zero shift restores the symmetric column: V2 = V4
-    v1s, v2s, v3s, v4s = in_plane_couplings(100.0, 0.4, shift=0.0)
+    v = ladder_couplings(LadderSpec(kind, 1, 1 / 0.4, 1.0, shift=0.0), 100.0)
+    v1s, v2s, v3s, v4s = v["V1"], v["V2"], v["V3"], v["V4"]
     assert v2s == pytest.approx(v4s, rel=1e-12)
