@@ -23,7 +23,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +114,6 @@ class RunConfig:
     initial: str = "all-ground"
     t_total: float = 0.5
     dt: float = 0.002
-    m_krylov: int = 20
     axis: str = "omega"
     start: float = 0.0
     stop: float = 0.0
@@ -129,36 +128,36 @@ class RunConfig:
     threads: int = 1
 
 
-_FLOAT_KEYS_ENERGY = {"omega", "delta", "delta0", "start", "stop"}
+def _parse_bool(raw: str) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on")
+
+
+# INI converter per scalar key, read off the RunConfig annotations (strings
+# under postponed evaluation); dict and tuple fields are parsed by hand below.
+_CONVERTERS = {"int": int, "int | None": int, "float": float, "float | None": float,
+               "bool": _parse_bool, "str": str.strip}
+_KEY_CONVERTERS = {f.name: _CONVERTERS[f.type] for f in fields(RunConfig) if f.type in _CONVERTERS}
+_ENERGY_KEYS = {"omega", "delta", "delta0", "start", "stop", "c6"}
+_TARGET_KEYS = ("U", "X", "Y", "Yp")
 
 
 def _parse_section(cfg: RunConfig, section: str, items: dict, scale: float):
     for key, raw in items.items():
-        if not hasattr(cfg, key) and key not in ("rho", "units", "U", "X", "Y", "Yp"):
+        if key not in _KEY_CONVERTERS and key not in ("compare_models", "rho", "units", *_TARGET_KEYS):
             raise ConfigError(f"[{section}] unknown key {key!r}")
         try:
-            if key in ("n_rungs", "k_max", "case", "k", "steps", "m_krylov", "seed", "threads", "constraint"):
-                setattr(cfg, key, int(raw))
-            elif key in ("a_x", "a_y", "shift", "prism_height", "t_total", "dt", "range_cutoff"):
-                setattr(cfg, key, float(raw))
-            elif key in ("staggered",):
-                setattr(cfg, key, raw.strip().lower() in ("1", "true", "yes", "on"))
-            elif key in _FLOAT_KEYS_ENERGY:
+            if key in _ENERGY_KEYS:
                 # sweep axes are always drive energies, so start/stop scale too
                 setattr(cfg, key, float(raw) * scale)
-            elif key == "c6":
-                cfg.c6 = float(raw) * scale
-            elif key in ("U", "X", "Y", "Yp"):
+            elif key in _TARGET_KEYS:
                 cfg.targets[key] = float(raw) * scale
             elif key == "compare_models":
                 models = tuple(m.strip() for m in raw.split(","))
                 if len(models) != 2 or any(m not in MODELS for m in models):
                     raise ConfigError(f"[{section}] compare_models must name two of {MODELS}")
                 cfg.compare_models = models
-            elif key in ("rho", "units"):
-                pass  # handled by the caller
-            else:
-                setattr(cfg, key, raw.strip())
+            elif key in _KEY_CONVERTERS:  # rho and units are handled by the caller
+                setattr(cfg, key, _KEY_CONVERTERS[key](raw))
         except ConfigError:
             raise
         except ValueError as exc:
@@ -198,7 +197,6 @@ def parse_config(path: str | Path) -> RunConfig:
     scale = TWO_PI if units == "two-pi-mhz" else 1.0
 
     cfg = RunConfig()
-    cfg.c6 = DEFAULT_C6  # already in rad/us um^6
     for section in parser.sections():
         if section not in ("geometry", "drive", "model", "task", "output"):
             raise ConfigError(f"unknown section [{section}]")
@@ -263,7 +261,8 @@ def geometry_coeffs(cfg: RunConfig) -> tuple[EffectiveCoefficients, list]:
     if kind is LadderKind.THREE_LEG:
         return coeffs_three_leg(cfg.case, v0, cfg.delta, cfg.delta0, cfg.omega, rho, cfg.staggered), []
     if kind is LadderKind.PRISM:
-        return coeffs_prism(v0, cfg.delta, cfg.delta0, cfg.omega, rho, cfg.staggered), []
+        height = None if cfg.prism_height is None else cfg.prism_height / cfg.a_y
+        return coeffs_prism(v0, cfg.delta, cfg.delta0, cfg.omega, rho, height, cfg.staggered), []
     if kind is LadderKind.IN_PLANE_TRIANGLE:
         shift = None if cfg.shift is None else cfg.shift / cfg.a_y
         return coeffs_in_plane(v0, cfg.delta, cfg.delta0, cfg.omega, rho, shift, cfg.staggered), []
@@ -462,9 +461,7 @@ def task_spectrum(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _evolve(cfg: RunConfig, model: Model):
-    psi0 = initial_state(cfg, model)
-    times, states = krylov_evolve(model.op, psi0, cfg.t_total, cfg.dt, cfg.m_krylov)
-    return times, states
+    return krylov_evolve(model.op, initial_state(cfg, model), cfg.t_total, cfg.dt)
 
 
 def task_evolve(cfg: RunConfig, outdir: Path) -> dict:

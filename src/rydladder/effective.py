@@ -91,9 +91,9 @@ def _check_denominators(named: dict):
             raise ResonanceError(f"vanishing denominator: {name} = 0")
 
 
-def _ladder_v(kind: LadderKind, v0: float, rho: float, shift: float | None = None) -> dict:
+def _ladder_v(kind: LadderKind, v0: float, rho: float, **shape) -> dict:
     """Geometry's named couplings in units a_y = 1 (so c6 = V0) at a_x = 1/rho."""
-    return ladder_couplings(LadderSpec(kind, 1, 1.0 / rho, 1.0, shift=shift), v0)
+    return ladder_couplings(LadderSpec(kind, 1, 1.0 / rho, 1.0, **shape), v0)
 
 
 def coeffs_two_leg(
@@ -194,6 +194,22 @@ def _three_leg_validity(case, v0, v0p, delta, delta0, omega):
     return out
 
 
+def _three_atom_rung_diagonal(v: dict, d_site: float, staggered: bool) -> dict:
+    """Three-atom-rung diagonal coefficients atop the on-rung (L^z)^2 term ``d_site``."""
+    v1, v2, v3 = v["V1"], v["V2"], v["V3"]
+    sgn = -1.0 if staggered else 1.0
+    return dict(
+        D=d_site + 2.0 * (v2 - v1),
+        R=sgn * (v1 - v3) / 2.0,
+        Rp=(3.0 * v1 + v3) / 2.0 - 2.0 * v2,
+        const_bond=v1,
+        d_first=d_site + (v2 - v1),
+        d_last=d_site + (v2 - v1),
+        bc_lz2_edge=v2 - v1,
+        bc_const=2.0 * v1,
+    )
+
+
 def coeffs_three_leg(
     case: int,
     v0: float,
@@ -213,26 +229,17 @@ def coeffs_three_leg(
     case 1 the PT diagonal (B - A) Omega^2 / 4 is kept as is.
     """
     v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
-    v0p, v1, v2, v3 = v["V0p"], v["V1"], v["V2"], v["V3"]
-    pt = rabi_pt_matrix(v0, v0p, delta, delta0, omega)
+    pt = rabi_pt_matrix(v0, v["V0p"], delta, delta0, omega)
     j, flavor, diag_shift = effective_rabi(case, pt, v0, delta, omega)
     if case == 2:
         j = rung_rabi_j(v0, delta, omega)
     pt_diag = diag_shift if case == 1 else j
-    sgn = -1.0 if staggered else 1.0
     return EffectiveCoefficients(
-        D=delta0 + pt_diag + 2.0 * (v2 - v1),
-        R=sgn * (v1 - v3) / 2.0,
-        Rp=(3.0 * v1 + v3) / 2.0 - 2.0 * v2,
         J=j,
         flavor=flavor,
         const_site=-(delta + delta0) - omega**2 * pt.B / 4.0,
-        const_bond=v1,
-        d_first=delta0 + pt_diag + (v2 - v1),
-        d_last=delta0 + pt_diag + (v2 - v1),
-        bc_lz2_edge=v2 - v1,
-        bc_const=2.0 * v1,
-        validity=_three_leg_validity(case, v0, v0p, delta, delta0, omega),
+        validity=_three_leg_validity(case, v0, v["V0p"], delta, delta0, omega),
+        **_three_atom_rung_diagonal(v, delta0 + pt_diag, staggered),
     )
 
 
@@ -242,27 +249,25 @@ def coeffs_prism(
     delta0: float,
     omega: float,
     rho: float,
+    height: float | None = None,
     staggered: bool = False,
 ) -> EffectiveCoefficients:
-    """Effective chain for the equilateral triangular prism (V0 = V0', V2 = V3)."""
-    v = _ladder_v(LadderKind.PRISM, v0, rho)
-    v1, v2 = v["V1"], v["V2"]
-    j = rung_rabi_j(v0, delta, omega)
-    sgn = -1.0 if staggered else 1.0
+    """Effective chain for the triangular prism, middle leg at ``height``.
+
+    ``height`` is in units where a_y = 1; ``None`` selects the equilateral
+    sqrt(3)/2.  J and the Omega^2 constant assume V0 = V0' at any height;
+    ``validity["rung_asymmetry"]`` = |V0' - V0| / V0 flags the departure.
+    """
+    v = _ladder_v(LadderKind.PRISM, v0, rho, prism_height=height)
+    validity = _three_leg_validity(1, v0, v["V0p"], delta, delta0, omega)
+    validity["rung_asymmetry"] = abs(v["V0p"] - v0) / v0 if v0 else math.inf
     return EffectiveCoefficients(
-        D=delta0 + 2.0 * (v2 - v1),
-        R=sgn * (v1 - v2) / 2.0,
-        Rp=3.0 * (v1 - v2) / 2.0,
-        J=j,
+        J=rung_rabi_j(v0, delta, omega),
         flavor=Flavor.CLOCK_C,
         const_site=-(delta + delta0)
         - omega**2 / 4.0 * (2.0 / (v0 - delta) + 1.0 / (delta + delta0)),
-        const_bond=v1,
-        d_first=delta0 + (v2 - v1),
-        d_last=delta0 + (v2 - v1),
-        bc_lz2_edge=v2 - v1,
-        bc_const=2.0 * v1,
-        validity=_three_leg_validity(1, v0, v0, delta, delta0, omega),
+        validity=validity,
+        **_three_atom_rung_diagonal(v, delta0, staggered),
     )
 
 
@@ -280,7 +285,7 @@ def coeffs_in_plane(
     ``shift`` is the leftward middle-leg displacement in units where a_y = 1;
     ``None`` selects the equilateral triangle sqrt(3)/2.
     """
-    v = _ladder_v(LadderKind.IN_PLANE_TRIANGLE, v0, rho, shift)
+    v = _ladder_v(LadderKind.IN_PLANE_TRIANGLE, v0, rho, shift=shift)
     v1, v2, v3, v4 = v["V1"], v["V2"], v["V3"], v["V4"]
     j = rung_rabi_j(v0, delta, omega)
     sgn = -1.0 if staggered else 1.0

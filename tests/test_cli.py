@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -10,6 +11,7 @@ from rydladder.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    RunConfig,
     fmt,
     main,
     parse_config,
@@ -63,6 +65,29 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     bad = BASE.format(out=tmp_path).replace("case = 2", "caze = 2")
     with pytest.raises(ConfigError):
         parse_config(_write(tmp_path, bad))
+
+
+def test_parse_config_reads_every_scalar_key(tmp_path):
+    """Every scalar RunConfig field is read from the INI with its annotated type."""
+    values = {
+        "kind": "prism", "n_rungs": 3, "a_x": 7.5, "a_y": 4.25, "shift": 0.5,
+        "prism_height": 2.5, "omega": 1.5, "delta": 2.5, "delta0": 0.75, "c6": 1234.5,
+        "hamiltonian": "effective", "flavor": "C", "bc": "pbc", "range_cutoff": 9.5,
+        "k_max": 3, "case": 1, "staggered": True, "constraint": 2, "task": "sweep", "k": 7,
+        "initial": "spin:0+-", "t_total": 0.25, "dt": 0.01, "axis": "delta", "start": 0.5,
+        "stop": 1.5, "steps": 4, "direction": "inverse", "match_case": "two-leg",
+        "compare_task": "evolve", "directory": "somewhere", "seed": 7, "threads": 2,
+    }
+    scalar = {f.name for f in fields(RunConfig)} - {"targets", "compare_models"}
+    assert set(values) == scalar
+    # the parser takes any known key in any known section
+    text = "[drive]\nunits = rad-per-us\n[task]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    cfg = parse_config(_write(tmp_path, text))
+    default = RunConfig()
+    for key, value in values.items():
+        assert getattr(default, key) != value, key
+        assert type(getattr(cfg, key)) is type(value), key
+        assert getattr(cfg, key) == value, key
 
 
 def test_parse_config_rejects_bad_units(tmp_path):
@@ -119,12 +144,19 @@ def test_units_equivalence(tmp_path):
             assert xa == pytest.approx(xb, rel=1e-12, abs=1e-12)
 
 
-def test_manifest_round_trip_bitwise(tmp_path):
+@pytest.mark.parametrize("task", ["gs", "evolve"])
+def test_manifest_round_trip_bitwise(tmp_path, task):
     out = tmp_path / "out"
     out2 = tmp_path / "out2"
-    main(["run", "--config", _write(tmp_path, BASE.format(out=out))])
+    text = BASE.format(out=out)
+    output = "gs.csv"
+    if task == "evolve":
+        text = text.replace("hamiltonian = effective", "hamiltonian = rydberg")
+        text = text.replace("task = gs", "task = evolve\ninitial = spin:000\ndt = 0.002")
+        output = "timeseries.csv"
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
     assert main(["run", "--config", str(out / "manifest.json"), "--out", str(out2)]) == EXIT_OK
-    assert (out / "gs.csv").read_text() == (out2 / "gs.csv").read_text()
+    assert (out / output).read_bytes() == (out2 / output).read_bytes()
 
 
 def test_geom_subcommand(tmp_path):

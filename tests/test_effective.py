@@ -103,13 +103,15 @@ def test_const_total_scaling():
     assert c.const_total(5) == pytest.approx(5 * c.const_site + 4 * c.const_bond)
 
 
-def _oracle_case(kind, case, v0, delta, delta0, rho, shift=None):
+def _oracle_case(kind, case, v0, delta, delta0, rho, shift=None, height=None):
     """Closed-form coefficients vs brute-force two-rung fit at Omega = 0."""
     ay = 1.0
     ax = ay / rho
     spec_kw = {}
     if kind is LadderKind.IN_PLANE_TRIANGLE and shift is not None:
         spec_kw["shift"] = shift * ay
+    if kind is LadderKind.PRISM and height is not None:
+        spec_kw["prism_height"] = height * ay
     atoms = build_ladder(LadderSpec(kind, 2, ax, ay, **spec_kw), delta0=delta0)
     cm = pairwise_couplings(atoms, c6=v0 * ay**6)
     oracle, residual = diagonal_expansion_oracle(atoms, cm, delta)
@@ -118,7 +120,7 @@ def _oracle_case(kind, case, v0, delta, delta0, rho, shift=None):
     elif kind is LadderKind.THREE_LEG:
         closed = coeffs_three_leg(case, v0, delta, delta0, 0.0, rho)
     elif kind is LadderKind.PRISM:
-        closed = coeffs_prism(v0, delta, delta0, 0.0, rho)
+        closed = coeffs_prism(v0, delta, delta0, 0.0, rho, height)
     else:
         closed = coeffs_in_plane(v0, delta, delta0, 0.0, rho, shift)
     return oracle, residual, closed
@@ -135,9 +137,19 @@ GEOMETRY_CASES = [
 
 @pytest.mark.parametrize("kind,case", GEOMETRY_CASES)
 def test_oracle_matches_closed_form(kind, case):
+    _assert_oracle_matches(kind, case)
+
+
+@pytest.mark.parametrize("height", [0.5, 2.0])
+def test_prism_oracle_at_height(height):
+    """The prism diagonal follows prism_height, not the equilateral couplings."""
+    _assert_oracle_matches(LadderKind.PRISM, 0, height=height)
+
+
+def _assert_oracle_matches(kind, case, height=None):
     delta0 = 0.4
     oracle, residual, closed = _oracle_case(kind, case, v0=200.0, delta=35.0,
-                                            delta0=delta0, rho=0.45)
+                                            delta0=delta0, rho=0.45, height=height)
     assert residual < 1e-10
     scale = max(1.0, abs(closed.D), abs(closed.Rp))
     assert oracle.D == pytest.approx(closed.D, abs=1e-10 * scale)

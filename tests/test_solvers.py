@@ -25,7 +25,7 @@ from rydladder import (
     rydberg_hamiltonian,
     sector_eigenstates,
 )
-from rydladder.solvers import DENSE_DIM_LIMIT, krylov_step, normalize
+from rydladder.solvers import DENSE_DIM_LIMIT, normalize
 
 
 def _random_operator(n, seed, density=0.05):
@@ -105,8 +105,29 @@ def test_krylov_step_matches_expm():
     h = _random_operator(60, 2)
     psi = normalize(np.random.default_rng(0).standard_normal(60).astype(complex))
     exact = sla.expm(-1j * 0.05 * h.to_dense()) @ psi
-    approx = krylov_step(h, psi, 0.05, m=30)
+    approx = krylov_evolve(h, psi, 0.05, 0.05)[1][-1]
     assert np.linalg.norm(exact - approx) < 1e-10
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.2])
+def test_evolve_accurate_at_large_step(dt):
+    """A step that keeps the norm but not the state is caught against expm.
+
+    Nine-atom three-leg ladder at criterion 06's drive (||H|| ~ 800 rad/us)
+    from the spin state 000, evolved to t = 1 us.
+    """
+    import scipy.linalg as sla
+
+    tp = 2 * math.pi
+    atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 3, 3.0, 1.0), delta0=0.2 * tp)
+    basis = enumerate_rydberg(atoms.n_atoms)
+    h = rydberg_hamiltonian(atoms, 2 * tp, 20 * tp, pairwise_couplings(atoms, c6=40 * tp), basis)
+    pattern = StateDictionary.for_atoms(atoms).spin_to_pattern[0]
+    psi0 = np.zeros(h.dim, dtype=complex)
+    psi0[basis.index_of(sum(pattern << (3 * s) for s in range(3)))] = 1.0
+    exact = sla.expm(-1j * h.to_dense()) @ psi0
+    _, states = krylov_evolve(h, psi0, 1.0, dt)
+    assert np.linalg.norm(states[-1] - exact) <= 1e-10
 
 
 def test_krylov_unitarity_and_energy_conservation():
