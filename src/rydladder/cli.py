@@ -62,7 +62,8 @@ from .hamiltonians import (
     sqed_field_hamiltonian,
 )
 from .observables import classify_phase, order_parameters, renyi_entropy, site_profile
-from .solvers import SolverError, dense_eigs, ground_state, krylov_evolve, sector_eigenstates
+from .solvers import (EXACT_NORM_LIMIT, SolverError, dense_eigs, ground_state, krylov_evolve,
+                      sector_eigenstates, step_onenorm)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -250,6 +251,11 @@ def ladder_spec(cfg: RunConfig) -> LadderSpec:
     )
 
 
+def _height(cfg: RunConfig) -> float | None:
+    """The prism's middle-leg height in units of a_y (``None`` = equilateral)."""
+    return None if cfg.prism_height is None else cfg.prism_height / cfg.a_y
+
+
 def geometry_coeffs(cfg: RunConfig) -> tuple[EffectiveCoefficients, list]:
     """Closed-form effective coefficients for the configured geometry."""
     kind = LadderKind(cfg.kind)
@@ -261,8 +267,7 @@ def geometry_coeffs(cfg: RunConfig) -> tuple[EffectiveCoefficients, list]:
     if kind is LadderKind.THREE_LEG:
         return coeffs_three_leg(cfg.case, v0, cfg.delta, cfg.delta0, cfg.omega, rho, cfg.staggered), []
     if kind is LadderKind.PRISM:
-        height = None if cfg.prism_height is None else cfg.prism_height / cfg.a_y
-        return coeffs_prism(v0, cfg.delta, cfg.delta0, cfg.omega, rho, height, cfg.staggered), []
+        return coeffs_prism(v0, cfg.delta, cfg.delta0, cfg.omega, rho, _height(cfg), cfg.staggered), []
     if kind is LadderKind.IN_PLANE_TRIANGLE:
         shift = None if cfg.shift is None else cfg.shift / cfg.a_y
         return coeffs_in_plane(v0, cfg.delta, cfg.delta0, cfg.omega, rho, shift, cfg.staggered), []
@@ -419,7 +424,7 @@ def task_match(cfg: RunConfig, outdir: Path) -> dict:
             raise ConfigError("[geometry] forward matching needs a_x and a_y (or rho)")
         v0 = cfg.c6 / cfg.a_y**6
         t, const_site, const_offset = match_forward(
-            cfg.match_case, v0, cfg.delta, cfg.delta0, cfg.omega, ladder_spec(cfg).rho
+            cfg.match_case, v0, cfg.delta, cfg.delta0, cfg.omega, ladder_spec(cfg).rho, _height(cfg)
         )
         record = {
             "targets": {"U": t.U, "X": t.X, "Y": t.Y, "Yp": t.Yp},
@@ -473,7 +478,8 @@ def task_evolve(cfg: RunConfig, outdir: Path) -> dict:
         for s in range(len(prof.lz)):
             rows.append((float(t), s + 1, float(prof.lz[s]), float(prof.lz2[s])))
     _write_csv(outdir / "timeseries.csv", ["t", "site", "lz", "lz2"], rows)
-    return {"n_steps": len(times) - 1}
+    norm = step_onenorm(model.op, cfg.dt)
+    return {"n_steps": len(times) - 1, "step_onenorm": norm, "exact_norms": norm <= EXACT_NORM_LIMIT}
 
 
 def _sweep_point(cfg: RunConfig, value: float, seed: int):

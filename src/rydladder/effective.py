@@ -194,6 +194,15 @@ def _three_leg_validity(case, v0, v0p, delta, delta0, omega):
     return out
 
 
+def _clock_rung(v: dict, v0, delta, delta0, omega) -> dict:
+    """J, constant and validity of a blockaded triangular rung.  J and the
+    constant assume V0 = V0'; ``rung_asymmetry`` = |V0' - V0| / V0 flags it."""
+    validity = _three_leg_validity(1, v0, v["V0p"], delta, delta0, omega)
+    validity["rung_asymmetry"] = abs(v["V0p"] - v0) / v0 if v0 else math.inf
+    return dict(J=rung_rabi_j(v0, delta, omega), flavor=Flavor.CLOCK_C, validity=validity,
+                const_site=-(delta + delta0) - omega**2 / 4.0 * (2.0 / (v0 - delta) + 1.0 / (delta + delta0)))
+
+
 def _three_atom_rung_diagonal(v: dict, d_site: float, staggered: bool) -> dict:
     """Three-atom-rung diagonal coefficients atop the on-rung (L^z)^2 term ``d_site``."""
     v1, v2, v3 = v["V1"], v["V2"], v["V3"]
@@ -255,19 +264,11 @@ def coeffs_prism(
     """Effective chain for the triangular prism, middle leg at ``height``.
 
     ``height`` is in units where a_y = 1; ``None`` selects the equilateral
-    sqrt(3)/2.  J and the Omega^2 constant assume V0 = V0' at any height;
-    ``validity["rung_asymmetry"]`` = |V0' - V0| / V0 flags the departure.
+    sqrt(3)/2.  J and the Omega^2 constant assume V0 = V0' (see ``_clock_rung``).
     """
     v = _ladder_v(LadderKind.PRISM, v0, rho, prism_height=height)
-    validity = _three_leg_validity(1, v0, v["V0p"], delta, delta0, omega)
-    validity["rung_asymmetry"] = abs(v["V0p"] - v0) / v0 if v0 else math.inf
     return EffectiveCoefficients(
-        J=rung_rabi_j(v0, delta, omega),
-        flavor=Flavor.CLOCK_C,
-        const_site=-(delta + delta0)
-        - omega**2 / 4.0 * (2.0 / (v0 - delta) + 1.0 / (delta + delta0)),
-        validity=validity,
-        **_three_atom_rung_diagonal(v, delta0, staggered),
+        **_clock_rung(v, v0, delta, delta0, omega), **_three_atom_rung_diagonal(v, delta0, staggered)
     )
 
 
@@ -283,24 +284,19 @@ def coeffs_in_plane(
     """Effective chain for in-plane triangles with a shifted middle leg.
 
     ``shift`` is the leftward middle-leg displacement in units where a_y = 1;
-    ``None`` selects the equilateral triangle sqrt(3)/2.
+    ``None`` selects the equilateral triangle sqrt(3)/2; see ``_clock_rung``.
     """
     v = _ladder_v(LadderKind.IN_PLANE_TRIANGLE, v0, rho, shift=shift)
     v1, v2, v3, v4 = v["V1"], v["V2"], v["V3"], v["V4"]
-    j = rung_rabi_j(v0, delta, omega)
     sgn = -1.0 if staggered else 1.0
     return EffectiveCoefficients(
         D=delta0 + v2 + v4 - 2.0 * v1,
         R=sgn * (v1 - v3) / 2.0,
         Rp=(3.0 * v1 + v3) / 2.0 - v2 - v4,
-        J=j,
-        flavor=Flavor.CLOCK_C,
-        const_site=-(delta + delta0)
-        - omega**2 / 4.0 * (2.0 / (v0 - delta) + 1.0 / (delta + delta0)),
         const_bond=v1,
         d_first=delta0 / 2.0 + v2 - v1,
         d_last=delta0 / 2.0 + v4 - v1,
-        validity=_three_leg_validity(1, v0, v0, delta, delta0, omega),
+        **_clock_rung(v, v0, delta, delta0, omega),
     )
 
 
@@ -423,6 +419,7 @@ def match_forward(
     delta0: float,
     omega: float,
     rho: float,
+    height: float | None = None,
 ):
     """Device parameters -> target couplings (U, X, Y, Y') and constant.
 
@@ -434,7 +431,7 @@ def match_forward(
 
     * ``"three-leg-00bc"`` -- three-leg ladder, two-rung matching, 00BC;
     * ``"two-leg"``        -- two-leg ladder (reaches only Y < 0);
-    * ``"clock-00bc"``     -- blockaded-rung clock variant (Y' = -3Y/2).
+    * ``"clock-00bc"``     -- clock variant (Y' = -3Y/2) on the prism at ``height``.
     """
     if case == "three-leg-00bc":
         v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
@@ -456,7 +453,7 @@ def match_forward(
         t = TargetCouplings(U=-2.0 * delta + 2.0 * v2, X=omega, Y=-v2, Yp=(v1 + v2) / 2.0)
         return t, 0.0, 0.0
     if case == "clock-00bc":
-        v = _ladder_v(LadderKind.PRISM, v0, rho)
+        v = _ladder_v(LadderKind.PRISM, v0, rho, prism_height=height)
         v1, v2 = v["V1"], v["V2"]
         _check_denominators({"Delta": delta, "V0-Delta": v0 - delta})
         x = omega**2 * v0 / (2.0 * delta * (v0 - delta))

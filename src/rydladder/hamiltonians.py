@@ -100,7 +100,8 @@ def rydberg_hamiltonian(
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         v[dist > range_cutoff] = 0.0
     det = delta + atoms.detuning_offset
-    diag = -occ @ det + 0.5 * np.einsum("si,ij,sj->s", occ, v, occ)
+    # two two-operand einsums: the three-operand one is 4x slower at dim 16384
+    diag = -occ @ det + 0.5 * np.einsum("sj,sj->s", np.einsum("si,ij->sj", occ, v), occ)
     if frozen_sources is not None:
         if c6 is None:
             raise ValueError("frozen_sources requires the c6 coefficient")
@@ -114,6 +115,7 @@ def rydberg_hamiltonian(
                 vs[d > range_cutoff] = 0.0
             field += vs
         diag = diag + occ @ field
+    del occ   # set-up peak memory: not needed by the sparse assembly below
 
     dim = basis.dim
     rows = [np.arange(dim, dtype=np.int64)]
@@ -121,16 +123,15 @@ def rydberg_hamiltonian(
     vals = [diag]
     half = 0.5 * omega
     if half != 0.0:
+        index = np.arange(dim)
         for a in range(atoms.n_atoms):
-            flipped = basis.states ^ (1 << a)
-            partner = basis.index_of(flipped)
-            src = np.flatnonzero((partner >= 0) & (np.arange(dim) < partner))
-            rows.append(src.astype(np.int64))
-            cols.append(partner[src].astype(np.int64))
+            partner = basis.index_of(basis.states ^ (1 << a))
+            src = np.flatnonzero(index < partner)   # absent partners are -1
+            rows.append(src)
+            cols.append(partner[src])
             vals.append(np.full(len(src), half))
-    return SparseOperator.from_coo(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))   # frees the pieces first
+    return SparseOperator.from_coo(dim, rows, cols, vals)
 
 
 def _spin1_flip_entries(n_sites: int, flavor: Flavor):

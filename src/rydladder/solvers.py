@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import expm_multiply
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .basis import RydbergBasis, StateDictionary, project_to_spin1
 from .hamiltonians import SparseOperator
 
 DENSE_DIM_LIMIT = 4096
+EXACT_NORM_LIMIT = 63.4   # expm_multiply uses exact 1-norms only up to here
+NCV = 60   # Lanczos vectors kept between restarts, chosen by measurement
 
 
 class SolverError(RuntimeError):
@@ -62,74 +66,60 @@ def dense_eigs(h: SparseOperator, k: int | None = None, vectors: bool = True) ->
 def lanczos_ground_state(
     h: SparseOperator,
     tol: float = 1e-10,
-    max_iter: int = 2000,
+    max_iter: int = 20000,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
-    """Ground-state pair by Lanczos with full reorthogonalization.
+    """Ground-state pair by implicitly restarted Lanczos (ARPACK ``eigsh``).
 
-    Deterministic for a given seed.  Raises :class:`ConvergenceError`
-    carrying the best estimate if ``max_iter`` steps do not converge.
+    Returns only when the true residual ||H psi - E psi|| <= tol ||H||_1
+    (exact sparse 1-norm, E the Rayleigh quotient).  Memory is O(NCV dim);
+    ``max_iter`` caps the products with H.  Deterministic for a given seed.
+    Otherwise raises :class:`ConvergenceError` carrying the best estimate.
     """
-    n = h.dim
-    limit = min(max_iter, n)
-    rng = np.random.default_rng(seed)
-    # Start from the lowest-diagonal basis state (a good approximation when
-    # off-diagonal couplings are weak) plus a small random component so every
-    # symmetry sector is reachable.
+    n, diag = h.dim, h.matrix.diagonal()
+    # lowest-diagonal basis state plus a small random part (all sectors reachable)
     start = np.zeros(n)
-    start[int(np.argmin(h.matrix.diagonal()))] = 1.0
-    start += 1e-3 * rng.standard_normal(n) / np.sqrt(n)
-    # grow the Krylov basis in chunks; most runs stop well before max_iter
-    q = np.empty((min(limit + 1, 64), n))
-    q[0] = normalize(start)
-    alphas: list[float] = []
-    betas: list[float] = []
-    e_prev = np.inf
-    for it in range(limit):
-        if it + 1 >= q.shape[0]:
-            grow = min(64, limit + 1 - q.shape[0])
-            q = np.concatenate([q, np.empty((grow, n))])
-        w = h.matrix @ q[it]
-        alpha = float(q[it] @ w)
-        alphas.append(alpha)
-        w = w - alpha * q[it]
-        if betas:
-            w = w - betas[-1] * q[it - 1]
-        # full reorthogonalization; repeat once if the norm dropped sharply
-        # (the usual "twice is enough" criterion)
-        span = q[: it + 1]
-        norm_before = float(np.linalg.norm(w))
-        w = w - span.T @ (span @ w)
-        beta = float(np.linalg.norm(w))
-        if beta < 0.5 * norm_before:
-            w = w - span.T @ (span @ w)
-            beta = float(np.linalg.norm(w))
-        # only the lowest Ritz pair is needed; stebz is robust to the tight
-        # eigenvalue clusters these Hamiltonians produce
-        tri_vals, tri_vecs = sla.eigh_tridiagonal(
-            alphas, betas, select="i", select_range=(0, 0), lapack_driver="stebz"
-        )
-        e0 = float(tri_vals[0])
-        if beta < 1e-14:
-            # invariant subspace: the Ritz value is exact
-            return e0, normalize(span.T @ tri_vecs[:, 0])
-        converged = abs(e0 - e_prev) <= tol * max(1.0, abs(e0))
-        resid_est = beta * abs(tri_vecs[-1, 0])
-        if converged and resid_est <= np.sqrt(tol) * max(1.0, abs(e0)):
-            return e0, normalize(span.T @ tri_vecs[:, 0])
-        e_prev = e0
-        betas.append(beta)
-        q[it + 1] = w / beta
-    raise ConvergenceError(
-        f"Lanczos did not converge in {max_iter} iterations", best_estimate=e_prev
-    )
+    start[int(np.argmin(diag))] = 1.0
+    start += 1e-3 * np.random.default_rng(seed).standard_normal(n) / np.sqrt(n)
+    if n == 1:   # ARPACK needs dim >= 2
+        return float(diag[0]), np.ones(1)
+    row = np.asarray(abs(h.matrix).sum(axis=1)).ravel()
+    norm1 = row.max()   # symmetric: the largest column sum is the largest row sum
+    # ARPACK stops on ||r|| <= tol' |theta|.  The lowest Ritz value lies in [lo, hi]
+    # (Gershgorin; start's Rayleigh quotient): a shift by 2 hi - lo puts |theta| in
+    # [w, 2w], so tol' = tol ||H||_1 / 2w meets the bound within a factor 2.  A shift
+    # of order ||H||_1 costs digits of the low spectrum (ARPACK then stalled at NCV >= 70).
+    lo = (diag + abs(diag) - row).min()
+    hi = start @ (h.matrix @ start) / (start @ start)
+    w = max(hi - lo, np.finfo(float).eps ** (2 / 3))
+    shift = 2 * hi - lo
+    used, best = 0, hi
+
+    def shifted_matvec(v):
+        nonlocal used, best
+        if used == max_iter:
+            raise ConvergenceError(f"Lanczos did not converge in {max_iter} matvecs", best)
+        used += 1
+        hv = h.matrix @ v
+        # einsum, not numpy's BLAS, whose thread pool stalls scipy's (10x on 2 CPUs)
+        best = min(best, np.einsum("i,i", v, hv) / np.einsum("i,i", v, v))
+        return hv - shift * v
+
+    op = spla.LinearOperator((n, n), matvec=shifted_matvec, dtype=h.matrix.dtype)
+    try:
+        psi = spla.eigsh(op, k=1, which="SA", v0=start, ncv=min(NCV, n), tol=tol * norm1 / (2 * w))[1][:, 0]
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"Lanczos did not converge: {exc}", best) from exc
+    h_psi = h.matrix @ psi
+    energy = float(psi @ h_psi)
+    residual = np.linalg.norm(h_psi - energy * psi)
+    if residual > tol * norm1:
+        raise ConvergenceError(f"true residual {residual:.3g} > {tol * norm1:.3g}", energy)
+    return energy, psi
 
 
 def ground_state(h: SparseOperator, seed: int = 0) -> tuple[float, np.ndarray]:
-    """Dense below the oracle limit, Lanczos above it."""
-    if h.dim <= DENSE_DIM_LIMIT:
-        res = dense_eigs(h, k=1)
-        return float(res.eigenvalues[0]), res.eigenvectors[:, 0]
+    """Certified sparse ground state at every dimension (see ``lanczos_ground_state``)."""
     return lanczos_ground_state(h, seed=seed)
 
 
@@ -141,10 +131,10 @@ def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float)
 
     Each sample is one ``expm_multiply`` call: truncated Taylor with scaling
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), order and
-    substeps chosen for double-precision tolerance 2**-53.  Re-runs are
-    bitwise identical while ||H dt||_1 <= 63.4 (exact 1-norms only); above
-    it scipy's randomized ``onenormest`` keeps the result accurate, but
-    bitwise repeatability is then observed, not guaranteed.
+    substeps chosen for double-precision tolerance 2**-53.  Re-runs are bitwise
+    identical while ``step_onenorm(h, dt) <= EXACT_NORM_LIMIT`` (exact 1-norms
+    only); above it scipy's randomized ``onenormest`` keeps the result
+    accurate but bitwise repeatable only in practice.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -155,8 +145,14 @@ def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float)
     states[0] = psi
     step = (-1j * dt) * h.matrix
     for k in range(n_steps):
-        states[k + 1] = expm_multiply(step, states[k])
+        states[k + 1] = spla.expm_multiply(step, states[k])
     return times, states
+
+
+def step_onenorm(h: SparseOperator, dt: float) -> float:
+    """||(H - tr(H)/dim) dt||_1, which ``expm_multiply`` tests against ``EXACT_NORM_LIMIT``."""
+    shifted = h.matrix - h.matrix.diagonal().mean() * sp.identity(h.dim, format="csr")
+    return dt * float(spla.norm(shifted, 1))
 
 
 def sector_eigenstates(
@@ -171,8 +167,6 @@ def sector_eigenstates(
     eigenstates of maximal sector overlap (sorted by energy).  A warning is
     emitted when no overlap exceeds 1/2 and the band is ambiguous.
     """
-    import warnings
-
     res = dense_eigs(h)
     sector_indices, _ = project_to_spin1(basis, dictionary)
     overlaps = np.sum(np.abs(res.eigenvectors[sector_indices]) ** 2, axis=0)

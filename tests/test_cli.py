@@ -4,14 +4,17 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from rydladder import match_forward
 from rydladder.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     RunConfig,
+    build_model,
     fmt,
     main,
     parse_config,
@@ -157,6 +160,15 @@ def test_manifest_round_trip_bitwise(tmp_path, task):
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
     assert main(["run", "--config", str(out / "manifest.json"), "--out", str(out2)]) == EXIT_OK
     assert (out / output).read_bytes() == (out2 / output).read_bytes()
+    if task == "evolve":
+        # the manifest states the condition under which the re-run is bitwise
+        # identical: expm_multiply's trace-shifted ||H dt||_1 <= 63.4
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        h = build_model(parse_config(str(out / "manifest.json"))).op.to_dense()
+        shifted = h - np.trace(h) / len(h) * np.eye(len(h))
+        assert summary["step_onenorm"] == pytest.approx(0.002 * np.abs(shifted).sum(axis=0).max(), rel=1e-12)
+        assert summary["exact_norms"] is True
+        assert json.loads((out2 / "manifest.json").read_text())["summary"] == summary
 
 
 def test_geom_subcommand(tmp_path):
@@ -297,3 +309,65 @@ def test_derived_errors_are_recorded(tmp_path):
     errors = manifest["derived_errors"]
     assert errors and errors[0].startswith("ConfigError: ")
     assert "no effective description" in errors[0]
+
+
+TRIANGLE = """
+[geometry]
+kind = {kind}
+n_rungs = 2
+a_y = 5.0
+a_x = 10.0
+{extra}
+
+[drive]
+units = two-pi-mhz
+omega = 1.0
+delta = 20.0
+delta0 = 0.3
+
+[model]
+hamiltonian = effective
+
+[task]
+task = match
+direction = forward
+match_case = clock-00bc
+
+[output]
+directory = {out}
+"""
+
+
+def test_in_plane_validity_flags_rung_asymmetry(tmp_path):
+    """shift = 1.5 um at a_y = 5 um puts the middle atom 0.34^(1/2) a_y from
+    the outer ones, so V0' = V0 / 0.34^3, about 25 V0."""
+    out = tmp_path / "co"
+    text = TRIANGLE.format(kind="in-plane-triangle", extra="shift = 1.5", out=out)
+    assert main(["coeffs", "--config", _write(tmp_path, text)]) == EXIT_OK
+    validity = json.loads((out / "coeffs.json").read_text())["validity"]
+    assert validity["rung_asymmetry"] == pytest.approx(0.34**-3 - 1, rel=1e-12)
+    assert validity["rung_asymmetry"] > 20
+
+
+def test_clock_match_follows_prism_height(tmp_path):
+    records = {}
+    for name, extra in [("default", ""), ("equilateral", f"prism_height = {2.5 * math.sqrt(3)!r}"),
+                        ("tall", "prism_height = 2.0")]:
+        out = tmp_path / name
+        text = TRIANGLE.format(kind="prism", extra=extra, out=out)
+        assert main(["run", "--config", _write(tmp_path, text, f"{name}.ini")]) == EXIT_OK
+        records[name] = json.loads((out / "match.json").read_text())
+    cfg = parse_config(_write(tmp_path, TRIANGLE.format(kind="prism", extra="", out=tmp_path)))
+    t, const_site, const_offset = match_forward(
+        "clock-00bc", cfg.c6 / cfg.a_y**6, cfg.delta, cfg.delta0, cfg.omega, cfg.a_y / cfg.a_x
+    )
+    assert records["default"] == {
+        "targets": {"U": t.U, "X": t.X, "Y": t.Y, "Yp": t.Yp},
+        "const_site": const_site,
+        "const_offset": const_offset,
+    }
+    for key, value in records["default"]["targets"].items():
+        assert records["equilateral"]["targets"][key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+        # X = Omega^2 V0 / [2 Delta (V0 - Delta)] does not see the middle leg
+        if key != "X":
+            assert records["tall"]["targets"][key] != pytest.approx(value, rel=1e-3)

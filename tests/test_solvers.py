@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from rydladder import (
     ConvergenceError,
@@ -68,9 +69,8 @@ def test_lanczos_matches_dense_random(seed):
     e_dense = dense_eigs(h, k=1, vectors=False).eigenvalues[0]
     e_lan, psi = lanczos_ground_state(h, seed=seed)
     assert e_lan == pytest.approx(e_dense, abs=1e-9)
-    # the stopping rule targets sqrt(tol) on the residual; the eigenvalue
-    # error is quadratically smaller
-    assert np.linalg.norm(h.matrix @ psi - e_lan * psi) < 1e-4
+    # the certified bound: true residual <= tol * ||H||_1 at the default tol
+    assert np.linalg.norm(h.matrix @ psi - e_lan * psi) <= 1e-10 * spla.norm(h.matrix, 1)
 
 
 def test_lanczos_matches_dense_physical():
@@ -92,6 +92,42 @@ def test_ground_state_dispatch():
     e, psi = ground_state(h)
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     assert e == pytest.approx(dense_eigs(h, k=1, vectors=False).eigenvalues[0], abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def two_leg_4096():
+    """Twelve-atom two-leg ladder at criterion 05's hard point (rho = 0.5,
+    Omega = 0.2 * 2pi), dim 4096, and its dense ground-state energy."""
+    tp = 2 * math.pi
+    c6, v0 = 858386.0 * tp, 1000.0 * tp
+    a_y = (c6 / v0) ** (1 / 6)
+    atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 6, 2 * a_y, a_y))
+    basis = enumerate_rydberg(atoms.n_atoms)
+    h = rydberg_hamiltonian(atoms, 0.2 * tp, 1.0 * tp, pairwise_couplings(atoms, c6), basis)
+    assert h.dim == DENSE_DIM_LIMIT
+    return h, dense_eigs(h, k=1, vectors=False).eigenvalues[0]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ground_state_certified_at_dense_limit(two_leg_4096, seed):
+    h, e_dense = two_leg_4096
+    for solve in (ground_state, lanczos_ground_state):
+        e, psi = solve(h, seed=seed)
+        assert np.linalg.norm(psi) == pytest.approx(1.0)
+        assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
+        assert e == pytest.approx(e_dense, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ground_state_tiny(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    h = SparseOperator(n, sp.csr_matrix(m + m.T))
+    ref = dense_eigs(h, k=1)
+    for solve in (ground_state, lanczos_ground_state):
+        e, psi = solve(h)
+        assert e == pytest.approx(ref.eigenvalues[0], abs=1e-12)
+        assert abs(psi @ ref.eigenvectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_zero_vector():
