@@ -172,6 +172,29 @@ def project_to_spin1(basis: RydbergBasis, dictionary: StateDictionary):
     return sector_indices, spins
 
 
+def rung_permutations(basis: RydbergBasis, n_legs: int) -> dict[str, np.ndarray]:
+    """Index maps of the two rung-level bit permutations on a basis.
+
+    ``"leg"`` reverses each rung's bit pattern (leg reflection) and
+    ``"mirror"`` reverses the rung order.  ``perm[i]`` is the index of the
+    image of state ``i``, or -1 when the image is not in the basis.
+    """
+    if basis.n_atoms % n_legs != 0:
+        raise BasisError("basis does not match the rung size")
+    rung, leg = np.divmod(np.arange(basis.n_atoms), n_legs)
+    targets = {
+        "leg": rung * n_legs + (n_legs - 1 - leg),
+        "mirror": (basis.n_atoms // n_legs - 1 - rung) * n_legs + leg,
+    }
+    out = {}
+    for name, target in targets.items():
+        images = np.zeros_like(basis.states)
+        for a, b in enumerate(target):
+            images |= ((basis.states >> a) & 1) << b
+        out[name] = basis.index_of(images)
+    return out
+
+
 def sector_overlap(psi: np.ndarray, basis: RydbergBasis, dictionary: StateDictionary) -> float:
     """Probability mass of a Rydberg state inside the spin-1 sector."""
     sector_indices, _ = project_to_spin1(basis, dictionary)

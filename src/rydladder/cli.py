@@ -453,16 +453,24 @@ def task_spectrum(cfg: RunConfig, outdir: Path) -> dict:
     model = build_model(cfg)
     if model.dictionary is not None and isinstance(model.basis, RydbergBasis):
         res, overlaps, band = sector_eigenstates(model.op, model.basis, model.dictionary, cfg.k)
+        in_band = set(band.tolist())
         rows = [
-            (j, float(res.eigenvalues[j]), float(res.residuals[j]), float(overlaps[j]), int(j in set(band)))
+            (j, float(res.eigenvalues[j]), float(res.residuals[j]), float(overlaps[j]), int(j in in_band))
             for j in range(min(len(res.eigenvalues), max(cfg.k, int(band.max()) + 1)))
         ]
         _write_csv(outdir / "spectrum.csv", ["level", "energy", "residual", "sector_overlap", "in_band"], rows)
-        return {"E0": float(res.eigenvalues[0]), "band": [int(b) for b in band]}
-    res = dense_eigs(model.op, k=cfg.k)
-    rows = [(j, float(res.eigenvalues[j]), float(res.residuals[j])) for j in range(cfg.k)]
-    _write_csv(outdir / "spectrum.csv", ["level", "energy", "residual"], rows)
-    return {"E0": float(res.eigenvalues[0])}
+        summary = {"E0": float(res.eigenvalues[0]), "band": [int(b) for b in band]}
+    else:
+        res = dense_eigs(model.op, k=cfg.k)
+        rows = [(j, float(res.eigenvalues[j]), float(res.residuals[j])) for j in range(cfg.k)]
+        _write_csv(outdir / "spectrum.csv", ["level", "energy", "residual"], rows)
+        summary = {"E0": float(res.eigenvalues[0])}
+    summary.update(
+        symmetries=list(res.symmetries),
+        sectors=list(res.sectors),
+        max_residual=float(res.residuals.max()),
+    )
+    return summary
 
 
 def _evolve(cfg: RunConfig, model: Model):

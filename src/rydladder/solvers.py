@@ -10,10 +10,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import RydbergBasis, StateDictionary, project_to_spin1
+from .basis import RydbergBasis, StateDictionary, project_to_spin1, rung_permutations
 from .hamiltonians import SparseOperator
 
 DENSE_DIM_LIMIT = 4096
+SYMMETRY_TOL = 1e-12   # ||Pi H Pi^T - H||_1 / ||H||_1 below which a permutation is a symmetry
 EXACT_NORM_LIMIT = 63.4   # expm_multiply uses exact 1-norms only up to here
 NCV = 60   # Lanczos vectors kept between restarts, chosen by measurement
 
@@ -40,27 +41,33 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None   # columns, aligned with eigenvalues
     residuals: np.ndarray
+    symmetries: tuple[str, ...] = ()   # verified symmetries the solve was blocked by
+    sectors: tuple[int, ...] = ()      # dimension of each diagonalised block
 
 
 def _residuals(h: SparseOperator, vals, vecs) -> np.ndarray:
-    return np.array(
-        [np.linalg.norm(h.matrix @ vecs[:, k] - vals[k] * vecs[:, k]) for k in range(len(vals))]
-    )
+    """Column norms of H X - X diag(vals), one sparse-dense product."""
+    r = h.matrix @ vecs
+    r -= vecs * vals
+    return np.linalg.norm(r, axis=0)
+
+
+def _check_dense_limit(h: SparseOperator):
+    if h.dim > DENSE_DIM_LIMIT:
+        raise SolverError(f"dimension {h.dim} exceeds the dense limit {DENSE_DIM_LIMIT}")
 
 
 def dense_eigs(h: SparseOperator, k: int | None = None, vectors: bool = True) -> SpectrumResult:
-    """Lowest-k eigenpairs by dense diagonalization (oracle backend)."""
-    if h.dim > DENSE_DIM_LIMIT:
-        raise SolverError(f"dimension {h.dim} exceeds the dense limit {DENSE_DIM_LIMIT}")
+    """Lowest-k eigenpairs by dense diagonalization (LAPACK syevd; oracle backend)."""
+    _check_dense_limit(h)
     if k is None:
         k = h.dim
-    dense = h.to_dense()
     if vectors:
-        vals, vecs = sla.eigh(dense)
+        vals, vecs = sla.eigh(h.to_dense(), driver="evd")
         vals, vecs = vals[:k], vecs[:, :k]
-        return SpectrumResult(vals, vecs, _residuals(h, vals, vecs))
-    vals = sla.eigh(dense, eigvals_only=True)[:k]
-    return SpectrumResult(vals, None, np.full(k, np.nan))
+        return SpectrumResult(vals, vecs, _residuals(h, vals, vecs), sectors=(h.dim,))
+    vals = sla.eigh(h.to_dense(), eigvals_only=True, driver="evd")[:k]
+    return SpectrumResult(vals, None, np.full(k, np.nan), sectors=(h.dim,))
 
 
 def lanczos_ground_state(
@@ -155,21 +162,85 @@ def step_onenorm(h: SparseOperator, dt: float) -> float:
     return dt * float(spla.norm(shifted, 1))
 
 
+def _verified_symmetries(h: SparseOperator, basis: RydbergBasis, n_legs: int):
+    """Rung permutations that map the basis onto itself and commute with H.
+
+    Returns ``(names, perms)``; each permutation is checked on H itself,
+    ||Pi H Pi^T - H||_1 <= SYMMETRY_TOL ||H||_1, and dropped otherwise.
+    """
+    norm1 = spla.norm(h.matrix, 1)
+    names, perms = [], []
+    for name, perm in rung_permutations(basis, n_legs).items():
+        if np.any(perm < 0) or np.array_equal(perm, np.arange(h.dim)):
+            continue
+        inv = np.argsort(perm)   # (Pi H Pi^T)[a, b] = H[inv[a], inv[b]]
+        if spla.norm(h.matrix[inv][:, inv] - h.matrix, 1) <= SYMMETRY_TOL * norm1:
+            names.append(name)
+            perms.append(perm)
+    return names, perms
+
+
+def _symmetry_blocks(dim: int, perms) -> list[sp.csr_matrix]:
+    """Sparse isometries U_chi, one per character of the group ``perms`` generate.
+
+    The generators are commuting involutions.  Column j of U_chi is the
+    normalised sum_g chi(g) |g r_j> over the orbit of representative r_j
+    (QuSpin's symmetry blocks); columns that cancel are dropped.  The trivial
+    group gives the single block U = I.
+    """
+    elements = [(np.arange(dim), 0)]   # (index map, bit mask of the generators used)
+    for k, perm in enumerate(perms):
+        elements += [(perm[g], mask | 1 << k) for g, mask in elements]
+    reps = np.unique(np.min([g for g, _ in elements], axis=0))
+    cols = np.tile(np.arange(len(reps)), len(elements))
+    rows = np.concatenate([g[reps] for g, _ in elements])
+    blocks = []
+    for chi in range(1 << len(perms)):
+        vals = np.repeat([(-1.0) ** (mask & chi).bit_count() for _, mask in elements], len(reps))
+        u = sp.csc_matrix((vals, (rows, cols)), shape=(dim, len(reps)))
+        norms = np.sqrt(np.asarray(u.multiply(u).sum(axis=0)).ravel())
+        keep = np.flatnonzero(norms)
+        if len(keep):
+            blocks.append((u[:, keep] @ sp.diags(1.0 / norms[keep])).tocsr())
+    return blocks
+
+
 def sector_eigenstates(
     h: SparseOperator,
     basis: RydbergBasis,
     dictionary: StateDictionary,
     k: int,
 ):
-    """Low-lying eigenpairs annotated with spin-1-sector overlaps.
+    """All eigenpairs annotated with spin-1-sector overlaps.
+
+    H is diagonalised block by block in the sectors of the verified rung
+    symmetries (see ``_verified_symmetries``); the blocks' eigenvectors are
+    embedded in the full basis and merged by energy with a stable sort.
+    Residuals are taken against the full H.
 
     Returns ``(spectrum, overlaps, band)`` where ``band`` indexes the k
     eigenstates of maximal sector overlap (sorted by energy).  A warning is
     emitted when no overlap exceeds 1/2 and the band is ambiguous.
     """
-    res = dense_eigs(h)
+    _check_dense_limit(h)
+    names, perms = _verified_symmetries(h, basis, dictionary.n_legs)
+    solved = []
+    for u in _symmetry_blocks(h.dim, perms):
+        vals, v = sla.eigh((u.T @ h.matrix @ u).toarray(), driver="evd")
+        solved.append((u, vals, v))
+    sectors = tuple(len(vals) for _, vals, _ in solved)
+    all_vals = np.concatenate([vals for _, vals, _ in solved])
+    order = np.argsort(all_vals, kind="stable")
+    vecs = np.empty((h.dim, h.dim), order="F")   # columns contiguous, as LAPACK returns them
+    residuals = np.empty(h.dim)
+    # block b's columns go to the energy-sorted positions of its eigenvalues
+    for (u, vals, v), cols in zip(solved, np.split(np.argsort(order), np.cumsum(sectors)[:-1])):
+        x = u @ v
+        vecs[:, cols] = x
+        residuals[cols] = _residuals(h, vals, x)
+    res = SpectrumResult(all_vals[order], vecs, residuals, tuple(names), sectors)
     sector_indices, _ = project_to_spin1(basis, dictionary)
-    overlaps = np.sum(np.abs(res.eigenvectors[sector_indices]) ** 2, axis=0)
+    overlaps = np.sum(np.abs(vecs[sector_indices]) ** 2, axis=0)
     band = np.sort(np.argsort(-overlaps, kind="stable")[:k])
     if overlaps[band].max() < 0.5:
         warnings.warn("spin-1 band is ambiguous: all sector overlaps below 0.5")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydladder.basis import BasisError
 from rydladder import (
     LadderKind,
     LadderSpec,
@@ -18,6 +17,7 @@ from rydladder import (
     project_to_spin1,
     sector_overlap,
 )
+from rydladder.basis import BasisError, rung_permutations
 
 
 def test_full_enumeration_counts():
@@ -127,3 +127,25 @@ def test_sector_overlap_extremes():
 def test_dictionary_for_atoms():
     atoms = build_ladder(LadderSpec(LadderKind.PRISM, 2, a_x=6.0, a_y=3.0))
     assert StateDictionary.for_atoms(atoms).n_legs == 3
+
+
+def test_rung_permutations_move_bits():
+    """Three-leg, two rungs: atom a = rung * 3 + leg."""
+    basis = enumerate_rydberg(6)
+    perms = rung_permutations(basis, 3)
+    # leg 0 of rung 0 -> leg 2 of rung 0 (leg) / leg 0 of rung 1 (mirror)
+    assert perms["leg"][0b000001] == 0b000100
+    assert perms["mirror"][0b000001] == 0b001000
+    assert perms["leg"][0b010010] == 0b010010   # middle legs stay
+    for perm in perms.values():
+        assert np.array_equal(np.sort(perm), np.arange(basis.dim))
+        assert np.array_equal(perm[perm], np.arange(basis.dim))   # involutions
+
+
+def test_rung_permutations_mark_missing_images():
+    basis = RydbergBasis(4, np.array([0b0000, 0b0001, 0b0011]))
+    perms = rung_permutations(basis, 2)
+    assert perms["leg"].tolist() == [0, -1, 2]
+    assert perms["mirror"].tolist() == [0, -1, -1]
+    with pytest.raises(BasisError):
+        rung_permutations(basis, 3)

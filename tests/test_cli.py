@@ -171,6 +171,29 @@ def test_manifest_round_trip_bitwise(tmp_path, task):
         assert json.loads((out2 / "manifest.json").read_text())["summary"] == summary
 
 
+@pytest.mark.parametrize("kind, hamiltonian, symmetries", [
+    ("three-leg", "rydberg", ["leg", "mirror"]),
+    # the in-plane middle leg is shifted along x: no rung mirror
+    ("in-plane-triangle", "rydberg", ["leg"]),
+    ("three-leg", "effective", []),
+])
+def test_spectrum_summary_records_symmetry_blocks(tmp_path, kind, hamiltonian, symmetries):
+    out = tmp_path / "sp"
+    text = BASE.format(out=out).replace("kind = three-leg", f"kind = {kind}")
+    text = text.replace("hamiltonian = effective", f"hamiltonian = {hamiltonian}")
+    text = text.replace("task = gs", "task = spectrum\nk = 27")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    h = build_model(parse_config(str(out / "manifest.json"))).op
+    assert summary["symmetries"] == symmetries
+    assert len(summary["sectors"]) == 2 ** len(symmetries)
+    assert sum(summary["sectors"]) == h.dim
+    rows = (out / "spectrum.csv").read_text().strip().split("\n")
+    column = rows[0].split(",").index("residual")
+    written = max(float(r.split(",")[column]) for r in rows[1:])
+    assert written <= summary["max_residual"] <= 1e-10 * np.abs(h.to_dense()).sum(axis=0).max()
+
+
 def test_geom_subcommand(tmp_path):
     out = tmp_path / "geo"
     assert main(["geom", "--config", _write(tmp_path, BASE.format(out=tmp_path)),

@@ -12,6 +12,7 @@ from rydladder import (
     EffectiveCoefficients,
     LadderKind,
     LadderSpec,
+    RungConstraint,
     SolverError,
     SparseOperator,
     StateDictionary,
@@ -23,6 +24,7 @@ from rydladder import (
     krylov_evolve,
     lanczos_ground_state,
     pairwise_couplings,
+    project_to_spin1,
     rydberg_hamiltonian,
     sector_eigenstates,
 )
@@ -219,3 +221,52 @@ def test_sector_eigenstates_band():
     assert len(band) == 27
     assert np.all(overlaps[band] > 0.9)  # deep blockade: clean spin-1 band
     assert np.all(np.diff(band) > 0)
+
+
+def _ladder_case(kind, n_rungs, delta0=0.0, shift=None, max_excited=None):
+    atoms = build_ladder(LadderSpec(LadderKind(kind), n_rungs, 3.0, 1.0, shift), delta0=delta0)
+    d = StateDictionary.for_kind(kind)
+    constraint = None if max_excited is None else RungConstraint(d.n_legs, max_excited)
+    basis = enumerate_rydberg(atoms.n_atoms, constraint)
+    h = rydberg_hamiltonian(atoms, 2.0, 20.0, pairwise_couplings(atoms, 40.0), basis)
+    return h, basis, d
+
+
+def _perturbed_two_leg():
+    h, basis, d = _ladder_case("two-leg", 4)
+    noise = np.random.default_rng(7).uniform(-1.0, 1.0, h.dim)
+    return SparseOperator(h.dim, (h.matrix + sp.diags(noise)).tocsr()), basis, d
+
+
+SECTOR_CASES = {
+    "three-leg-delta0": (lambda: _ladder_case("three-leg", 3, delta0=0.2), ("leg", "mirror")),
+    "prism": (lambda: _ladder_case("prism", 3), ("leg", "mirror")),
+    "two-leg": (lambda: _ladder_case("two-leg", 4), ("leg", "mirror")),
+    # the middle leg is shifted along x, so reversing the rungs is no symmetry
+    "in-plane-shift": (lambda: _ladder_case("in-plane-triangle", 3, shift=0.3), ("leg",)),
+    "rung-constrained": (lambda: _ladder_case("three-leg", 4, delta0=0.2, max_excited=1), ("leg", "mirror")),
+    "random-diagonal": (_perturbed_two_leg, ()),
+}
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES)
+def test_sector_eigenstates_match_full_eigh(case):
+    """Block-by-block spectrum against numpy's eigh of the whole dense H."""
+    make, symmetries = SECTOR_CASES[case]
+    h, basis, d = make()
+    k = 3 ** (basis.n_atoms // d.n_legs)
+    res, overlaps, band = sector_eigenstates(h, basis, d, k)
+    assert res.symmetries == symmetries
+    assert len(res.sectors) == 2 ** len(symmetries)
+    assert sum(res.sectors) == h.dim
+
+    w, v = np.linalg.eigh(h.to_dense())
+    np.testing.assert_allclose(res.eigenvalues, w, rtol=1e-9, atol=1e-9 * np.abs(w).max())
+    sector, _ = project_to_spin1(basis, d)
+    ref_overlaps = np.sum(v[sector] ** 2, axis=0)
+    ref_band = np.sort(np.argsort(-ref_overlaps, kind="stable")[:k])
+    np.testing.assert_array_equal(band, ref_band)
+    np.testing.assert_allclose(overlaps[band], ref_overlaps[band], rtol=0, atol=1e-8)
+    assert res.residuals.max() <= 1e-10 * spla.norm(h.matrix, 1)
+    x = res.eigenvectors
+    assert np.abs(x.T @ x - np.eye(h.dim)).max() < 1e-10
