@@ -63,7 +63,7 @@ from .hamiltonians import (
 )
 from .observables import classify_phase, order_parameters, renyi_entropy, site_profile
 from .solvers import (EXACT_NORM_LIMIT, SolverError, dense_eigs, ground_state, krylov_evolve,
-                      sector_eigenstates, step_onenorm)
+                      sector_eigenstates, taylor_step)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -486,8 +486,10 @@ def task_evolve(cfg: RunConfig, outdir: Path) -> dict:
         for s in range(len(prof.lz)):
             rows.append((float(t), s + 1, float(prof.lz[s]), float(prof.lz2[s])))
     _write_csv(outdir / "timeseries.csv", ["t", "site", "lz", "lz2"], rows)
-    norm = step_onenorm(model.op, cfg.dt)
-    return {"n_steps": len(times) - 1, "step_onenorm": norm, "exact_norms": norm <= EXACT_NORM_LIMIT}
+    step = taylor_step(model.op, cfg.dt)
+    return {"n_steps": len(times) - 1, "step_onenorm": step.onenorm,
+            "exact_norms": step.onenorm <= EXACT_NORM_LIMIT,
+            "taylor_degree": step.degree, "substeps": step.substeps}
 
 
 def _sweep_point(cfg: RunConfig, value: float, seed: int):

@@ -112,12 +112,6 @@ class AtomArray:
     def atoms_of_rung(self, rung: int) -> np.ndarray:
         return np.flatnonzero(self.rung_of == rung)
 
-    def with_detuning_offsets(self, offsets: np.ndarray) -> "AtomArray":
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != self.detuning_offset.shape:
-            raise GeometryError("offset array shape mismatch")
-        return AtomArray(self.spec, self.positions, self.rung_of, self.leg_of, offsets)
-
 
 # Per-rung local coordinates (y, z) for each kind, ordered bottom -> top so
 # that atom index = (rung - 1) * n_legs + local index.  Spin labels follow
@@ -145,8 +139,7 @@ def _rung_template(spec: LadderSpec) -> tuple[list[tuple[float, float, float]], 
 def build_ladder(spec: LadderSpec, delta0: float = 0.0) -> AtomArray:
     """Place atoms for the given ladder.  Rung i sits at x = (i-1) * a_x.
 
-    ``delta0`` is the middle-leg detuning offset applied uniformly; per-atom
-    offsets can be replaced later with :meth:`AtomArray.with_detuning_offsets`.
+    ``delta0`` is the middle-leg detuning offset applied uniformly.
     """
     template, legs = _rung_template(spec)
     positions = []

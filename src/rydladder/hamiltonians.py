@@ -60,10 +60,6 @@ class SparseOperator:
             lines.append(f"{r} {c} {v:.17g}")
         return "\n".join(lines) + "\n"
 
-    def norm_est(self) -> float:
-        """Cheap upper bound on the spectral norm (max row sum)."""
-        return float(np.max(np.abs(self.matrix).sum(axis=1)))
-
     def __matmul__(self, other):
         return self.matrix @ other
 

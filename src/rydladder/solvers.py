@@ -9,13 +9,17 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+# the parameter search and Taylor core of expm_multiply, run here once per trajectory
+from scipy.sparse.linalg._expm_multiply import (LazyOperatorNormInfo, _exact_1_norm,
+                                                _expm_multiply_simple_core, _fragment_3_1)
 
 from .basis import RydbergBasis, StateDictionary, project_to_spin1, rung_permutations
 from .hamiltonians import SparseOperator
 
 DENSE_DIM_LIMIT = 4096
 SYMMETRY_TOL = 1e-12   # ||Pi H Pi^T - H||_1 / ||H||_1 below which a permutation is a symmetry
-EXACT_NORM_LIMIT = 63.4   # expm_multiply uses exact 1-norms only up to here
+EXACT_NORM_LIMIT = 63.4   # the Taylor parameters use exact 1-norms only up to here
+TAYLOR_TOL = np.finfo(float).eps / 2   # 2**-53, expm_multiply's double-precision tolerance
 NCV = 60   # Lanczos vectors kept between restarts, chosen by measurement
 
 
@@ -58,15 +62,18 @@ def _check_dense_limit(h: SparseOperator):
 
 
 def dense_eigs(h: SparseOperator, k: int | None = None, vectors: bool = True) -> SpectrumResult:
-    """Lowest-k eigenpairs by dense diagonalization (LAPACK syevd; oracle backend)."""
+    """Lowest-k eigenpairs by dense diagonalization (oracle backend).
+
+    Only k eigenpairs are computed when k < dim (LAPACK ``syevr`` on the index
+    subset); the whole spectrum uses ``syevd``, which cannot take a subset.
+    """
     _check_dense_limit(h)
-    if k is None:
-        k = h.dim
+    k = h.dim if k is None else min(k, h.dim)
+    subset = {"driver": "evd"} if k == h.dim else {"subset_by_index": (0, k - 1)}
     if vectors:
-        vals, vecs = sla.eigh(h.to_dense(), driver="evd")
-        vals, vecs = vals[:k], vecs[:, :k]
+        vals, vecs = sla.eigh(h.to_dense(), **subset)
         return SpectrumResult(vals, vecs, _residuals(h, vals, vecs), sectors=(h.dim,))
-    vals = sla.eigh(h.to_dense(), eigvals_only=True, driver="evd")[:k]
+    vals = sla.eigh(h.to_dense(), eigvals_only=True, **subset)
     return SpectrumResult(vals, None, np.full(k, np.nan), sectors=(h.dim,))
 
 
@@ -130,18 +137,49 @@ def ground_state(h: SparseOperator, seed: int = 0) -> tuple[float, np.ndarray]:
     return lanczos_ground_state(h, seed=seed)
 
 
+@dataclass
+class TaylorStep:
+    """One propagator step exp(-i H dt) = exp(shift) exp(a), parameters fixed."""
+
+    a: sp.csr_matrix   # -i H dt - shift I
+    shift: complex     # tr(-i H dt) / dim
+    onenorm: float     # ||a||_1, exact
+    degree: int        # Taylor degree m*
+    substeps: int      # scaling steps s
+
+
+def taylor_step(h: SparseOperator, dt: float) -> TaylorStep:
+    """Trace shift, shifted step, its 1-norm and the Taylor parameters (m*, s).
+
+    The same work, in the same arithmetic, as one call of scipy's
+    ``expm_multiply`` on ``(-1j * dt) * H`` before its Taylor loop: code
+    fragment 3.1 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)) at
+    tolerance 2**-53.  Above ``EXACT_NORM_LIMIT`` it estimates 1-norms of
+    powers of ``a`` with scipy's randomized ``onenormest``.
+    """
+    step = (-1j * dt) * h.matrix
+    shift = step.trace() / float(h.dim)
+    a = step - shift * sp.identity(h.dim, dtype=step.dtype, format="csr")
+    norm = _exact_1_norm(a)
+    degree, substeps = 0, 1
+    if norm != 0:
+        degree, substeps = _fragment_3_1(LazyOperatorNormInfo(a, A_1_norm=norm), 1, TAYLOR_TOL)
+    return TaylorStep(a, shift, float(norm), degree, substeps)
+
+
 def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float):
     """Trajectory of exp(-i H t) psi sampled every ``dt``.
 
     Returns ``(times, states)`` with ``states[k]`` the state at
     ``times[k]``; ``states[0]`` is the (normalized) initial state.
 
-    Each sample is one ``expm_multiply`` call: truncated Taylor with scaling
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), order and
-    substeps chosen for double-precision tolerance 2**-53.  Re-runs are bitwise
-    identical while ``step_onenorm(h, dt) <= EXACT_NORM_LIMIT`` (exact 1-norms
-    only); above it scipy's randomized ``onenormest`` keeps the result
-    accurate but bitwise repeatable only in practice.
+    Truncated Taylor with scaling (Al-Mohy & Higham, algorithm 3.2) at
+    tolerance 2**-53 per sample; the parameters are chosen once per trajectory
+    (``taylor_step``) and each sample runs only the Taylor core.  While the
+    step's 1-norm is <= ``EXACT_NORM_LIMIT`` (exact 1-norms only) each sample
+    is bitwise one ``expm_multiply((-1j*dt)*H, psi)`` call and re-runs are
+    bitwise identical.  Above it the parameters come from one randomized
+    ``onenormest`` per trajectory: accurate, bitwise repeatable only in practice.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -150,16 +188,11 @@ def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float)
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, h.dim), dtype=complex)
     states[0] = psi
-    step = (-1j * dt) * h.matrix
+    step = taylor_step(h, dt)
     for k in range(n_steps):
-        states[k + 1] = spla.expm_multiply(step, states[k])
+        states[k + 1] = _expm_multiply_simple_core(step.a, states[k], 1.0, step.shift, step.degree,
+                                                   step.substeps, TAYLOR_TOL)
     return times, states
-
-
-def step_onenorm(h: SparseOperator, dt: float) -> float:
-    """||(H - tr(H)/dim) dt||_1, which ``expm_multiply`` tests against ``EXACT_NORM_LIMIT``."""
-    shifted = h.matrix - h.matrix.diagonal().mean() * sp.identity(h.dim, format="csr")
-    return dt * float(spla.norm(shifted, 1))
 
 
 def _verified_symmetries(h: SparseOperator, basis: RydbergBasis, n_legs: int):

@@ -19,6 +19,7 @@ from rydladder.cli import (
     main,
     parse_config,
 )
+from rydladder.solvers import taylor_step
 
 BASE = """
 [geometry]
@@ -220,6 +221,10 @@ def test_evolve_timeseries_schema(tmp_path):
     lines = (out / "timeseries.csv").read_text().strip().split("\n")
     assert lines[0] == "t,site,lz,lz2"
     assert len(lines) == 1 + 3 * 3  # 3 time samples x 3 sites
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    step = taylor_step(build_model(parse_config(str(out / "manifest.json"))).op, 0.01)
+    assert (summary["taylor_degree"], summary["substeps"]) == (step.degree, step.substeps)
+    assert summary["taylor_degree"] >= 1 and summary["substeps"] >= 1
 
 
 def test_initial_state_labels(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -28,7 +29,7 @@ from rydladder import (
     rydberg_hamiltonian,
     sector_eigenstates,
 )
-from rydladder.solvers import DENSE_DIM_LIMIT, normalize
+from rydladder.solvers import DENSE_DIM_LIMIT, EXACT_NORM_LIMIT, normalize, taylor_step
 
 
 def _random_operator(n, seed, density=0.05):
@@ -63,6 +64,26 @@ def test_dense_limit_enforced():
     with pytest.raises(SolverError):
         dense_eigs(h_big)
     assert dense_eigs(h, k=1).eigenvalues.shape == (1,)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_dense_eigs_subset_matches_full_eigh(k, vectors):
+    """k < dim computes only k eigenpairs; they are the lowest k of the full eigh."""
+    h = _random_operator(100, 1)
+    full_vals, full_vecs = np.linalg.eigh(h.to_dense())
+    res = dense_eigs(h, k=k, vectors=vectors)
+    assert res.eigenvalues.shape == (k,)
+    np.testing.assert_allclose(res.eigenvalues, full_vals[:k], rtol=0, atol=1e-12)
+    if not vectors:
+        assert res.eigenvectors is None
+        return
+    assert res.eigenvectors.shape == (h.dim, k)
+    overlaps = np.abs(np.sum(res.eigenvectors * full_vecs[:, :k], axis=0))
+    np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
+    direct = np.linalg.norm(h.to_dense() @ res.eigenvectors - res.eigenvectors * res.eigenvalues, axis=0)
+    np.testing.assert_allclose(res.residuals, direct, rtol=0, atol=1e-13)
+    assert np.all(res.residuals <= 1e-10 * np.abs(h.to_dense()).sum(axis=0).max())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -138,8 +159,6 @@ def test_normalize_zero_vector():
 
 
 def test_krylov_step_matches_expm():
-    import scipy.linalg as sla
-
     h = _random_operator(60, 2)
     psi = normalize(np.random.default_rng(0).standard_normal(60).astype(complex))
     exact = sla.expm(-1j * 0.05 * h.to_dense()) @ psi
@@ -154,8 +173,6 @@ def test_evolve_accurate_at_large_step(dt):
     Nine-atom three-leg ladder at criterion 06's drive (||H|| ~ 800 rad/us)
     from the spin state 000, evolved to t = 1 us.
     """
-    import scipy.linalg as sla
-
     tp = 2 * math.pi
     atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 3, 3.0, 1.0), delta0=0.2 * tp)
     basis = enumerate_rydberg(atoms.n_atoms)
@@ -203,6 +220,33 @@ def test_two_level_rabi_closed_form():
     for t, psi in zip(times[::200], states[::200]):
         p_r = abs(psi[1]) ** 2
         assert p_r == pytest.approx((omega / w) ** 2 * math.sin(w * t / 2) ** 2, abs=1e-8)
+
+
+@pytest.mark.parametrize("dt", [0.05, 2.0])
+def test_evolve_bitwise_equals_expm_multiply_per_sample(dt):
+    """Parameters chosen once per trajectory give scipy's per-call result bit for bit."""
+    h = _random_operator(60, 2)
+    step = taylor_step(h, dt)
+    assert step.onenorm <= EXACT_NORM_LIMIT
+    assert step.substeps == (1 if dt < 1 else 2)
+    psi = normalize(np.random.default_rng(1).standard_normal(60) + 1j)
+    _, states = krylov_evolve(h, psi, 10 * dt, dt)
+    ref = states[0]
+    for k in range(1, len(states)):
+        ref = spla.expm_multiply((-1j * dt) * h.matrix, ref)
+        assert np.array_equal(states[k], ref), f"sample {k} differs"
+
+
+def test_evolve_above_exact_norm_limit_matches_expm():
+    """Above EXACT_NORM_LIMIT the Taylor parameters come from onenormest once per trajectory."""
+    h = _random_operator(60, 2)
+    dt = 10.0
+    assert taylor_step(h, dt).onenorm > EXACT_NORM_LIMIT
+    psi = normalize(np.random.default_rng(1).standard_normal(60) + 1j)
+    times, states = krylov_evolve(h, psi, 3 * dt, dt)
+    for t, state in zip(times, states):
+        exact = sla.expm(-1j * t * h.to_dense()) @ psi
+        assert np.linalg.norm(state - exact) <= 1e-10
 
 
 def test_krylov_rejects_bad_dt():
