@@ -7,7 +7,6 @@ from .basis import (
     StateDictionary,
     enumerate_rydberg,
     project_to_spin1,
-    sector_overlap,
 )
 from .effective import (
     EffectiveCoefficients,
@@ -48,7 +47,6 @@ from .hamiltonians import (
     cahm_hamiltonian,
     charge_kernel,
     effective_spin1_hamiltonian,
-    ising_chain,
     rydberg_hamiltonian,
     sqed_charge_hamiltonian,
     sqed_field_hamiltonian,

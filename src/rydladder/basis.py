@@ -134,17 +134,11 @@ class StateDictionary:
         """Inverse map: spin label -> per-rung bit pattern."""
         return {m: p for p, m in self.pattern_to_spin.items()}
 
-    def spin_of_config(self, config: int, n_rungs: int) -> tuple | None:
-        """Spin labels (site 1 first) for a full configuration, or None."""
-        mask = (1 << self.n_legs) - 1
-        ms = []
-        for r in range(n_rungs):
-            pat = (config >> (r * self.n_legs)) & mask
-            m = self.pattern_to_spin.get(pat)
-            if m is None:
-                return None
-            ms.append(m)
-        return tuple(ms)
+    def configs(self, spins) -> np.ndarray:
+        """Rydberg configuration integers of rows of spin labels, site 1 first."""
+        spins = np.asarray(spins, dtype=np.int64)
+        pattern = np.array([self.spin_to_pattern[m] for m in (-1, 0, 1)], dtype=np.int64)
+        return np.sum(pattern[spins + 1] << (self.n_legs * np.arange(spins.shape[-1])), axis=-1)
 
 
 def project_to_spin1(basis: RydbergBasis, dictionary: StateDictionary):
@@ -157,16 +151,8 @@ def project_to_spin1(basis: RydbergBasis, dictionary: StateDictionary):
     nl = dictionary.n_legs
     if basis.n_atoms % nl != 0:
         raise BasisError("basis does not match the dictionary rung size")
-    n_rungs = basis.n_atoms // nl
-    spin_basis = Spin1Basis(n_rungs)
-    spins = spin_basis.digits()
-    spin_to_pattern = dictionary.spin_to_pattern
-    # Assemble the Rydberg configuration of every spin state.
-    configs = np.zeros(spin_basis.dim, dtype=np.int64)
-    for s in range(n_rungs):
-        pats = np.array([spin_to_pattern[int(m)] for m in spins[:, s]], dtype=np.int64)
-        configs |= pats << (s * nl)
-    sector_indices = basis.index_of(configs)
+    spins = Spin1Basis(basis.n_atoms // nl).digits()
+    sector_indices = basis.index_of(dictionary.configs(spins))
     if np.any(sector_indices < 0):
         raise BasisError("spin-1 sector states missing from the Rydberg basis")
     return sector_indices, spins
@@ -194,8 +180,3 @@ def rung_permutations(basis: RydbergBasis, n_legs: int) -> dict[str, np.ndarray]
         out[name] = basis.index_of(images)
     return out
 
-
-def sector_overlap(psi: np.ndarray, basis: RydbergBasis, dictionary: StateDictionary) -> float:
-    """Probability mass of a Rydberg state inside the spin-1 sector."""
-    sector_indices, _ = project_to_spin1(basis, dictionary)
-    return float(np.sum(np.abs(psi[sector_indices]) ** 2))

@@ -227,6 +227,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[geometry] a_x and a_y (or rho) must be positive")
     if cfg.task == "evolve" and cfg.dt <= 0:
         raise ConfigError("[task] dt must be positive")
+    if cfg.task == "evolve" and cfg.t_total < 0:
+        raise ConfigError("[task] t_total must be >= 0")
+    if cfg.task == "spectrum" and cfg.k < 1:
+        raise ConfigError("[task] k must be >= 1")
     if cfg.task == "sweep":
         if cfg.axis not in ("omega", "delta", "delta0"):
             raise ConfigError("[task] sweep axis must be omega, delta, or delta0")
@@ -345,12 +349,7 @@ def initial_state(cfg: RunConfig, model: Model) -> np.ndarray:
             psi[model.basis.index_of(ms)] = 1.0
             return psi
         if isinstance(model.basis, RydbergBasis) and model.dictionary is not None:
-            nl = model.dictionary.n_legs
-            spin_to_pattern = model.dictionary.spin_to_pattern
-            config = 0
-            for s, m in enumerate(ms):
-                config |= spin_to_pattern[m] << (s * nl)
-            idx = model.basis.index_of(config)
+            idx = model.basis.index_of(model.dictionary.configs(ms))
             if idx < 0:
                 raise ConfigError(f"spin label {label!r} maps outside the enumerated basis")
             psi[idx] = 1.0
@@ -462,7 +461,7 @@ def task_spectrum(cfg: RunConfig, outdir: Path) -> dict:
         summary = {"E0": float(res.eigenvalues[0]), "band": [int(b) for b in band]}
     else:
         res = dense_eigs(model.op, k=cfg.k)
-        rows = [(j, float(res.eigenvalues[j]), float(res.residuals[j])) for j in range(cfg.k)]
+        rows = [(j, float(res.eigenvalues[j]), float(res.residuals[j])) for j in range(len(res.eigenvalues))]
         _write_csv(outdir / "spectrum.csv", ["level", "energy", "residual"], rows)
         summary = {"E0": float(res.eigenvalues[0])}
     summary.update(

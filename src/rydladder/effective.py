@@ -318,8 +318,6 @@ def diagonal_expansion_oracle(
         raise ValueError("the oracle expects a two-rung block")
     if dictionary is None:
         dictionary = StateDictionary.for_atoms(atoms)
-    nl = dictionary.n_legs
-    spin_to_pattern = dictionary.spin_to_pattern
     det = delta + atoms.detuning_offset
     v = couplings.v
 
@@ -328,7 +326,7 @@ def diagonal_expansion_oracle(
     k = 0
     for m1 in (-1, 0, 1):
         for m2 in (-1, 0, 1):
-            config = spin_to_pattern[m1] | (spin_to_pattern[m2] << nl)
+            config = int(dictionary.configs([m1, m2]))
             occ = np.array([(config >> a) & 1 for a in range(atoms.n_atoms)], float)
             energies[k] = -occ @ det + 0.5 * occ @ v @ occ
             design[k] = (1.0, m1 * m1, m2 * m2, m1 * m2, m1 * m1 * m2 * m2)
@@ -341,7 +339,7 @@ def diagonal_expansion_oracle(
     # Bulk D combines the on-rung part with the bond contribution seen by
     # both edges of the block; the isolated-rung values separate the two.
     # On one rung e(m) = const + d * m^2 over the three spin states.
-    e = _single_rung_energies(atoms, delta, spin_to_pattern)
+    e = _single_rung_energies(atoms, delta, dictionary.spin_to_pattern)
     single_d = 0.5 * (e[1] + e[-1]) - e[0]
     single_c = e[0]
     coeffs = EffectiveCoefficients(
@@ -393,7 +391,7 @@ def ising_reduction(delta: float, v1: float, v2: float):
 
 def ising_reduction_critical_delta(v1: float, v2: float, lo=None, hi=None, tol=1e-12):
     """Root of the Ising-reduction residual in Delta, by bracketed bisection."""
-    from scipy.optimize import brentq
+    from scipy.optimize import brentq   # lazy: importing scipy.optimize costs ~15 MB of peak RSS
 
     if lo is None:
         lo = 1e-6 * max(v1, v2)
@@ -433,39 +431,26 @@ def match_forward(
     * ``"two-leg"``        -- two-leg ladder (reaches only Y < 0);
     * ``"clock-00bc"``     -- clock variant (Y' = -3Y/2) on the prism at ``height``.
     """
-    if case == "three-leg-00bc":
-        v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
-        v1, v2, v3 = v["V1"], v["V2"], v["V3"]
-        _check_denominators({"Delta": delta, "V0-Delta": v0 - delta})
-        x = omega**2 * v0 / (2.0 * delta * (v0 - delta))
-        u = 2.0 * delta0 + 2.0 * v3 - 2.0 * v1 + x
-        y = 2.0 * v2 - v1 - v3
-        yp = (v1 - v3) / 2.0 - y
-        const_site = (
-            -(delta + delta0)
-            + v1
-            + omega**2 / 4.0 * (2.0 / (delta - v0) - 1.0 / delta)
-        )
-        return TargetCouplings(U=u, X=x, Y=y, Yp=yp), const_site, v1
     if case == "two-leg":
         v = _ladder_v(LadderKind.TWO_LEG, v0, rho)
         v1, v2 = v["V1"], v["V2"]
         t = TargetCouplings(U=-2.0 * delta + 2.0 * v2, X=omega, Y=-v2, Yp=(v1 + v2) / 2.0)
         return t, 0.0, 0.0
-    if case == "clock-00bc":
+    if case not in ("three-leg-00bc", "clock-00bc"):
+        raise MatchingError(f"unknown matching case {case!r}")
+    # both 00BC routes hop by twice the rung's Rabi coupling and share its drive constant
+    x = 2.0 * rung_rabi_j(v0, delta, omega)
+    drive = omega**2 / 4.0 * (2.0 / (delta - v0) - 1.0 / delta)
+    if case == "three-leg-00bc":
+        v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
+        v1, v2, v3 = v["V1"], v["V2"], v["V3"]
+        y = 2.0 * v2 - v1 - v3
+        t = TargetCouplings(U=2.0 * delta0 + 2.0 * v3 - 2.0 * v1 + x, X=x, Y=y, Yp=(v1 - v3) / 2.0 - y)
+    else:
         v = _ladder_v(LadderKind.PRISM, v0, rho, prism_height=height)
-        v1, v2 = v["V1"], v["V2"]
-        _check_denominators({"Delta": delta, "V0-Delta": v0 - delta})
-        x = omega**2 * v0 / (2.0 * delta * (v0 - delta))
-        y = v2 - v1
-        const_site = (
-            -(delta + delta0)
-            + v1
-            + omega**2 / 4.0 * (2.0 / (delta - v0) - 1.0 / delta)
-        )
+        v1, y = v["V1"], v["V2"] - v["V1"]
         t = TargetCouplings(U=2.0 * delta0 + 2.0 * y, X=x, Y=y, Yp=-1.5 * y)
-        return t, const_site, v1
-    raise MatchingError(f"unknown matching case {case!r}")
+    return t, -(delta + delta0) + v1 + drive, v1
 
 
 def _damped_newton(f, x0, tol=1e-12, max_iter=100):
@@ -510,7 +495,7 @@ def _damped_newton(f, x0, tol=1e-12, max_iter=100):
 
 def _three_leg_rho_from_ratio(ratio: float) -> float:
     """Solve Y / (Y + Y') = g(rho) for the three-leg ladder by bisection."""
-    from scipy.optimize import brentq
+    from scipy.optimize import brentq   # lazy: importing scipy.optimize costs ~15 MB of peak RSS
 
     def g(rho):
         v = _ladder_v(LadderKind.THREE_LEG, 1.0, rho)

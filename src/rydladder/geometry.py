@@ -9,7 +9,7 @@ they return couplings in whatever unit ``c6 / length**6`` comes out in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -162,17 +162,10 @@ def build_ladder(spec: LadderSpec, delta0: float = 0.0) -> AtomArray:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Pairwise van der Waals energies v[i, j] = c6 / r_ij^6.
-
-    ``named`` holds the canonical couplings (V0, V0p, V1, ...) of the
-    ladder figures where they are defined for the geometry kind.
-    """
+    """Pairwise van der Waals energies v[i, j] = c6 / r_ij^6; the named
+    couplings of the ladder figures come from ``ladder_couplings``."""
 
     v: np.ndarray
-    named: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.v[key]
 
 
 def ladder_couplings(spec: LadderSpec, c6: float) -> dict:
@@ -233,7 +226,7 @@ def pairwise_couplings(atoms: AtomArray, c6: float = DEFAULT_C6) -> CouplingMatr
         raise GeometryError("coincident atoms have infinite coupling")
     v = np.zeros_like(r2)
     v[off] = c6 / r2[off] ** 3
-    return CouplingMatrix(v=v, named=ladder_couplings(atoms.spec, c6))
+    return CouplingMatrix(v=v)
 
 
 def blockade_radius(c6: float, omega: float) -> float:

@@ -7,6 +7,7 @@ drive phase can be chosen real), so operators are stored as real
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -33,35 +34,25 @@ class SparseOperator:
     matrix: sp.csr_matrix
 
     @classmethod
-    def from_coo(cls, dim, rows, cols, vals) -> "SparseOperator":
+    def from_coo(cls, diag, rows, cols, amplitude: float) -> "SparseOperator":
+        """The form of every Hamiltonian here: diag + amplitude * sum over the
+        flip pairs, each given once with row < col, of |row><col| + |col><row|."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if np.any(rows > cols):
-            raise ValueError("entries must be supplied with row <= col")
-        upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-        upper.sum_duplicates()
-        diag = sp.diags(upper.diagonal())
-        m = upper + upper.T - diag
+        if np.any(rows >= cols):
+            raise ValueError("flip pairs must be supplied with row < col")
+        dim = len(diag)
+        idx = np.int32 if dim < 2**31 else np.int64   # scipy's own index type, so the COO takes no copy
+        index = np.arange(dim, dtype=idx)
+        vals = np.full(dim + 2 * len(rows), float(amplitude))
+        vals[:dim] = diag
+        m = sp.coo_matrix((vals, (np.concatenate([index, rows, cols], dtype=idx),
+                                  np.concatenate([index, cols, rows], dtype=idx))), shape=(dim, dim)).tocsr()
         m.eliminate_zeros()
-        return cls(dim, m.tocsr())
+        return cls(dim, m)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def entries_upper(self):
-        """(row, col, value) triples with row <= col, each pair once."""
-        coo = sp.triu(self.matrix).tocoo()
-        return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-
-    def export_coo_text(self) -> str:
-        lines = [str(self.dim)]
-        for r, c, v in self.entries_upper():
-            lines.append(f"{r} {c} {v:.17g}")
-        return "\n".join(lines) + "\n"
-
-    def __matmul__(self, other):
-        return self.matrix @ other
 
 
 def rydberg_hamiltonian(
@@ -113,42 +104,15 @@ def rydberg_hamiltonian(
         diag = diag + occ @ field
     del occ   # set-up peak memory: not needed by the sparse assembly below
 
-    dim = basis.dim
-    rows = [np.arange(dim, dtype=np.int64)]
-    cols = [np.arange(dim, dtype=np.int64)]
-    vals = [diag]
-    half = 0.5 * omega
-    if half != 0.0:
-        index = np.arange(dim)
-        for a in range(atoms.n_atoms):
-            partner = basis.index_of(basis.states ^ (1 << a))
-            src = np.flatnonzero(index < partner)   # absent partners are -1
-            rows.append(src)
-            cols.append(partner[src])
-            vals.append(np.full(len(src), half))
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))   # frees the pieces first
-    return SparseOperator.from_coo(dim, rows, cols, vals)
-
-
-def _spin1_flip_entries(n_sites: int, flavor: Flavor):
-    """Row/col index pairs for -J * sum_i (U+_i + U-_i) (or clock C)."""
-    dim = 3**n_sites
-    digits = Spin1Basis(n_sites).digits()
-    rows = []
-    cols = []
-    for s in range(n_sites):
-        stride = 3 ** (n_sites - 1 - s)
-        d = digits[:, s]
-        # m -> m+1 connects index i to i + stride (digit value m+1 -> m+2)
-        src = np.flatnonzero(d <= 0)
+    rows, cols = [], []
+    index = np.arange(basis.dim)
+    for a in range(atoms.n_atoms):
+        partner = basis.index_of(basis.states ^ (1 << a))
+        src = np.flatnonzero(index < partner)   # absent partners are -1
         rows.append(src)
-        cols.append(src + stride)
-        if flavor is Flavor.CLOCK_C:
-            # extra |-1> <-> |+1| element of the clock operator
-            src = np.flatnonzero(d == -1)
-            rows.append(src)
-            cols.append(src + 2 * stride)
-    return np.concatenate(rows), np.concatenate(cols), dim
+        cols.append(partner[src])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)   # frees the pieces first
+    return SparseOperator.from_coo(diag, rows, cols, 0.5 * omega)
 
 
 def effective_spin1_hamiltonian(
@@ -169,7 +133,8 @@ def effective_spin1_hamiltonian(
         raise ValueError("n_sites must be >= 1")
     bc = BoundaryCondition(bc)
     dim = 3**n_sites
-    m = Spin1Basis(n_sites).digits().astype(float)
+    digits = Spin1Basis(n_sites).digits()
+    m = digits.astype(float)
     m2 = m * m
 
     d_site = np.full(n_sites, coeffs.D)
@@ -189,8 +154,6 @@ def effective_spin1_hamiltonian(
     if bc is BoundaryCondition.PBC and n_sites > 2:
         bonds.append((n_sites - 1, 0, coeffs.R, coeffs.Rp))
     if longrange:
-        import warnings
-
         for k, rk, rpk in longrange:
             if k >= n_sites:
                 warnings.warn(f"long-range term k={k} ignored for n_sites={n_sites}")
@@ -199,17 +162,19 @@ def effective_spin1_hamiltonian(
     for i, j, r, rp in bonds:
         diag += r * m[:, i] * m[:, j] + rp * m2[:, i] * m2[:, j]
 
-    rows = [np.arange(dim, dtype=np.int64)]
-    cols = [np.arange(dim, dtype=np.int64)]
-    vals = [diag]
-    if coeffs.J != 0.0:
-        fr, fc, _ = _spin1_flip_entries(n_sites, coeffs.flavor)
-        rows.append(fr)
-        cols.append(fc)
-        vals.append(np.full(len(fr), -coeffs.J))
-    return SparseOperator.from_coo(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    # -J (U+ + U-): raising site s from m to m+1 moves index i to i + stride
+    rows, cols = [], []
+    for s in range(n_sites):
+        stride = 3 ** (n_sites - 1 - s)
+        src = np.flatnonzero(digits[:, s] <= 0)
+        rows.append(src)
+        cols.append(src + stride)
+        if coeffs.flavor is Flavor.CLOCK_C:
+            # extra |-1> <-> |+1> element of the clock operator
+            src = np.flatnonzero(digits[:, s] == -1)
+            rows.append(src)
+            cols.append(src + 2 * stride)
+    return SparseOperator.from_coo(diag, np.concatenate(rows), np.concatenate(cols), -coeffs.J)
 
 
 def cahm_hamiltonian(t: TargetCouplings, n_sites: int) -> SparseOperator:
@@ -238,38 +203,22 @@ def sqed_charge_hamiltonian(t: TargetCouplings, n_sites: int):
     all_cfg = Spin1Basis(n_links).digits()
     keep = np.flatnonzero(all_cfg.sum(axis=1) == 0)
     cfg = all_cfg[keep]
-    dim = len(cfg)
     c = charge_kernel(n_sites)
     s = cfg.astype(float)
     inner = s[:, :n_sites]
     diag = 0.5 * t.U * np.einsum("si,ij,sj->s", inner, c, inner)
     diag += 0.5 * t.Y * np.sum(s * s, axis=1)
 
-    # Hopping (X/2)(U+_i U-_{i+1} + h.c.) moves one unit of charge between
-    # neighboring links; it preserves the zero-charge sector.
-    key = {tuple(row): k for k, row in enumerate(map(tuple, cfg))}
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
-    hr, hc = [], []
-    for k, row in enumerate(cfg):
-        for i in range(n_sites):
-            if row[i] < 1 and row[i + 1] > -1:
-                other = list(row)
-                other[i] += 1
-                other[i + 1] -= 1
-                k2 = key.get(tuple(other))
-                if k2 is not None and k < k2:
-                    hr.append(k)
-                    hc.append(k2)
-                elif k2 is not None and k2 < k:
-                    hr.append(k2)
-                    hc.append(k)
-    if hr and t.X != 0.0:
-        rows.append(np.array(hr))
-        cols.append(np.array(hc))
-        vals.append(np.full(len(hr), -0.5 * t.X))
-    op = SparseOperator.from_coo(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    # Hopping -(X/2)(U+_i U-_{i+1} + h.c.) moves one unit of charge between
+    # neighboring links.  Raising link i and lowering link i+1 keeps the total
+    # charge and adds 3^(n_links-1-i) - 3^(n_links-2-i) > 0 to the base-3
+    # index, so the partner is a later state of the sector.
+    rows, cols = [], []
+    for i in range(n_sites):
+        src = np.flatnonzero((cfg[:, i] < 1) & (cfg[:, i + 1] > -1))
+        rows.append(src)
+        cols.append(np.searchsorted(keep, keep[src] + 2 * 3 ** (n_links - 2 - i)))
+    op = SparseOperator.from_coo(diag, np.concatenate(rows), np.concatenate(cols), -0.5 * t.X)
     return op, cfg
 
 
@@ -306,34 +255,3 @@ def sqed_field_hamiltonian(
         raise ValueError("field representation supports OBC and 00BC only")
     return effective_spin1_hamiltonian(coeffs, n_sites, bc)
 
-
-def ising_chain(
-    j_coupling: float,
-    h_field: float,
-    n_sites: int,
-    bc: BoundaryCondition = BoundaryCondition.OBC,
-) -> SparseOperator:
-    """Transverse-field Ising chain -j sum sz sz - h sum sx."""
-    if n_sites < 2:
-        raise ValueError("n_sites must be >= 2")
-    bc = BoundaryCondition(bc)
-    dim = 1 << n_sites
-    states = np.arange(dim)
-    sz = 1.0 - 2.0 * ((states[:, None] >> np.arange(n_sites)[None, :]) & 1)
-    diag = np.zeros(dim)
-    n_bonds = n_sites if bc is BoundaryCondition.PBC else n_sites - 1
-    for i in range(n_bonds):
-        diag -= j_coupling * sz[:, i] * sz[:, (i + 1) % n_sites]
-    rows = [states.astype(np.int64)]
-    cols = [states.astype(np.int64)]
-    vals = [diag]
-    if h_field != 0.0:
-        for i in range(n_sites):
-            flipped = states ^ (1 << i)
-            src = states[states < flipped]
-            rows.append(src.astype(np.int64))
-            cols.append((src ^ (1 << i)).astype(np.int64))
-            vals.append(np.full(len(src), -h_field))
-    return SparseOperator.from_coo(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )

@@ -15,7 +15,6 @@ from rydladder import (
     build_ladder,
     enumerate_rydberg,
     project_to_spin1,
-    sector_overlap,
 )
 from rydladder.basis import BasisError, rung_permutations
 
@@ -83,8 +82,8 @@ def test_spin1_site_order():
 def test_dictionary_two_leg():
     d = StateDictionary.for_kind(LadderKind.TWO_LEG)
     assert d.pattern_to_spin == {0b00: 0, 0b01: -1, 0b10: +1}
-    assert d.spin_of_config(0b10_01, 2) == (-1, +1)
-    assert d.spin_of_config(0b11_00, 2) is None  # doubly excited rung
+    assert d.configs([-1, +1]) == 0b10_01   # rung 1 is the low bit group
+    assert np.array_equal(d.configs([[0, 0], [+1, -1]]), [0b00_00, 0b01_10])
 
 
 def test_dictionary_one_hot():
@@ -106,22 +105,12 @@ def test_projection_round_trip(kind, n_legs):
     sector, spins = project_to_spin1(basis, d)
     assert len(sector) == 3**n_rungs
     assert len(np.unique(sector)) == len(sector)
-    # the dictionary reads back the same spins from the located configs
+    # every located config decodes, rung by rung, to its spin labels
+    mask = (1 << n_legs) - 1
     for k, idx in enumerate(sector):
         cfg = int(basis.states[idx])
-        assert d.spin_of_config(cfg, n_rungs) == tuple(spins[k])
-
-
-def test_sector_overlap_extremes():
-    basis = enumerate_rydberg(4)
-    d = StateDictionary.for_kind(LadderKind.TWO_LEG)
-    sector, _ = project_to_spin1(basis, d)
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[sector[0]] = 1.0
-    assert sector_overlap(psi, basis, d) == pytest.approx(1.0)
-    psi[:] = 0.0
-    psi[basis.index_of(0b11_11)] = 1.0  # fully excited: outside the sector
-    assert sector_overlap(psi, basis, d) == pytest.approx(0.0)
+        decoded = [d.pattern_to_spin[(cfg >> (r * n_legs)) & mask] for r in range(n_rungs)]
+        assert decoded == list(spins[k])
 
 
 def test_dictionary_for_atoms():

@@ -111,6 +111,25 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_spectrum_k_above_dim_writes_dim_levels(tmp_path):
+    out = tmp_path / "sp"
+    text = BASE.format(out=out).replace("n_rungs = 3", "n_rungs = 2")
+    text = text.replace("task = gs", "task = spectrum\nk = 20")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    rows = (out / "spectrum.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + 9   # header and min(k, dim) levels of the two-site chain
+
+
+@pytest.mark.parametrize("task, line", [
+    ("spectrum", "k = 0"),
+    ("evolve", "t_total = -0.5"),
+])
+def test_exit_code_config_error_for_bad_task_values(tmp_path, capsys, task, line):
+    text = BASE.format(out=tmp_path).replace("task = gs", f"task = {task}\n{line}")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_gs_task_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", _write(tmp_path, BASE.format(out=out))]) == EXIT_OK

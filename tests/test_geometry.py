@@ -14,6 +14,7 @@ from rydladder import (
     LadderSpec,
     blockade_radius,
     build_ladder,
+    ladder_couplings,
     pairwise_couplings,
 )
 
@@ -123,7 +124,7 @@ def test_two_leg_named_couplings_match_both_forms(a_x, a_y):
     """V2 = V0 rho^6 / (1 + rho^2)^3 equals C6 / (a_x^2 + a_y^2)^3 exactly."""
     c6 = 858386.0
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 2, a_x, a_y))
-    named = pairwise_couplings(atoms, c6).named
+    named = ladder_couplings(atoms.spec, c6)
     rho = a_y / a_x
     v0 = c6 / a_y**6
     assert named["V0"] == pytest.approx(v0, rel=1e-12)
@@ -134,7 +135,7 @@ def test_two_leg_named_couplings_match_both_forms(a_x, a_y):
 def test_three_leg_named_couplings():
     c6 = 100.0
     atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 2, a_x=6.0, a_y=2.0))
-    named = pairwise_couplings(atoms, c6).named
+    named = ladder_couplings(atoms.spec, c6)
     assert named["V0"] == pytest.approx(c6 / 2.0**6)
     assert named["V0p"] == pytest.approx(c6 / 4.0**6)
     assert named["V1"] == pytest.approx(c6 / 6.0**6)
@@ -149,7 +150,7 @@ def test_named_couplings_appear_in_matrix():
         atoms = build_ladder(LadderSpec(kind, 3, a_x=6.0, a_y=2.5))
         cm = pairwise_couplings(atoms, c6=77.0)
         vals = cm.v[~np.eye(atoms.n_atoms, dtype=bool)]
-        for name, val in cm.named.items():
+        for name, val in ladder_couplings(atoms.spec, 77.0).items():
             assert np.min(np.abs(vals - val)) < 1e-9 * val, name
 
 

@@ -1,5 +1,7 @@
 """Hamiltonian builders: diagonal oracles, flip structure, representations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,15 @@ from rydladder import (
     Flavor,
     LadderKind,
     LadderSpec,
+    RungConstraint,
     SparseOperator,
     Spin1Basis,
     TargetCouplings,
     build_ladder,
     cahm_hamiltonian,
     charge_kernel,
-    dense_eigs,
     effective_spin1_hamiltonian,
     enumerate_rydberg,
-    ising_chain,
     pairwise_couplings,
     rydberg_hamiltonian,
     sqed_charge_hamiltonian,
@@ -47,17 +48,12 @@ def _random_rydberg(seed=0, kind=LadderKind.TWO_LEG, n_rungs=3):
 
 
 def test_from_coo_rejects_lower_triangle():
-    with pytest.raises(ValueError):
-        SparseOperator.from_coo(2, [1], [0], [1.0])
-
-
-def test_export_round_trip():
-    op = SparseOperator.from_coo(3, [0, 0, 1], [0, 2, 1], [1.5, -2.0, 0.25])
-    text = op.export_coo_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "3"
-    entries = {(int(r), int(c)): float(v) for r, c, v in (ln.split() for ln in lines[1:])}
-    assert entries == {(0, 0): 1.5, (0, 2): -2.0, (1, 1): 0.25}
+    for row, col in ((1, 0), (1, 1)):   # flip pairs are strictly upper; the diagonal is separate
+        with pytest.raises(ValueError):
+            SparseOperator.from_coo([0.0, 0.0], [row], [col], 1.0)
+    op = SparseOperator.from_coo([1.5, 0.25, 0.0], [0], [2], -2.0)
+    assert np.array_equal(op.to_dense(), [[1.5, 0.0, -2.0], [0.0, 0.25, 0.0], [-2.0, 0.0, 0.0]])
+    assert op.matrix.nnz == 4   # the zero diagonal entry is not stored
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -84,13 +80,21 @@ def test_rydberg_diagonal_against_direct_sum():
 
 
 def test_rydberg_drive_connects_single_flips():
-    atoms, basis, cm, omega, delta = _random_rydberg(3)
-    h = rydberg_hamiltonian(atoms, omega, delta, cm, basis)
-    m = h.to_dense()
-    np.fill_diagonal(m, 0.0)
-    # each configuration couples to exactly n_atoms single-flip partners
-    assert np.all((m != 0).sum(axis=1) == atoms.n_atoms)
-    assert np.all(m[m != 0] == 0.5 * omega)
+    """Drive elements Omega/2 join exactly the single flips that stay in the basis."""
+    atoms, full, cm, omega, delta = _random_rydberg(3)
+    constrained = enumerate_rydberg(atoms.n_atoms, RungConstraint(atoms.n_legs, 1))
+    for basis in (full, constrained):
+        m = rydberg_hamiltonian(atoms, omega, delta, cm, basis).to_dense()
+        np.fill_diagonal(m, 0.0)
+        expected = np.zeros_like(m)
+        for i, s in enumerate(basis.states):
+            for a in range(atoms.n_atoms):
+                j = basis.index_of(int(s) ^ (1 << a))
+                if j >= 0:
+                    expected[i, j] = 0.5 * omega
+        assert np.array_equal(m, expected)
+    # the full basis has every flip; the rung cap removes some
+    assert np.count_nonzero(expected) < constrained.dim * atoms.n_atoms
 
 
 def test_range_cutoff_drops_far_pairs():
@@ -208,6 +212,39 @@ def test_charge_representation_sector():
         assert sorted(diff[nz]) == [-1, 1]
 
 
+def _brute_force_charge(t, n_sites):
+    """Dense charge Hamiltonian from explicit loops over zero-charge link configurations."""
+    configs = [q for q in itertools.product((-1, 0, 1), repeat=n_sites + 1) if sum(q) == 0]
+    index = {q: k for k, q in enumerate(configs)}
+    c = charge_kernel(n_sites)
+    h = np.zeros((len(configs), len(configs)))
+    for k, q in enumerate(configs):
+        h[k, k] = 0.5 * t.U * sum(c[i, j] * q[i] * q[j] for i in range(n_sites) for j in range(n_sites))
+        h[k, k] += 0.5 * t.Y * sum(x * x for x in q)
+        for i in range(n_sites):
+            for step in (+1, -1):   # one unit of charge from link i+1 to link i, or back
+                moved = list(q)
+                moved[i] += step
+                moved[i + 1] -= step
+                if max(abs(x) for x in moved) <= 1:
+                    h[k, index[tuple(moved)]] += -0.5 * t.X
+    return h, np.array(configs)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_charge_representation_matches_brute_force(n_sites):
+    """Every single-unit move between neighbouring links at -X/2, and nothing else."""
+    t = TargetCouplings(U=1.3, X=0.4, Y=-0.2, Yp=0.0)
+    op, cfg = sqed_charge_hamiltonian(t, n_sites)
+    ref, ref_cfg = _brute_force_charge(t, n_sites)
+    assert np.array_equal(cfg, ref_cfg)
+    h = op.to_dense()
+    assert np.allclose(np.diag(h), np.diag(ref), rtol=1e-12, atol=1e-12)
+    np.fill_diagonal(h, 0.0)
+    np.fill_diagonal(ref, 0.0)
+    assert np.array_equal(h, ref)
+
+
 def test_field_representation_expansion():
     """(U/2) sum (L^z)^2 - Y sum L^z L^z rewritten with the Y' penalty.
 
@@ -251,25 +288,6 @@ def test_cahm_definition():
     off = h.to_dense()
     np.fill_diagonal(off, 0.0)
     assert np.all(np.unique(off[off != 0]) == [-0.3])
-
-
-def test_ising_two_site_spectrum():
-    # -J sz sz - h (sx1 + sx2): eigenvalues -+ sqrt(J^2 + 4h^2), -+ J
-    j, hf = 0.8, 0.5
-    h = ising_chain(j, hf, 2)
-    vals = dense_eigs(h, vectors=False).eigenvalues
-    expect = np.sort([
-        -np.sqrt(j**2 + 4 * hf**2), -j, j, np.sqrt(j**2 + 4 * hf**2),
-    ])
-    assert np.allclose(np.sort(vals), expect, atol=1e-12)
-
-
-def test_ising_pbc_bond_count():
-    h_obc = ising_chain(1.0, 0.0, 4, BoundaryCondition.OBC)
-    h_pbc = ising_chain(1.0, 0.0, 4, BoundaryCondition.PBC)
-    # all-up state: OBC energy -(L-1), PBC energy -L
-    assert h_obc.matrix.diagonal()[0] == pytest.approx(-3.0)
-    assert h_pbc.matrix.diagonal()[0] == pytest.approx(-4.0)
 
 
 @settings(deadline=None, max_examples=20)
