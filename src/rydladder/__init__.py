@@ -69,8 +69,9 @@ from .solvers import (
     dense_eigs,
     ground_state,
     krylov_evolve,
-    lanczos_ground_state,
     sector_eigenstates,
 )
+
+lanczos_ground_state = ground_state   # the former name of ground_state, kept for existing imports
 
 __version__ = "0.1.0"

@@ -43,11 +43,13 @@ class RydbergBasis:
 
     def index_of(self, config: int | np.ndarray) -> np.ndarray:
         """Position of configuration(s) in the enumeration; -1 if absent."""
-        idx = np.searchsorted(self.states, config)
-        idx = np.atleast_1d(idx)
         cfg = np.atleast_1d(config)
-        ok = (idx < self.dim) & (self.states[np.minimum(idx, self.dim - 1)] == cfg)
-        out = np.where(ok, idx, -1)
+        if self.dim == 1 << self.n_atoms:   # complete basis: each configuration is its own index
+            out = np.where((cfg >= 0) & (cfg < self.dim), cfg, -1)
+        else:
+            idx = np.searchsorted(self.states, cfg)
+            ok = (idx < self.dim) & (self.states[np.minimum(idx, self.dim - 1)] == cfg)
+            out = np.where(ok, idx, -1)
         return out if np.ndim(config) else int(out[0])
 
     def occupations(self) -> np.ndarray:

@@ -343,18 +343,17 @@ def initial_state(cfg: RunConfig, model: Model) -> np.ndarray:
             if ch not in "+-0":
                 raise ConfigError(f"spin label digits must be +, -, or 0, got {digits!r}")
             ms.append({"+": 1, "-": -1, "0": 0}[ch])
-        if isinstance(model.basis, Spin1Basis):
-            if len(ms) != model.basis.n_sites:
-                raise ConfigError(f"spin label has {len(ms)} digits for {model.basis.n_sites} sites")
-            psi[model.basis.index_of(ms)] = 1.0
-            return psi
-        if isinstance(model.basis, RydbergBasis) and model.dictionary is not None:
-            idx = model.basis.index_of(model.dictionary.configs(ms))
-            if idx < 0:
-                raise ConfigError(f"spin label {label!r} maps outside the enumerated basis")
-            psi[idx] = 1.0
-            return psi
-        raise ConfigError("spin labels need a spin basis or a dictionary-bearing geometry")
+        rydberg = isinstance(model.basis, RydbergBasis) and model.dictionary is not None
+        if not (rydberg or isinstance(model.basis, Spin1Basis)):
+            raise ConfigError("spin labels need a spin basis or a dictionary-bearing geometry")
+        n_sites = model.basis.n_atoms // model.dictionary.n_legs if rydberg else model.basis.n_sites
+        if len(ms) != n_sites:
+            raise ConfigError(f"spin label has {len(ms)} digits for {n_sites} sites")
+        idx = model.basis.index_of(model.dictionary.configs(ms) if rydberg else ms)
+        if idx < 0:
+            raise ConfigError(f"spin label {label!r} maps outside the enumerated basis")
+        psi[idx] = 1.0
+        return psi
     if label.startswith("index:"):
         idx = int(label[6:])
         if not 0 <= idx < dim:

@@ -39,6 +39,33 @@ def test_index_of_absent_configuration():
     assert basis.index_of(0b011) == -1
 
 
+@pytest.mark.parametrize("n_atoms", [1, 5, 14])
+def test_complete_basis_index_matches_lookup(n_atoms):
+    """A complete basis indexes a configuration by itself; the answer is the sorted lookup's."""
+    basis = enumerate_rydberg(n_atoms)
+    configs = np.random.default_rng(n_atoms).integers(-3, (1 << n_atoms) + 3, 500)
+    idx = np.searchsorted(basis.states, configs)
+    ok = (idx < basis.dim) & (basis.states[np.minimum(idx, basis.dim - 1)] == configs)
+    np.testing.assert_array_equal(basis.index_of(configs), np.where(ok, idx, -1))
+    assert basis.index_of((1 << n_atoms) - 1) == basis.dim - 1
+
+
+@pytest.mark.parametrize("n_atoms", [1, 4, 14])
+def test_complete_basis_index_rejects_configurations_beyond_it(n_atoms):
+    basis = enumerate_rydberg(n_atoms)
+    beyond = np.array([1 << n_atoms, (1 << n_atoms) + 1, 1 << (n_atoms + 3)])
+    assert basis.index_of(beyond).tolist() == [-1, -1, -1]
+    assert basis.index_of(1 << n_atoms) == -1
+
+
+def test_incomplete_unconstrained_basis_looks_configurations_up():
+    """No constraint, yet not every configuration: positions come from the lookup."""
+    basis = RydbergBasis(4, np.array([0b0000, 0b0001, 0b0011]))
+    assert basis.constraint is None
+    assert basis.index_of(np.array([0b0011, 0b0001, 0b0010, 0b0000, 0b1000])).tolist() == [2, 1, -1, 0, -1]
+    assert basis.index_of(0b0011) == 2
+
+
 @pytest.mark.parametrize("n_legs,max_exc,per_rung", [(2, 1, 3), (3, 1, 4), (3, 2, 7)])
 def test_constrained_enumeration_counts(n_legs, max_exc, per_rung):
     n_rungs = 3

@@ -16,6 +16,7 @@ from rydladder.cli import (
     RunConfig,
     build_model,
     fmt,
+    initial_state,
     main,
     parse_config,
 )
@@ -257,6 +258,28 @@ def test_initial_state_labels(tmp_path):
         "task = evolve", "initial = spin:9", "t_total = 0.01", "dt = 0.01",
     ]))
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("kind", ["three-leg", "two-leg"])
+@pytest.mark.parametrize("label", ["spin:+-", "spin:+-0+"])
+def test_rydberg_spin_label_needs_one_digit_per_rung(tmp_path, kind, label):
+    """A short label used to leave the missing rungs empty: spin:+- on three
+    three-leg rungs started from 0b001100, outside the spin-1 sector."""
+    out = tmp_path / "sp"
+    text = BASE.format(out=out).replace("kind = three-leg", f"kind = {kind}").replace(
+        "hamiltonian = effective", "hamiltonian = rydberg")
+    cfg = parse_config(_write(tmp_path, text))
+    model = build_model(cfg)
+    cfg.initial = label
+    with pytest.raises(ConfigError, match=f"spin label has {len(label) - 5} digits for 3 sites"):
+        initial_state(cfg, model)
+    text = text.replace("task = gs", "\n".join([
+        "task = evolve", f"initial = {label}", "t_total = 0.01", "dt = 0.01",
+    ]))
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    cfg.initial = "spin:+-0"
+    psi = initial_state(cfg, model)
+    assert psi[model.basis.index_of(model.dictionary.configs([1, -1, 0]))] == 1.0
 
 
 def test_sweep_schema_and_thread_determinism(tmp_path):

@@ -18,6 +18,7 @@ from rydladder import (
     SparseOperator,
     StateDictionary,
     build_ladder,
+    coeffs_two_leg,
     dense_eigs,
     effective_spin1_hamiltonian,
     enumerate_rydberg,
@@ -139,6 +140,58 @@ def test_ground_state_certified_at_dense_limit(two_leg_4096, seed):
         assert np.linalg.norm(psi) == pytest.approx(1.0)
         assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
         assert e == pytest.approx(e_dense, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ground_state_within_small_product_budget(two_leg_4096, seed):
+    """The Jacobi preconditioner removes the blockade scale: 200 products with H
+    suffice where unpreconditioned ARPACK needed more than 1000."""
+    h, e_dense = two_leg_4096
+    e, psi = lanczos_ground_state(h, max_iter=200, seed=seed)
+    assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
+    assert e == pytest.approx(e_dense, rel=1e-9)
+
+
+def test_ground_state_strongly_driven_effective_chain():
+    """Criterion 05's 8-site effective chain at rho = 0.5, Omega = 5 x 2pi (dim 6561),
+    against ARPACK.  A preconditioner floor of the largest off-diagonal row sum
+    stalled here at 8.6x the residual bound."""
+    tp = 2 * math.pi
+    coeffs, _ = coeffs_two_leg(1000.0 * tp, 1.0 * tp, 5.0 * tp, 0.5)
+    h = effective_spin1_hamiltonian(coeffs, 8)
+    e, psi = ground_state(h)
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
+    assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
+    e_ref = spla.eigsh(h.matrix, k=1, which="SA", tol=1e-14)[0][0]
+    assert e == pytest.approx(e_ref, rel=1e-9)
+
+
+def test_ground_state_without_drive_is_the_lowest_configuration():
+    """At Omega = 0 H is diagonal and the preconditioner has no off-diagonal floor."""
+    atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 3, 6.0, 3.0))
+    h = rydberg_hamiltonian(atoms, 0.0, 0.8, pairwise_couplings(atoms, c6=500.0),
+                            enumerate_rydberg(atoms.n_atoms))
+    assert sp.triu(h.matrix, 1).nnz == 0
+    e, psi = ground_state(h)
+    assert e == h.matrix.diagonal().min()
+    assert np.linalg.norm(h.matrix @ psi - e * psi) == 0.0
+
+
+def test_ground_state_rejects_an_uncertified_vector(monkeypatch):
+    """The exact residual check, not LOBPCG's own stop, decides what is returned."""
+    h = _random_operator(300, 0)
+    e_dense = dense_eigs(h, k=1, vectors=False).eigenvalues[0]
+    lobpcg = spla.lobpcg
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = lobpcg(*args, **kwargs)
+        return vals, vecs + 1e-4 * np.random.default_rng(0).standard_normal(vecs.shape)
+
+    monkeypatch.setattr(spla, "lobpcg", perturbed)
+    with pytest.raises(ConvergenceError, match="true residual") as exc:
+        ground_state(h)
+    assert exc.value.best_estimate >= e_dense - 1e-12
+    assert exc.value.best_estimate == pytest.approx(e_dense, abs=1e-3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
