@@ -55,15 +55,16 @@ from .geometry import (
 )
 from .hamiltonians import (
     BoundaryCondition,
+    SparseOperator,
     cahm_hamiltonian,
     effective_spin1_hamiltonian,
     rydberg_hamiltonian,
     sqed_charge_hamiltonian,
     sqed_field_hamiltonian,
 )
-from .observables import classify_phase, order_parameters, renyi_entropy, site_profile
-from .solvers import (EXACT_NORM_LIMIT, SolverError, dense_eigs, ground_state, krylov_evolve,
-                      sector_eigenstates, taylor_step)
+from .observables import classify_phase, order_parameters, renyi_entropy, site_profiles
+from .solvers import (EXACT_NORM_LIMIT, SolverError, TaylorStep, dense_eigs, ground_state, propagate,
+                      sector_eigenstates, symmetry_sectors, taylor_step)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -471,22 +472,52 @@ def task_spectrum(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
-def _evolve(cfg: RunConfig, model: Model):
-    return krylov_evolve(model.op, initial_state(cfg, model), cfg.t_total, cfg.dt)
+@dataclass
+class Trajectory:
+    """An evolution run in the symmetry sector of its initial state."""
+
+    times: np.ndarray
+    states: np.ndarray       # samples in the sector, one per row
+    u: object                # sparse isometry of the sector; None when it is the whole space
+    symmetries: list[str]    # the verified symmetries that fix the initial state
+    step: TaylorStep         # the step of the operator evolved
+
+    def full_states(self):
+        """Each sample in the full basis, u @ state, built one at a time."""
+        return (phi if self.u is None else self.u @ phi for phi in self.states)
+
+
+def _evolve(cfg: RunConfig, model: Model) -> Trajectory:
+    """Evolve the initial state psi in its sector: U^T H U from U^T psi.
+
+    On a Rydberg ladder the sector is that of the verified rung symmetries
+    under which psi is an exact eigenvector (``symmetry_sectors``).  When none
+    fixes psi, or the model has no rungs, the sector is the whole space,
+    U = I is never applied, and the trajectory is the full-space one.
+    """
+    psi = initial_state(cfg, model)
+    names, u, h = [], None, model.op
+    if isinstance(model.basis, RydbergBasis) and model.dictionary is not None:
+        names, (block,) = symmetry_sectors(h, model.basis, model.dictionary.n_legs, psi)
+        if names:
+            u, psi = block, block.T @ psi
+            h = SparseOperator(u.shape[1], (u.T @ h.matrix @ u).tocsr())
+    step = taylor_step(h, cfg.dt)
+    times, states = propagate(step, psi, cfg.t_total)
+    return Trajectory(times, states, u, names, step)
 
 
 def task_evolve(cfg: RunConfig, outdir: Path) -> dict:
     model = build_model(cfg)
-    times, states = _evolve(cfg, model)
+    traj = _evolve(cfg, model)
     rows = []
-    for t, psi in zip(times, states):
-        prof = site_profile(psi, model.basis, model.atoms)
+    for t, prof in zip(traj.times, site_profiles(traj.full_states(), model.basis, model.atoms)):
         for s in range(len(prof.lz)):
             rows.append((float(t), s + 1, float(prof.lz[s]), float(prof.lz2[s])))
     _write_csv(outdir / "timeseries.csv", ["t", "site", "lz", "lz2"], rows)
-    step = taylor_step(model.op, cfg.dt)
-    return {"n_steps": len(times) - 1, "step_onenorm": step.onenorm,
-            "exact_norms": step.onenorm <= EXACT_NORM_LIMIT,
+    step = traj.step
+    return {"n_steps": len(traj.times) - 1, "symmetries": traj.symmetries, "sector": traj.states.shape[1],
+            "step_onenorm": step.onenorm, "exact_norms": step.onenorm <= EXACT_NORM_LIMIT,
             "taylor_degree": step.degree, "substeps": step.substeps}
 
 
@@ -534,13 +565,13 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
         )
         return {"E0_a": e_a, "E0_b": e_b, "max_deviation": abs(e_a - e_b)}
     # compare evolve: paired per-site traces
-    times_a, states_a = _evolve(cfg, model_a)
-    times_b, states_b = _evolve(cfg, model_b)
+    traj_a = _evolve(cfg, model_a)
+    traj_b = _evolve(cfg, model_b)
+    profs_a = site_profiles(traj_a.full_states(), model_a.basis, model_a.atoms)
+    profs_b = site_profiles(traj_b.full_states(), model_b.basis, model_b.atoms)
     rows = []
     max_dev = 0.0
-    for t, pa, pb in zip(times_a, states_a, states_b):
-        prof_a = site_profile(pa, model_a.basis, model_a.atoms)
-        prof_b = site_profile(pb, model_b.basis, model_b.atoms)
+    for t, prof_a, prof_b in zip(traj_a.times, profs_a, profs_b):
         for s in range(len(prof_a.lz2)):
             dev = abs(float(prof_a.lz2[s]) - float(prof_b.lz2[s]))
             max_dev = max(max_dev, dev)

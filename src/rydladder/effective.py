@@ -134,6 +134,16 @@ def coeffs_two_leg(
     return coeffs, longrange
 
 
+def _rung_b(v0: float, delta: float, delta0: float) -> float:
+    """The second-order sum B = 2 / (V0 - Delta) + 1 / (Delta + Delta_0) of the three-atom rung."""
+    return 2.0 / (v0 - delta) + 1.0 / (delta + delta0)
+
+
+def _rung_constant(v0: float, delta: float, delta0: float, omega: float) -> float:
+    """Per-rung constant -(Delta + Delta_0) - Omega^2 B / 4 of a three-atom rung."""
+    return -(delta + delta0) - omega**2 * _rung_b(v0, delta, delta0) / 4.0
+
+
 def rabi_pt_matrix(v0: float, v0p: float, delta: float, delta0: float, omega: float) -> RabiPT:
     """Second-order sums A, B, Gamma, Lambda for the three-atom rung."""
     _check_denominators(
@@ -146,7 +156,7 @@ def rabi_pt_matrix(v0: float, v0p: float, delta: float, delta0: float, omega: fl
         }
     )
     a = 1.0 / (v0 - delta - delta0) + 1.0 / (v0p - delta) + 1.0 / delta
-    b = 2.0 / (v0 - delta) + 1.0 / (delta + delta0)
+    b = _rung_b(v0, delta, delta0)
     gamma = 0.5 * (
         1.0 / delta
         + 1.0 / (v0 - delta)
@@ -200,7 +210,7 @@ def _clock_rung(v: dict, v0, delta, delta0, omega) -> dict:
     validity = _three_leg_validity(1, v0, v["V0p"], delta, delta0, omega)
     validity["rung_asymmetry"] = abs(v["V0p"] - v0) / v0 if v0 else math.inf
     return dict(J=rung_rabi_j(v0, delta, omega), flavor=Flavor.CLOCK_C, validity=validity,
-                const_site=-(delta + delta0) - omega**2 / 4.0 * (2.0 / (v0 - delta) + 1.0 / (delta + delta0)))
+                const_site=_rung_constant(v0, delta, delta0, omega))
 
 
 def _three_atom_rung_diagonal(v: dict, d_site: float, staggered: bool) -> dict:
@@ -246,7 +256,7 @@ def coeffs_three_leg(
     return EffectiveCoefficients(
         J=j,
         flavor=flavor,
-        const_site=-(delta + delta0) - omega**2 * pt.B / 4.0,
+        const_site=_rung_constant(v0, delta, delta0, omega),
         validity=_three_leg_validity(case, v0, v["V0p"], delta, delta0, omega),
         **_three_atom_rung_diagonal(v, delta0 + pt_diag, staggered),
     )

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisError, RydbergBasis, Spin1Basis
+from .basis import BasisError, Spin1Basis
 from .geometry import AtomArray
 
 
@@ -40,42 +40,38 @@ class OrderParameters:
     m_rdw_abs: float
 
 
-def site_profile_spin(psi: np.ndarray, basis: Spin1Basis) -> SiteProfile:
-    m = basis.digits().astype(float)
-    w = np.abs(psi) ** 2
-    return SiteProfile(lz=w @ m, lz2=w @ (m * m))
+def site_profiles(states, basis, atoms: AtomArray | None = None) -> list[SiteProfile]:
+    """Per-site <L^z_i> and <(L^z_i)^2> of each state of ``states``.
 
-
-def site_profile_rydberg(
-    psi: np.ndarray, basis: RydbergBasis, atoms: AtomArray
-) -> SiteProfile:
-    """Occupation-based L^z on the full Rydberg state (no sector projection).
-
-    L^z_i = n_{i,+1} - n_{i,-1} and (L^z_i)^2 = n_{i,+1} + n_{i,-1} evaluated
-    from the outer-leg occupations directly.
+    The basis tables (spin-1 digits, or Rydberg occupations and each rung's
+    outer legs) are built once for the whole sequence, which may be a
+    generator: states are read one at a time.  On a Rydberg basis the profile
+    is occupation-based, on the full state (no sector projection):
+    L^z_i = n_{i,+1} - n_{i,-1} and (L^z_i)^2 = n_{i,+1} + n_{i,-1}.
     """
+    if isinstance(basis, Spin1Basis):
+        m = basis.digits().astype(float)
+        m2 = m * m
+        return [SiteProfile(lz=w @ m, lz2=w @ m2) for w in (np.abs(psi) ** 2 for psi in states)]
+    if atoms is None:
+        raise BasisError("Rydberg-state profiles need the atom array")
     if basis.n_atoms != atoms.n_atoms:
         raise BasisError("basis does not match the atom array")
-    w = np.abs(psi) ** 2
-    occ_mean = w @ basis.occupations().astype(float)
-    n_r = atoms.n_rungs
-    lz = np.zeros(n_r)
-    lz2 = np.zeros(n_r)
-    for i in range(1, n_r + 1):
-        rung = atoms.atoms_of_rung(i)
-        up = rung[atoms.leg_of[rung] == +1]
-        down = rung[atoms.leg_of[rung] == -1]
-        lz[i - 1] = occ_mean[up].sum() - occ_mean[down].sum()
-        lz2[i - 1] = occ_mean[up].sum() + occ_mean[down].sum()
-    return SiteProfile(lz=lz, lz2=lz2)
+    occ = basis.occupations().astype(float)
+    rungs = [atoms.atoms_of_rung(i) for i in range(1, atoms.n_rungs + 1)]
+    legs = [(rung[atoms.leg_of[rung] == +1], rung[atoms.leg_of[rung] == -1]) for rung in rungs]
+    profiles = []
+    for psi in states:
+        occ_mean = (np.abs(psi) ** 2) @ occ
+        up = np.array([occ_mean[u].sum() for u, _ in legs])
+        down = np.array([occ_mean[d].sum() for _, d in legs])
+        profiles.append(SiteProfile(lz=up - down, lz2=up + down))
+    return profiles
 
 
 def site_profile(psi, basis, atoms: AtomArray | None = None) -> SiteProfile:
-    if isinstance(basis, Spin1Basis):
-        return site_profile_spin(psi, basis)
-    if atoms is None:
-        raise BasisError("Rydberg-state profiles need the atom array")
-    return site_profile_rydberg(psi, basis, atoms)
+    """``site_profiles`` of the single state ``psi``."""
+    return site_profiles([psi], basis, atoms)[0]
 
 
 def order_parameters(psi: np.ndarray, basis: Spin1Basis) -> OrderParameters:

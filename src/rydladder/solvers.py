@@ -145,6 +145,7 @@ class TaylorStep:
     onenorm: float     # ||a||_1, exact
     degree: int        # Taylor degree m*
     substeps: int      # scaling steps s
+    dt: float          # the sampling interval the step spans
 
 
 def taylor_step(h: SparseOperator, dt: float) -> TaylorStep:
@@ -156,6 +157,8 @@ def taylor_step(h: SparseOperator, dt: float) -> TaylorStep:
     tolerance 2**-53.  Above ``EXACT_NORM_LIMIT`` it estimates 1-norms of
     powers of ``a`` with scipy's randomized ``onenormest``.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     step = (-1j * dt) * h.matrix
     shift = step.trace() / float(h.dim)
     a = step - shift * sp.identity(h.dim, dtype=step.dtype, format="csr")
@@ -163,7 +166,21 @@ def taylor_step(h: SparseOperator, dt: float) -> TaylorStep:
     degree, substeps = 0, 1
     if norm != 0:
         degree, substeps = _fragment_3_1(LazyOperatorNormInfo(a, A_1_norm=norm), 1, TAYLOR_TOL)
-    return TaylorStep(a, shift, float(norm), degree, substeps)
+    return TaylorStep(a, shift, float(norm), degree, substeps, dt)
+
+
+def propagate(step: TaylorStep, psi: np.ndarray, t_total: float):
+    """``krylov_evolve`` with its Taylor step given: each sample runs only the
+    Taylor core of ``expm_multiply`` with the step's fixed parameters."""
+    psi = normalize(np.asarray(psi, dtype=complex))
+    n_steps = int(round(t_total / step.dt))
+    times = np.arange(n_steps + 1) * step.dt
+    states = np.empty((n_steps + 1, len(psi)), dtype=complex)
+    states[0] = psi
+    for k in range(n_steps):
+        states[k + 1] = _expm_multiply_simple_core(step.a, states[k], 1.0, step.shift, step.degree,
+                                                   step.substeps, TAYLOR_TOL)
+    return times, states
 
 
 def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float):
@@ -180,36 +197,7 @@ def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float)
     bitwise identical.  Above it the parameters come from one randomized
     ``onenormest`` per trajectory: accurate, bitwise repeatable only in practice.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    psi = normalize(np.asarray(psi, dtype=complex))
-    n_steps = int(round(t_total / dt))
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, h.dim), dtype=complex)
-    states[0] = psi
-    step = taylor_step(h, dt)
-    for k in range(n_steps):
-        states[k + 1] = _expm_multiply_simple_core(step.a, states[k], 1.0, step.shift, step.degree,
-                                                   step.substeps, TAYLOR_TOL)
-    return times, states
-
-
-def _verified_symmetries(h: SparseOperator, basis: RydbergBasis, n_legs: int):
-    """Rung permutations that map the basis onto itself and commute with H.
-
-    Returns ``(names, perms)``; each permutation is checked on H itself,
-    ||Pi H Pi^T - H||_1 <= SYMMETRY_TOL ||H||_1, and dropped otherwise.
-    """
-    norm1 = spla.norm(h.matrix, 1)
-    names, perms = [], []
-    for name, perm in rung_permutations(basis, n_legs).items():
-        if np.any(perm < 0) or np.array_equal(perm, np.arange(h.dim)):
-            continue
-        inv = np.argsort(perm)   # (Pi H Pi^T)[a, b] = H[inv[a], inv[b]]
-        if spla.norm(h.matrix[inv][:, inv] - h.matrix, 1) <= SYMMETRY_TOL * norm1:
-            names.append(name)
-            perms.append(perm)
-    return names, perms
+    return propagate(taylor_step(h, dt), psi, t_total)
 
 
 def _symmetry_blocks(dim: int, perms) -> list[sp.csr_matrix]:
@@ -237,6 +225,35 @@ def _symmetry_blocks(dim: int, perms) -> list[sp.csr_matrix]:
     return blocks
 
 
+def symmetry_sectors(h: SparseOperator, basis: RydbergBasis, n_legs: int, psi: np.ndarray | None = None):
+    """Verified rung symmetries of H and the isometries of their sectors.
+
+    A rung permutation (``rung_permutations``) is kept when it maps the basis
+    onto itself and is checked on H itself, ||Pi H Pi^T - H||_1 <=
+    SYMMETRY_TOL ||H||_1.  Given ``psi``, it must also have psi as an exact
+    eigenvector, psi[perm] = +-psi.  Returns ``(names, blocks)``: the kept
+    symmetries and one sparse isometry U_chi per character of the group they
+    generate (``_symmetry_blocks``); given ``psi``, only the one block psi lies
+    in, whose U^T H U evolves U^T psi exactly.  With no symmetry kept that
+    block is the identity.
+    """
+    norm1 = spla.norm(h.matrix, 1)
+    names, perms = [], []
+    for name, perm in rung_permutations(basis, n_legs).items():
+        if np.any(perm < 0) or np.array_equal(perm, np.arange(h.dim)):
+            continue
+        if psi is not None and not (np.array_equal(psi[perm], psi) or np.array_equal(psi[perm], -psi)):
+            continue
+        inv = np.argsort(perm)   # (Pi H Pi^T)[a, b] = H[inv[a], inv[b]]
+        if spla.norm(h.matrix[inv][:, inv] - h.matrix, 1) <= SYMMETRY_TOL * norm1:
+            names.append(name)
+            perms.append(perm)
+    blocks = _symmetry_blocks(h.dim, perms)
+    if psi is not None:
+        blocks = [max(blocks, key=lambda u: np.linalg.norm(u.T @ psi))]
+    return names, blocks
+
+
 def sector_eigenstates(
     h: SparseOperator,
     basis: RydbergBasis,
@@ -246,7 +263,7 @@ def sector_eigenstates(
     """All eigenpairs annotated with spin-1-sector overlaps.
 
     H is diagonalised block by block in the sectors of the verified rung
-    symmetries (see ``_verified_symmetries``); the blocks' eigenvectors are
+    symmetries (see ``symmetry_sectors``); the blocks' eigenvectors are
     embedded in the full basis and merged by energy with a stable sort.
     Residuals are taken against the full H.
 
@@ -255,9 +272,9 @@ def sector_eigenstates(
     emitted when no overlap exceeds 1/2 and the band is ambiguous.
     """
     _check_dense_limit(h)
-    names, perms = _verified_symmetries(h, basis, dictionary.n_legs)
+    names, blocks = symmetry_sectors(h, basis, dictionary.n_legs)
     solved = []
-    for u in _symmetry_blocks(h.dim, perms):
+    for u in blocks:
         vals, v = sla.eigh((u.T @ h.matrix @ u).toarray(), driver="evd")
         solved.append((u, vals, v))
     sectors = tuple(len(vals) for _, vals, _ in solved)

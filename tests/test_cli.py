@@ -6,14 +6,17 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
-from rydladder import match_forward
+from rydladder import SparseOperator, krylov_evolve, match_forward
 from rydladder.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     RunConfig,
+    _evolve,
     build_model,
     fmt,
     initial_state,
@@ -52,6 +55,24 @@ def _write(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _even_sector(model):
+    """Dense U^T H U on the states even under leg reflection and rung mirror,
+    U built from the bit images of a complete Rydberg basis."""
+    n_legs = model.dictionary.n_legs
+    n_atoms = model.basis.n_atoms
+    shape = (-1, n_atoms // n_legs, n_legs)
+    bits = ((model.basis.states[:, None] >> np.arange(n_atoms)) & 1).reshape(shape)
+    weights = (1 << np.arange(n_atoms)).reshape(shape[1:])
+    images = np.stack([(b * weights).sum(axis=(1, 2))
+                       for b in (bits, bits[:, :, ::-1], bits[:, ::-1], bits[:, ::-1, ::-1])], axis=1)
+    orbits = np.unique(np.sort(images, axis=1), axis=0)
+    u = np.zeros((model.op.dim, len(orbits)))
+    for j, orbit in enumerate(orbits):
+        members = np.unique(orbit)
+        u[members, j] = 1.0 / np.sqrt(len(members))
+    return u.T @ model.op.to_dense() @ u
 
 
 def test_float_formatting_is_lossless():
@@ -183,11 +204,15 @@ def test_manifest_round_trip_bitwise(tmp_path, task):
     assert (out / output).read_bytes() == (out2 / output).read_bytes()
     if task == "evolve":
         # the manifest states the condition under which the re-run is bitwise
-        # identical: expm_multiply's trace-shifted ||H dt||_1 <= 63.4
+        # identical: expm_multiply's trace-shifted ||H dt||_1 <= 63.4, for the
+        # H evolved, that of the sector even under both rung symmetries
         summary = json.loads((out / "manifest.json").read_text())["summary"]
-        h = build_model(parse_config(str(out / "manifest.json"))).op.to_dense()
+        h = _even_sector(build_model(parse_config(str(out / "manifest.json"))))
+        assert (summary["symmetries"], summary["sector"]) == (["leg", "mirror"], len(h))
         shifted = h - np.trace(h) / len(h) * np.eye(len(h))
         assert summary["step_onenorm"] == pytest.approx(0.002 * np.abs(shifted).sum(axis=0).max(), rel=1e-12)
+        step = taylor_step(SparseOperator(len(h), sp.csr_matrix(h)), 0.002)
+        assert (summary["taylor_degree"], summary["substeps"]) == (step.degree, step.substeps)
         assert summary["exact_norms"] is True
         assert json.loads((out2 / "manifest.json").read_text())["summary"] == summary
 
@@ -242,9 +267,65 @@ def test_evolve_timeseries_schema(tmp_path):
     assert lines[0] == "t,site,lz,lz2"
     assert len(lines) == 1 + 3 * 3  # 3 time samples x 3 sites
     summary = json.loads((out / "manifest.json").read_text())["summary"]
-    step = taylor_step(build_model(parse_config(str(out / "manifest.json"))).op, 0.01)
+    # the effective chain has no rungs to reflect: its whole space is evolved
+    op = build_model(parse_config(str(out / "manifest.json"))).op
+    assert (summary["symmetries"], summary["sector"]) == ([], op.dim)
+    step = taylor_step(op, 0.01)
     assert (summary["taylor_degree"], summary["substeps"]) == (step.degree, step.substeps)
     assert summary["taylor_degree"] >= 1 and summary["substeps"] >= 1
+
+
+@pytest.mark.parametrize("kind, symmetries", [
+    ("three-leg", ["leg", "mirror"]),
+    ("in-plane-triangle", ["leg"]),
+])
+def test_sector_evolution_matches_full_space_and_expm(tmp_path, kind, symmetries):
+    """The embedded sector trajectory against full-space krylov_evolve and dense expm."""
+    text = BASE.format(out=tmp_path).replace("kind = three-leg", f"kind = {kind}").replace(
+        "hamiltonian = effective", "hamiltonian = rydberg").replace("task = gs", "\n".join([
+            "task = evolve", "initial = spin:000", "t_total = 0.1", "dt = 0.01"]))
+    cfg = parse_config(_write(tmp_path, text))
+    model = build_model(cfg)
+    traj = _evolve(cfg, model)
+    assert traj.symmetries == symmetries
+    assert traj.states.shape[1] < model.op.dim
+    psi0 = initial_state(cfg, model)
+    times, full = krylov_evolve(model.op, psi0, cfg.t_total, cfg.dt)
+    np.testing.assert_array_equal(traj.times, times)
+    step = sla.expm(-1j * cfg.dt * model.op.to_dense())
+    exact = psi0
+    for psi, ref in zip(traj.full_states(), full):
+        assert np.linalg.norm(psi - ref) <= 1e-12
+        assert np.linalg.norm(psi - exact) <= 1e-12
+        exact = step @ exact
+
+
+def test_state_fixed_by_no_symmetry_evolves_in_full_space_bitwise(tmp_path):
+    """index:1 (one excited outer atom) is moved by both rung symmetries: the
+    whole space is evolved, and the time series is bit for bit the full-space
+    krylov_evolve with one site profile per sample."""
+    out = tmp_path / "ev"
+    text = BASE.format(out=out).replace("hamiltonian = effective", "hamiltonian = rydberg").replace(
+        "task = gs", "\n".join(["task = evolve", "initial = index:1", "t_total = 0.05", "dt = 0.01"]))
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    cfg = parse_config(str(out / "manifest.json"))
+    model = build_model(cfg)
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert (summary["symmetries"], summary["sector"]) == ([], model.op.dim)
+    step = taylor_step(model.op, cfg.dt)
+    assert (summary["step_onenorm"], summary["taylor_degree"], summary["substeps"]) == (
+        step.onenorm, step.degree, step.substeps)
+    # the profile arithmetic of one site_profile call per sample, written out
+    occ = model.basis.occupations().astype(float)
+    rungs = [model.atoms.atoms_of_rung(i) for i in range(1, model.atoms.n_rungs + 1)]
+    lines = ["t,site,lz,lz2"]
+    for t, psi in zip(*krylov_evolve(model.op, initial_state(cfg, model), cfg.t_total, cfg.dt)):
+        occ_mean = np.abs(psi) ** 2 @ occ
+        for s, rung in enumerate(rungs):
+            up = occ_mean[rung[model.atoms.leg_of[rung] == +1]].sum()
+            down = occ_mean[rung[model.atoms.leg_of[rung] == -1]].sum()
+            lines.append(",".join(fmt(x) for x in (float(t), s + 1, float(up - down), float(up + down))))
+    assert (out / "timeseries.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_initial_state_labels(tmp_path):
@@ -339,6 +420,7 @@ def test_compare_evolve_outputs(tmp_path):
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
     lines = (out / "compare_evolve.csv").read_text().strip().split("\n")
     assert lines[0] == "t,site,lz2_rydberg,lz2_effective,abs_deviation"
+    assert len(lines) == 1 + 3 * 3  # 3 time samples x 3 sites
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["summary"]["max_deviation"] < 0.05
 

@@ -23,7 +23,6 @@ from rydladder import (
     site_profile,
     susceptibility_peak,
 )
-from rydladder.observables import site_profile_rydberg, site_profile_spin
 
 
 def _basis_state(basis: Spin1Basis, ms):
@@ -99,8 +98,8 @@ def test_site_profile_rydberg_matches_spin_on_sector_states():
     amps /= np.linalg.norm(amps)
     psi_full = np.zeros(basis.dim, dtype=complex)
     psi_full[sector] = amps
-    full = site_profile_rydberg(psi_full, basis, atoms)
-    spin = site_profile_spin(amps, sb)
+    full = site_profile(psi_full, basis, atoms)
+    spin = site_profile(amps, sb)
     assert np.allclose(full.lz, spin.lz, atol=1e-12)
     assert np.allclose(full.lz2, spin.lz2, atol=1e-12)
 

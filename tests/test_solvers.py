@@ -30,7 +30,8 @@ from rydladder import (
     rydberg_hamiltonian,
     sector_eigenstates,
 )
-from rydladder.solvers import DENSE_DIM_LIMIT, EXACT_NORM_LIMIT, normalize, taylor_step
+from rydladder.basis import rung_permutations
+from rydladder.solvers import DENSE_DIM_LIMIT, EXACT_NORM_LIMIT, normalize, symmetry_sectors, taylor_step
 
 
 def _random_operator(n, seed, density=0.05):
@@ -367,3 +368,25 @@ def test_sector_eigenstates_match_full_eigh(case):
     assert res.residuals.max() <= 1e-10 * spla.norm(h.matrix, 1)
     x = res.eigenvectors
     assert np.abs(x.T @ x - np.eye(h.dim)).max() < 1e-10
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_symmetry_sectors_select_the_character_of_the_state(sign):
+    """A state even or odd under the leg reflection, and moved by the mirror,
+    keeps only the leg reflection and selects its even or odd block."""
+    h, basis, d = _ladder_case("three-leg", 3, delta0=0.2)
+    perms = rung_permutations(basis, d.n_legs)
+    psi = np.zeros(h.dim, dtype=complex)
+    psi[basis.index_of(0b000000001)] = 1.0
+    psi[basis.index_of(0b000000100)] = sign   # its leg image
+    psi /= np.linalg.norm(psi)
+    assert np.array_equal(psi[perms["leg"]], sign * psi)
+    names, blocks = symmetry_sectors(h, basis, d.n_legs, psi)
+    assert names == ["leg"] and len(blocks) == 1
+    u = blocks[0].toarray()
+    np.testing.assert_array_equal(u[perms["leg"]], sign * u)   # every column has the state's character
+    assert np.linalg.norm(u.T @ psi) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-15)
+    # the full verified group without a state: four blocks that tile the space
+    names, blocks = symmetry_sectors(h, basis, d.n_legs)
+    assert names == ["leg", "mirror"] and sum(b.shape[1] for b in blocks) == h.dim

@@ -44,6 +44,21 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name}: unused imports {unused}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_names_imported_from_other_package_modules(path):
+    """A module uses another module's public names only; dunders such as
+    ``__version__`` are exempt."""
+    private = [
+        f"{node.module or '.'}.{alias.name}:{node.lineno}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "rydladder")
+        for alias in node.names
+        if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    ]
+    assert private == [], f"{path.name}: private names imported from the package: {private}"
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """scipy.optimize raises peak memory by about 15 MB; only the root finders of
     matching and the Ising reduction need it, and import it when called."""
