@@ -59,7 +59,7 @@ from .observables import (
     order_parameters,
     reduced_density_matrix,
     renyi_entropy,
-    site_profile,
+    site_profiles,
     susceptibility_peak,
 )
 from .solvers import (
@@ -71,7 +71,5 @@ from .solvers import (
     krylov_evolve,
     sector_eigenstates,
 )
-
-lanczos_ground_state = ground_state   # the former name of ground_state, kept for existing imports
 
 __version__ = "0.1.0"

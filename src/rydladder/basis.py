@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AtomArray, LadderKind
+from .geometry import LadderKind
 
 MAX_ATOMS = 26
 
@@ -126,10 +126,6 @@ class StateDictionary:
         if kind in (LadderKind.THREE_LEG, LadderKind.PRISM, LadderKind.IN_PLANE_TRIANGLE):
             return cls(kind, 3, dict(_ONE_HOT_PATTERNS))
         raise BasisError(f"no spin-1 dictionary for geometry kind {kind}")
-
-    @classmethod
-    def for_atoms(cls, atoms: AtomArray) -> "StateDictionary":
-        return cls.for_kind(atoms.spec.kind)
 
     @property
     def spin_to_pattern(self) -> dict:

@@ -303,7 +303,7 @@ def build_model(cfg: RunConfig, which: str | None = None) -> Model:
         basis = enumerate_rydberg(atoms.n_atoms, constraint)
         op = rydberg_hamiltonian(atoms, cfg.omega, cfg.delta, couplings, basis, cfg.range_cutoff)
         try:
-            dictionary = StateDictionary.for_atoms(atoms)
+            dictionary = StateDictionary.for_kind(cfg.kind)
         except BasisError:
             dictionary = None
         return Model(op, basis, atoms, dictionary)
@@ -344,7 +344,7 @@ def initial_state(cfg: RunConfig, model: Model) -> np.ndarray:
             if ch not in "+-0":
                 raise ConfigError(f"spin label digits must be +, -, or 0, got {digits!r}")
             ms.append({"+": 1, "-": -1, "0": 0}[ch])
-        rydberg = isinstance(model.basis, RydbergBasis) and model.dictionary is not None
+        rydberg = model.dictionary is not None
         if not (rydberg or isinstance(model.basis, Spin1Basis)):
             raise ConfigError("spin labels need a spin basis or a dictionary-bearing geometry")
         n_sites = model.basis.n_atoms // model.dictionary.n_legs if rydberg else model.basis.n_sites
@@ -450,7 +450,7 @@ def task_gs(cfg: RunConfig, outdir: Path) -> dict:
 
 def task_spectrum(cfg: RunConfig, outdir: Path) -> dict:
     model = build_model(cfg)
-    if model.dictionary is not None and isinstance(model.basis, RydbergBasis):
+    if model.dictionary is not None:
         res, overlaps, band = sector_eigenstates(model.op, model.basis, model.dictionary, cfg.k)
         in_band = set(band.tolist())
         rows = [
@@ -497,7 +497,7 @@ def _evolve(cfg: RunConfig, model: Model) -> Trajectory:
     """
     psi = initial_state(cfg, model)
     names, u, h = [], None, model.op
-    if isinstance(model.basis, RydbergBasis) and model.dictionary is not None:
+    if model.dictionary is not None:
         names, (block,) = symmetry_sectors(h, model.basis, model.dictionary.n_legs, psi)
         if names:
             u, psi = block, block.T @ psi
@@ -628,32 +628,21 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
     manifest = {
         "tool": "rydladder",
         "version": __version__,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "derived": derived,
         "derived_errors": derived_errors,
         "seed": cfg.seed,
         "threads": cfg.threads,
         "wall_time_s": wall,
-        "summary": _jsonable(summary),
+        "summary": summary,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=_json_default) + "\n")
     return EXIT_OK
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["compare_models"] = list(cfg.compare_models)
-    return d
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _json_default(obj):
+    """numpy scalars as Python numbers (np.float64 is already a float), else str."""
+    return obj.item() if isinstance(obj, np.generic) else str(obj)
 
 
 def main(argv=None) -> int:

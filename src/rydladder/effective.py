@@ -11,7 +11,7 @@ L^z_{2i+1} -> -L^z_{2i+1}, which flips the sign of R and nothing else; pass
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as _dc_replace, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -67,12 +67,6 @@ class EffectiveCoefficients:
 
     def const_total(self, n_sites: int) -> float:
         return n_sites * self.const_site + (n_sites - 1) * self.const_bond
-
-    def replace(self, **kw) -> "EffectiveCoefficients":
-        return _dc_replace(self, **kw)
-
-    def staggered(self) -> "EffectiveCoefficients":
-        return self.replace(R=-self.R)
 
 
 @dataclass(frozen=True)
@@ -314,7 +308,6 @@ def diagonal_expansion_oracle(
     atoms: AtomArray,
     couplings: CouplingMatrix,
     delta: float,
-    dictionary: StateDictionary | None = None,
 ):
     """Brute-force fit of the diagonal effective coefficients.
 
@@ -326,8 +319,7 @@ def diagonal_expansion_oracle(
     """
     if atoms.n_rungs != 2:
         raise ValueError("the oracle expects a two-rung block")
-    if dictionary is None:
-        dictionary = StateDictionary.for_atoms(atoms)
+    dictionary = StateDictionary.for_kind(atoms.spec.kind)
     det = delta + atoms.detuning_offset
     v = couplings.v
 
@@ -399,25 +391,31 @@ def ising_reduction(delta: float, v1: float, v2: float):
     return j_eff, transverse, j_eff - transverse
 
 
-def ising_reduction_critical_delta(v1: float, v2: float, lo=None, hi=None, tol=1e-12):
+def ising_reduction_critical_delta(v1: float, v2: float):
     """Root of the Ising-reduction residual in Delta, by bracketed bisection."""
     from scipy.optimize import brentq   # lazy: importing scipy.optimize costs ~15 MB of peak RSS
 
-    if lo is None:
-        lo = 1e-6 * max(v1, v2)
-    if hi is None:
-        hi = 2.0 * min(v1, v2) * (1.0 - 1e-9)
+    lo = 1e-6 * max(v1, v2)
+    hi = 2.0 * min(v1, v2) * (1.0 - 1e-9)
 
     def f(d):
         return ising_reduction(d, v1, v2)[2]
 
     if f(lo) * f(hi) > 0:
         raise MatchingError(f"no sign change of the residual on ({lo}, {hi})")
-    return float(brentq(f, lo, hi, xtol=tol))
+    return float(brentq(f, lo, hi, xtol=1e-12))
 
 
 # ---------------------------------------------------------------------------
 # Matching to the compact-scalar-QED target couplings
+
+NEWTON_TOL = 1e-12   # max |residual| of the target couplings at which inverse matching stops
+
+
+def _three_leg_y(v: dict) -> tuple[float, float]:
+    """Three-leg Y = 2 V2 - V1 - V3 and Y + Y' = (V1 - V3) / 2 of a coupling table."""
+    v1, v2, v3 = v["V1"], v["V2"], v["V3"]
+    return 2.0 * v2 - v1 - v3, (v1 - v3) / 2.0
 
 
 def match_forward(
@@ -453,9 +451,9 @@ def match_forward(
     drive = omega**2 / 4.0 * (2.0 / (delta - v0) - 1.0 / delta)
     if case == "three-leg-00bc":
         v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
-        v1, v2, v3 = v["V1"], v["V2"], v["V3"]
-        y = 2.0 * v2 - v1 - v3
-        t = TargetCouplings(U=2.0 * delta0 + 2.0 * v3 - 2.0 * v1 + x, X=x, Y=y, Yp=(v1 - v3) / 2.0 - y)
+        v1, v3 = v["V1"], v["V3"]
+        y, s = _three_leg_y(v)
+        t = TargetCouplings(U=2.0 * delta0 + 2.0 * v3 - 2.0 * v1 + x, X=x, Y=y, Yp=s - y)
     else:
         v = _ladder_v(LadderKind.PRISM, v0, rho, prism_height=height)
         v1, y = v["V1"], v["V2"] - v["V1"]
@@ -463,12 +461,12 @@ def match_forward(
     return t, -(delta + delta0) + v1 + drive, v1
 
 
-def _damped_newton(f, x0, tol=1e-12, max_iter=100):
-    """Damped Newton with a forward-difference Jacobian."""
+def _damped_newton(f, x0):
+    """Damped Newton with a forward-difference Jacobian, to max |f| < NEWTON_TOL."""
     x = np.asarray(x0, dtype=float)
     fx = np.asarray(f(x), dtype=float)
-    for _ in range(max_iter):
-        if np.max(np.abs(fx)) < tol:
+    for _ in range(100):
+        if np.max(np.abs(fx)) < NEWTON_TOL:
             return x
         n = len(x)
         jac = np.empty((len(fx), n))
@@ -498,7 +496,7 @@ def _damped_newton(f, x0, tol=1e-12, max_iter=100):
             lam *= 0.5
         if not accepted:
             break
-    if np.max(np.abs(fx)) >= tol:
+    if np.max(np.abs(fx)) >= NEWTON_TOL:
         raise MatchingError(f"inverse matching did not converge, residual {np.max(np.abs(fx)):.3e}")
     return x
 
@@ -508,9 +506,8 @@ def _three_leg_rho_from_ratio(ratio: float) -> float:
     from scipy.optimize import brentq   # lazy: importing scipy.optimize costs ~15 MB of peak RSS
 
     def g(rho):
-        v = _ladder_v(LadderKind.THREE_LEG, 1.0, rho)
-        v1, v2, v3 = v["V1"], v["V2"], v["V3"]
-        return (2.0 * v2 - v1 - v3) / ((v1 - v3) / 2.0)
+        y, s = _three_leg_y(_ladder_v(LadderKind.THREE_LEG, 1.0, rho))
+        return y / s
 
     lo, hi = 1e-3, 0.999
     glo, ghi = g(lo), g(hi)
@@ -538,7 +535,7 @@ def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
             raise MatchingError("three-leg matching requires X > 0")
         rho = _three_leg_rho_from_ratio(y / s)
         unit = _ladder_v(LadderKind.THREE_LEG, 1.0, rho)
-        v0 = 2.0 * s / (unit["V1"] - unit["V3"])
+        v0 = s / _three_leg_y(unit)[1]
         v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
         v1, v3 = v["V1"], v["V3"]
         delta0_of = lambda xx: (u - 2.0 * v3 + 2.0 * v1 - xx) / 2.0

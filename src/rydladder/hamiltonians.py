@@ -8,7 +8,7 @@ drive phase can be chosen real), so operators are stored as real
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -244,8 +244,8 @@ def sqed_field_hamiltonian(
         flavor=flavor,
     )
     if bc is BoundaryCondition.OBC:
-        coeffs = coeffs.replace(
-            d_first=0.5 * t.U + 0.5 * t.Y, d_last=0.5 * t.U + 0.5 * t.Y
+        coeffs = replace(
+            coeffs, d_first=0.5 * t.U + 0.5 * t.Y, d_last=0.5 * t.U + 0.5 * t.Y
         )
     elif bc is BoundaryCondition.ZERO_ZERO:
         # The boundary bonds to the frozen zero fields contribute no cross

@@ -10,6 +10,8 @@ import numpy as np
 from .basis import BasisError, Spin1Basis
 from .geometry import AtomArray
 
+PHASE_THRESHOLD = 0.1   # absolute order parameter above which an order counts as present
+
 
 class Phase(str, Enum):
     FM = "FM"
@@ -69,11 +71,6 @@ def site_profiles(states, basis, atoms: AtomArray | None = None) -> list[SitePro
     return profiles
 
 
-def site_profile(psi, basis, atoms: AtomArray | None = None) -> SiteProfile:
-    """``site_profiles`` of the single state ``psi``."""
-    return site_profiles([psi], basis, atoms)[0]
-
-
 def order_parameters(psi: np.ndarray, basis: Spin1Basis) -> OrderParameters:
     """FM / AFM / RDW order parameters and their fluctuation susceptibilities.
 
@@ -130,17 +127,15 @@ def renyi_entropy(psi: np.ndarray, n_sites: int, cut: int, order: int = 2) -> fl
     raise ValueError("order must be 1 or 2")
 
 
-def classify_phase(op: OrderParameters, threshold: float = 0.1) -> Phase:
-    """Zero/nonzero pattern of the absolute order parameters.
+def classify_phase(op: OrderParameters) -> Phase:
+    """Pattern of the absolute order parameters above ``PHASE_THRESHOLD``.
 
     The absolute-value variants are used so that symmetric finite-size
     ground states classify correctly.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    fm = op.m_fm_abs > threshold
-    afm = op.m_afm_abs > threshold
-    rdw = op.m_rdw_abs > threshold
+    fm = op.m_fm_abs > PHASE_THRESHOLD
+    afm = op.m_afm_abs > PHASE_THRESHOLD
+    rdw = op.m_rdw_abs > PHASE_THRESHOLD
     pattern = (fm, afm, rdw)
     table = {
         (True, False, False): Phase.FM,

@@ -18,8 +18,14 @@ from .hamiltonians import SparseOperator
 
 DENSE_DIM_LIMIT = 4096
 SYMMETRY_TOL = 1e-12   # ||Pi H Pi^T - H||_1 / ||H||_1 below which a permutation is a symmetry
+RESIDUAL_TOL = 1e-10   # ||H psi - E psi|| / ||H||_1 up to which a ground state is certified
 EXACT_NORM_LIMIT = 63.4   # the Taylor parameters use exact 1-norms only up to here
 TAYLOR_TOL = np.finfo(float).eps / 2   # 2**-53, expm_multiply's double-precision tolerance
+
+# lobpcg warns when it stops short of its tol (and, below 5 rows, that it solves densely); ground_state's
+# exact residual check decides instead.  Set once: catch_warnings per call is not thread-safe.
+LOBPCG_WARNINGS = "Exited at iteration|Exited postprocessing|Failed at iteration|The problem size"
+warnings.filterwarnings("ignore", LOBPCG_WARNINGS, UserWarning, __name__)
 
 
 class SolverError(RuntimeError):
@@ -42,7 +48,7 @@ def normalize(psi: np.ndarray) -> np.ndarray:
 @dataclass
 class SpectrumResult:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None   # columns, aligned with eigenvalues
+    eigenvectors: np.ndarray   # columns, aligned with eigenvalues
     residuals: np.ndarray
     symmetries: tuple[str, ...] = ()   # verified symmetries the solve was blocked by
     sectors: tuple[int, ...] = ()      # dimension of each diagonalised block
@@ -60,7 +66,7 @@ def _check_dense_limit(h: SparseOperator):
         raise SolverError(f"dimension {h.dim} exceeds the dense limit {DENSE_DIM_LIMIT}")
 
 
-def dense_eigs(h: SparseOperator, k: int | None = None, vectors: bool = True) -> SpectrumResult:
+def dense_eigs(h: SparseOperator, k: int | None = None) -> SpectrumResult:
     """Lowest-k eigenpairs by dense diagonalization (oracle backend).
 
     Only k eigenpairs are computed when k < dim (LAPACK ``syevr`` on the index
@@ -69,16 +75,12 @@ def dense_eigs(h: SparseOperator, k: int | None = None, vectors: bool = True) ->
     _check_dense_limit(h)
     k = h.dim if k is None else min(k, h.dim)
     subset = {"driver": "evd"} if k == h.dim else {"subset_by_index": (0, k - 1)}
-    if vectors:
-        vals, vecs = sla.eigh(h.to_dense(), **subset)
-        return SpectrumResult(vals, vecs, _residuals(h, vals, vecs), sectors=(h.dim,))
-    vals = sla.eigh(h.to_dense(), eigvals_only=True, **subset)
-    return SpectrumResult(vals, None, np.full(k, np.nan), sectors=(h.dim,))
+    vals, vecs = sla.eigh(h.to_dense(), **subset)
+    return SpectrumResult(vals, vecs, _residuals(h, vals, vecs), sectors=(h.dim,))
 
 
 def ground_state(
     h: SparseOperator,
-    tol: float = 1e-10,
     max_iter: int = 20000,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
@@ -87,7 +89,7 @@ def ground_state(
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) is preconditioned by
     the clipped Jacobi inverse 1 / max(|H_ii - min H_jj|, floor), the floor
     being the largest off-diagonal |H_ij|.  Returns only when the true
-    residual ||H psi - E psi|| <= tol ||H||_1 (exact sparse 1-norm, E the
+    residual ||H psi - E psi|| <= RESIDUAL_TOL ||H||_1 (exact sparse 1-norm, E the
     Rayleigh quotient); otherwise raises :class:`ConvergenceError` carrying
     the lowest Rayleigh quotient seen.  Memory is a few vectors of length
     dim; ``max_iter`` caps the products with H.  Deterministic for a given seed.
@@ -100,7 +102,7 @@ def ground_state(
     floor = np.abs(m.data[m.indices != np.repeat(np.arange(n), np.diff(m.indptr))]).max(initial=0.0)
     if floor == 0:   # diagonal H (dim 1 included): that basis state alone is exact
         return float(diag.min()), start
-    norm1 = spla.norm(m, 1)
+    bound = RESIDUAL_TOL * spla.norm(m, 1)
     start += 1e-3 * np.random.default_rng(seed).standard_normal(n) / np.sqrt(n)
     precond = 1.0 / np.maximum(np.abs(diag - diag.min()), floor)[:, None]
     used, best = 0, np.inf
@@ -116,13 +118,9 @@ def ground_state(
         return hx
 
     try:
-        with warnings.catch_warnings():
-            # lobpcg warns when it stops short of its tol (and, below 5 rows, that it
-            # solves densely); the exact residual check below decides instead.  Its
-            # tol is a quarter of the bound: its residuals land at 0.8-1 of the tol.
-            warnings.filterwarnings("ignore", category=UserWarning, module=__name__)
-            x = spla.lobpcg(apply_h, start[:, None], M=lambda r: precond * r, tol=tol * norm1 / 4,
-                            maxiter=max_iter, largest=False)[1][:, 0]
+        # lobpcg's tol is a quarter of the bound: its residuals land at 0.8-1 of its tol
+        x = spla.lobpcg(apply_h, start[:, None], M=lambda r: precond * r, tol=bound / 4,
+                        maxiter=max_iter, largest=False)[1][:, 0]
     except Exception as exc:   # below 5 rows lobpcg re-raises operator errors as a bare Exception
         if used <= max_iter:
             raise
@@ -131,8 +129,8 @@ def ground_state(
     h_psi = m @ psi
     energy = float(psi @ h_psi)
     residual = np.linalg.norm(h_psi - energy * psi)
-    if residual > tol * norm1:
-        raise ConvergenceError(f"true residual {residual:.3g} > {tol * norm1:.3g}", energy)
+    if residual > bound:
+        raise ConvergenceError(f"true residual {residual:.3g} > {bound:.3g}", energy)
     return energy, psi
 
 
@@ -200,13 +198,14 @@ def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float)
     return propagate(taylor_step(h, dt), psi, t_total)
 
 
-def _symmetry_blocks(dim: int, perms) -> list[sp.csr_matrix]:
-    """Sparse isometries U_chi, one per character of the group ``perms`` generate.
+def _symmetry_blocks(dim: int, perms, chis) -> list[sp.csr_matrix]:
+    """Sparse isometries U_chi of the group ``perms`` generate, one per
+    character chi in ``chis`` (bit k set: odd under generator k).
 
     The generators are commuting involutions.  Column j of U_chi is the
     normalised sum_g chi(g) |g r_j> over the orbit of representative r_j
-    (QuSpin's symmetry blocks); columns that cancel are dropped.  The trivial
-    group gives the single block U = I.
+    (QuSpin's symmetry blocks); columns that cancel are dropped, and so are
+    empty blocks.  The trivial group gives the single block U = I.
     """
     elements = [(np.arange(dim), 0)]   # (index map, bit mask of the generators used)
     for k, perm in enumerate(perms):
@@ -215,7 +214,7 @@ def _symmetry_blocks(dim: int, perms) -> list[sp.csr_matrix]:
     cols = np.tile(np.arange(len(reps)), len(elements))
     rows = np.concatenate([g[reps] for g, _ in elements])
     blocks = []
-    for chi in range(1 << len(perms)):
+    for chi in chis:
         vals = np.repeat([(-1.0) ** (mask & chi).bit_count() for _, mask in elements], len(reps))
         u = sp.csc_matrix((vals, (rows, cols)), shape=(dim, len(reps)))
         norms = np.sqrt(np.asarray(u.multiply(u).sum(axis=0)).ravel())
@@ -233,9 +232,9 @@ def symmetry_sectors(h: SparseOperator, basis: RydbergBasis, n_legs: int, psi: n
     SYMMETRY_TOL ||H||_1.  Given ``psi``, it must also have psi as an exact
     eigenvector, psi[perm] = +-psi.  Returns ``(names, blocks)``: the kept
     symmetries and one sparse isometry U_chi per character of the group they
-    generate (``_symmetry_blocks``); given ``psi``, only the one block psi lies
-    in, whose U^T H U evolves U^T psi exactly.  With no symmetry kept that
-    block is the identity.
+    generate (``_symmetry_blocks``); given ``psi``, only the block of the
+    character read off those signs, which holds psi and whose U^T H U evolves
+    U^T psi exactly.  With no symmetry kept that block is the identity.
     """
     norm1 = spla.norm(h.matrix, 1)
     names, perms = [], []
@@ -248,10 +247,10 @@ def symmetry_sectors(h: SparseOperator, basis: RydbergBasis, n_legs: int, psi: n
         if spla.norm(h.matrix[inv][:, inv] - h.matrix, 1) <= SYMMETRY_TOL * norm1:
             names.append(name)
             perms.append(perm)
-    blocks = _symmetry_blocks(h.dim, perms)
-    if psi is not None:
-        blocks = [max(blocks, key=lambda u: np.linalg.norm(u.T @ psi))]
-    return names, blocks
+    if psi is None:
+        return names, _symmetry_blocks(h.dim, perms, range(1 << len(perms)))
+    chi = sum(1 << k for k, perm in enumerate(perms) if not np.array_equal(psi[perm], psi))
+    return names, _symmetry_blocks(h.dim, perms, [chi])
 
 
 def sector_eigenstates(

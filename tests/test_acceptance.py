@@ -35,13 +35,12 @@ from rydladder import (
     ising_reduction,
     ising_reduction_critical_delta,
     krylov_evolve,
-    lanczos_ground_state,
     match_forward,
     match_inverse,
     pairwise_couplings,
     rydberg_hamiltonian,
     sector_eigenstates,
-    site_profile,
+    site_profiles,
     sqed_field_hamiltonian,
 )
 
@@ -149,7 +148,7 @@ def test_criterion_04_energy_density_table():
         for n in (2, 3, 4):
             res = dense_eigs(
                 sqed_field_hamiltonian(t, n, BoundaryCondition.ZERO_ZERO),
-                k=2, vectors=False,
+                k=2,
             )
             e = res.eigenvalues / n
             assert e[0] == pytest.approx(TARGET_REF[n][0], abs=1e-6)
@@ -256,7 +255,7 @@ def test_criterion_06_three_leg_time_evolution():
             psie[sb.index_of([0, 0, 0])] = 1.0
             _, se = krylov_evolve(heff, psie, 1.0, 0.002)
             for pf, pe in zip(states, se):
-                dev = site_profile(pf, basis, atoms).lz2 - site_profile(pe, sb).lz2
+                dev = site_profiles([pf], basis, atoms)[0].lz2 - site_profiles([pe], sb)[0].lz2
                 assert np.max(np.abs(dev)) < 0.1
 
     _check(6, "three-leg time evolution", body)
@@ -288,10 +287,10 @@ def test_criterion_07_five_site_quench():
         psie[sb.index_of([0] * ns)] = 1.0
         _, se = krylov_evolve(heff, psie, 0.5, 0.002)
         for pf, pe in zip(states, se):
-            pr = site_profile(pf, basis, atoms)
+            pr = site_profiles([pf], basis, atoms)[0]
             assert np.max(np.abs(pr.lz)) < 1e-6
             assert np.max(np.abs(pr.lz2 - pr.lz2[::-1])) < 1e-6
-            assert np.max(np.abs(pr.lz2 - site_profile(pe, sb).lz2)) < 0.1
+            assert np.max(np.abs(pr.lz2 - site_profiles([pe], sb)[0].lz2)) < 0.1
 
     _check(7, "five-site quench symmetries", body)
 
@@ -304,8 +303,8 @@ def test_criterion_08_solver_properties():
         atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 4, 6.0, 3.0))
         basis = enumerate_rydberg(atoms.n_atoms)
         h = rydberg_hamiltonian(atoms, 1.3, 0.8, pairwise_couplings(atoms, c6=500.0), basis)
-        e_dense = dense_eigs(h, k=1, vectors=False).eigenvalues[0]
-        e_lan, _ = lanczos_ground_state(h)
+        e_dense = dense_eigs(h, k=1).eigenvalues[0]
+        e_lan, _ = ground_state(h)
         assert e_lan == pytest.approx(e_dense, abs=1e-9 * max(1.0, abs(e_dense)))
 
         psi0 = np.zeros(h.dim, complex)

@@ -142,7 +142,7 @@ def test_projection_round_trip(kind, n_legs):
 
 def test_dictionary_for_atoms():
     atoms = build_ladder(LadderSpec(LadderKind.PRISM, 2, a_x=6.0, a_y=3.0))
-    assert StateDictionary.for_atoms(atoms).n_legs == 3
+    assert StateDictionary.for_kind(atoms.spec.kind).n_legs == 3
 
 
 def test_rung_permutations_move_bits():

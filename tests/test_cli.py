@@ -315,7 +315,7 @@ def test_state_fixed_by_no_symmetry_evolves_in_full_space_bitwise(tmp_path):
     step = taylor_step(model.op, cfg.dt)
     assert (summary["step_onenorm"], summary["taylor_degree"], summary["substeps"]) == (
         step.onenorm, step.degree, step.substeps)
-    # the profile arithmetic of one site_profile call per sample, written out
+    # the profile arithmetic of site_profiles, one sample at a time, written out
     occ = model.basis.occupations().astype(float)
     rungs = [model.atoms.atoms_of_rung(i) for i in range(1, model.atoms.n_rungs + 1)]
     lines = ["t,site,lz,lz2"]

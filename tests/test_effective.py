@@ -93,7 +93,7 @@ def test_rung_rabi_closed_form_equals_pt_sum_without_offset():
 
 def test_staggered_flips_only_r():
     c = coeffs_three_leg(2, 100.0, 50.0, 0.2, 1.0, 0.4)
-    cs = c.staggered()
+    cs = coeffs_three_leg(2, 100.0, 50.0, 0.2, 1.0, 0.4, staggered=True)
     assert cs.R == -c.R
     assert (cs.D, cs.Rp, cs.J) == (c.D, c.Rp, c.J)
 

@@ -20,7 +20,7 @@ from rydladder import (
     project_to_spin1,
     reduced_density_matrix,
     renyi_entropy,
-    site_profile,
+    site_profiles,
     susceptibility_peak,
 )
 
@@ -82,7 +82,7 @@ def test_susceptibility_is_scaled_variance():
 def test_site_profile_spin_basis():
     basis = Spin1Basis(3)
     psi = (_basis_state(basis, [1, 0, 0]) + _basis_state(basis, [0, 0, -1])) / math.sqrt(2)
-    prof = site_profile(psi, basis)
+    prof = site_profiles([psi], basis)[0]
     assert np.allclose(prof.lz, [0.5, 0.0, -0.5])
     assert np.allclose(prof.lz2, [0.5, 0.0, 0.5])
 
@@ -98,8 +98,8 @@ def test_site_profile_rydberg_matches_spin_on_sector_states():
     amps /= np.linalg.norm(amps)
     psi_full = np.zeros(basis.dim, dtype=complex)
     psi_full[sector] = amps
-    full = site_profile(psi_full, basis, atoms)
-    spin = site_profile(amps, sb)
+    full = site_profiles([psi_full], basis, atoms)[0]
+    spin = site_profiles([amps], sb)[0]
     assert np.allclose(full.lz, spin.lz, atol=1e-12)
     assert np.allclose(full.lz2, spin.lz2, atol=1e-12)
 
@@ -149,13 +149,6 @@ def test_reduced_density_matrix_properties():
     assert np.allclose(rho, rho.conj().T)
     with pytest.raises(ValueError):
         reduced_density_matrix(psi, 3, 3)
-
-
-def test_classify_threshold_validation():
-    basis = Spin1Basis(2)
-    op = order_parameters(_basis_state(basis, [0, 0]), basis)
-    with pytest.raises(ValueError):
-        classify_phase(op, threshold=0.0)
 
 
 def test_susceptibility_peak_quadratic_recovery():

@@ -1,6 +1,9 @@
 """Eigensolvers and Krylov propagation."""
 
 import math
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +27,6 @@ from rydladder import (
     enumerate_rydberg,
     ground_state,
     krylov_evolve,
-    lanczos_ground_state,
     pairwise_couplings,
     project_to_spin1,
     rydberg_hamiltonian,
@@ -69,17 +71,13 @@ def test_dense_limit_enforced():
 
 
 @pytest.mark.parametrize("k", [1, 5])
-@pytest.mark.parametrize("vectors", [True, False])
-def test_dense_eigs_subset_matches_full_eigh(k, vectors):
+def test_dense_eigs_subset_matches_full_eigh(k):
     """k < dim computes only k eigenpairs; they are the lowest k of the full eigh."""
     h = _random_operator(100, 1)
     full_vals, full_vecs = np.linalg.eigh(h.to_dense())
-    res = dense_eigs(h, k=k, vectors=vectors)
+    res = dense_eigs(h, k=k)
     assert res.eigenvalues.shape == (k,)
     np.testing.assert_allclose(res.eigenvalues, full_vals[:k], rtol=0, atol=1e-12)
-    if not vectors:
-        assert res.eigenvectors is None
-        return
     assert res.eigenvectors.shape == (h.dim, k)
     overlaps = np.abs(np.sum(res.eigenvectors * full_vecs[:, :k], axis=0))
     np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
@@ -91,24 +89,24 @@ def test_dense_eigs_subset_matches_full_eigh(k, vectors):
 @pytest.mark.parametrize("seed", range(3))
 def test_lanczos_matches_dense_random(seed):
     h = _random_operator(300, seed)
-    e_dense = dense_eigs(h, k=1, vectors=False).eigenvalues[0]
-    e_lan, psi = lanczos_ground_state(h, seed=seed)
+    e_dense = dense_eigs(h, k=1).eigenvalues[0]
+    e_lan, psi = ground_state(h, seed=seed)
     assert e_lan == pytest.approx(e_dense, abs=1e-9)
-    # the certified bound: true residual <= tol * ||H||_1 at the default tol
+    # the certified bound: true residual <= RESIDUAL_TOL * ||H||_1 = 1e-10 ||H||_1
     assert np.linalg.norm(h.matrix @ psi - e_lan * psi) <= 1e-10 * spla.norm(h.matrix, 1)
 
 
 def test_lanczos_matches_dense_physical():
     for h in _physical_instances():
-        e_dense = dense_eigs(h, k=1, vectors=False).eigenvalues[0]
-        e_lan, _ = lanczos_ground_state(h)
+        e_dense = dense_eigs(h, k=1).eigenvalues[0]
+        e_lan, _ = ground_state(h)
         assert e_lan == pytest.approx(e_dense, abs=1e-9 * max(1.0, abs(e_dense)))
 
 
 def test_lanczos_convergence_error_carries_estimate():
     h = _random_operator(200, 5)
     with pytest.raises(ConvergenceError) as exc:
-        lanczos_ground_state(h, tol=1e-10, max_iter=3)
+        ground_state(h, max_iter=3)
     assert exc.value.best_estimate is not None
 
 
@@ -116,7 +114,7 @@ def test_ground_state_dispatch():
     h = _random_operator(50, 1)
     e, psi = ground_state(h)
     assert np.linalg.norm(psi) == pytest.approx(1.0)
-    assert e == pytest.approx(dense_eigs(h, k=1, vectors=False).eigenvalues[0], abs=1e-10)
+    assert e == pytest.approx(dense_eigs(h, k=1).eigenvalues[0], abs=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -130,17 +128,16 @@ def two_leg_4096():
     basis = enumerate_rydberg(atoms.n_atoms)
     h = rydberg_hamiltonian(atoms, 0.2 * tp, 1.0 * tp, pairwise_couplings(atoms, c6), basis)
     assert h.dim == DENSE_DIM_LIMIT
-    return h, dense_eigs(h, k=1, vectors=False).eigenvalues[0]
+    return h, dense_eigs(h, k=1).eigenvalues[0]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_ground_state_certified_at_dense_limit(two_leg_4096, seed):
     h, e_dense = two_leg_4096
-    for solve in (ground_state, lanczos_ground_state):
-        e, psi = solve(h, seed=seed)
-        assert np.linalg.norm(psi) == pytest.approx(1.0)
-        assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
-        assert e == pytest.approx(e_dense, rel=1e-9)
+    e, psi = ground_state(h, seed=seed)
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
+    assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
+    assert e == pytest.approx(e_dense, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -148,7 +145,7 @@ def test_ground_state_within_small_product_budget(two_leg_4096, seed):
     """The Jacobi preconditioner removes the blockade scale: 200 products with H
     suffice where unpreconditioned ARPACK needed more than 1000."""
     h, e_dense = two_leg_4096
-    e, psi = lanczos_ground_state(h, max_iter=200, seed=seed)
+    e, psi = ground_state(h, max_iter=200, seed=seed)
     assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
     assert e == pytest.approx(e_dense, rel=1e-9)
 
@@ -181,7 +178,7 @@ def test_ground_state_without_drive_is_the_lowest_configuration():
 def test_ground_state_rejects_an_uncertified_vector(monkeypatch):
     """The exact residual check, not LOBPCG's own stop, decides what is returned."""
     h = _random_operator(300, 0)
-    e_dense = dense_eigs(h, k=1, vectors=False).eigenvalues[0]
+    e_dense = dense_eigs(h, k=1).eigenvalues[0]
     lobpcg = spla.lobpcg
 
     def perturbed(*args, **kwargs):
@@ -201,10 +198,28 @@ def test_ground_state_tiny(n):
     m = rng.standard_normal((n, n))
     h = SparseOperator(n, sp.csr_matrix(m + m.T))
     ref = dense_eigs(h, k=1)
-    for solve in (ground_state, lanczos_ground_state):
-        e, psi = solve(h)
-        assert e == pytest.approx(ref.eigenvalues[0], abs=1e-12)
-        assert abs(psi @ ref.eigenvectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
+    e, psi = ground_state(h)
+    assert e == pytest.approx(ref.eigenvalues[0], abs=1e-12)
+    assert abs(psi @ ref.eigenvectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_threaded_solves_leave_the_warning_filters_alone():
+    """Two threads solving at once (a sweep with threads = 2) leave warnings.filters
+    as they were, so the module's own warnings, such as an ambiguous band, still show."""
+    h = _random_operator(100, 0)
+    before = list(warnings.filters)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(20):
+            barrier = threading.Barrier(2)
+            list(pool.map(lambda _: (barrier.wait(), ground_state(h)), range(2)))
+            assert warnings.filters == before
+    # weak interactions, strong drive: every eigenstate leaves the one-hot sector
+    atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 2, 2.0, 2.0))
+    basis = enumerate_rydberg(atoms.n_atoms)
+    h = rydberg_hamiltonian(atoms, 10.0, 0.0, pairwise_couplings(atoms, c6=40.0), basis)
+    with warnings.catch_warnings(record=True) as caught:   # records under the filters in force
+        sector_eigenstates(h, basis, StateDictionary.for_kind(LadderKind.THREE_LEG), 9)
+    assert [str(w.message) for w in caught] == ["spin-1 band is ambiguous: all sector overlaps below 0.5"]
 
 
 def test_normalize_zero_vector():
@@ -231,7 +246,7 @@ def test_evolve_accurate_at_large_step(dt):
     atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 3, 3.0, 1.0), delta0=0.2 * tp)
     basis = enumerate_rydberg(atoms.n_atoms)
     h = rydberg_hamiltonian(atoms, 2 * tp, 20 * tp, pairwise_couplings(atoms, c6=40 * tp), basis)
-    pattern = StateDictionary.for_atoms(atoms).spin_to_pattern[0]
+    pattern = StateDictionary.for_kind(atoms.spec.kind).spin_to_pattern[0]
     psi0 = np.zeros(h.dim, dtype=complex)
     psi0[basis.index_of(sum(pattern << (3 * s) for s in range(3)))] = 1.0
     exact = sla.expm(-1j * h.to_dense()) @ psi0
@@ -390,3 +405,20 @@ def test_symmetry_sectors_select_the_character_of_the_state(sign):
     # the full verified group without a state: four blocks that tile the space
     names, blocks = symmetry_sectors(h, basis, d.n_legs)
     assert names == ["leg", "mirror"] and sum(b.shape[1] for b in blocks) == h.dim
+
+
+def test_symmetry_sectors_build_the_block_of_a_state_odd_and_even():
+    """A state odd under the leg reflection and even under the mirror keeps both
+    symmetries; its one block has the state's sign under each."""
+    h, basis, d = _ladder_case("three-leg", 3, delta0=0.2)
+    perms = rung_permutations(basis, d.n_legs)
+    psi = np.zeros(h.dim, dtype=complex)
+    # leg images within rung 1 and within rung 3, which the mirror swaps
+    for config, amp in {0b000000001: 1, 0b000000100: -1, 0b001000000: 1, 0b100000000: -1}.items():
+        psi[basis.index_of(config)] = amp / 2
+    names, blocks = symmetry_sectors(h, basis, d.n_legs, psi)
+    assert names == ["leg", "mirror"] and len(blocks) == 1
+    u = blocks[0].toarray()
+    np.testing.assert_array_equal(u[perms["leg"]], -u)
+    np.testing.assert_array_equal(u[perms["mirror"]], u)
+    assert np.linalg.norm(u.T @ psi) == pytest.approx(1.0, abs=1e-15)

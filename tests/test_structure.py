@@ -1,6 +1,8 @@
 """Source-structure checks: package imports sit at module level and are used."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -57,6 +59,20 @@ def test_no_private_names_imported_from_other_package_modules(path):
         if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))
     ]
     assert private == [], f"{path.name}: private names imported from the package: {private}"
+
+
+def test_package_functions_bound_only_under_their_own_names():
+    """An entry point has one name: no function of the package is bound in the
+    package or in one of its modules under a name other than its ``__name__``."""
+    modules = [importlib.import_module("rydladder")]
+    modules += [importlib.import_module(f"rydladder.{p.stem}") for p in MODULES]
+    aliases = [
+        f"{module.__name__}.{name} is {obj.__module__}.{obj.__name__}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__.startswith("rydladder") and name != obj.__name__
+    ]
+    assert aliases == []
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
