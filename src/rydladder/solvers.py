@@ -22,9 +22,9 @@ RESIDUAL_TOL = 1e-10   # ||H psi - E psi|| / ||H||_1 up to which a ground state 
 EXACT_NORM_LIMIT = 63.4   # the Taylor parameters use exact 1-norms only up to here
 TAYLOR_TOL = np.finfo(float).eps / 2   # 2**-53, expm_multiply's double-precision tolerance
 
-# lobpcg warns when it stops short of its tol (and, below 5 rows, that it solves densely); ground_state's
-# exact residual check decides instead.  Set once: catch_warnings per call is not thread-safe.
-LOBPCG_WARNINGS = "Exited at iteration|Exited postprocessing|Failed at iteration|The problem size"
+# lobpcg warns when it stops short of its tol; ground_state's exact residual check decides instead.
+# Set once: catch_warnings per call is not thread-safe.
+LOBPCG_WARNINGS = "Exited at iteration|Exited postprocessing|Failed at iteration"
 warnings.filterwarnings("ignore", LOBPCG_WARNINGS, UserWarning, __name__)
 
 
@@ -48,15 +48,15 @@ def normalize(psi: np.ndarray) -> np.ndarray:
 @dataclass
 class SpectrumResult:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray   # columns, aligned with eigenvalues
+    eigenvectors: np.ndarray   # columns aligned with eigenvalues; sector_eigenstates: the band's only
     residuals: np.ndarray
     symmetries: tuple[str, ...] = ()   # verified symmetries the solve was blocked by
     sectors: tuple[int, ...] = ()      # dimension of each diagonalised block
 
 
-def _residuals(h: SparseOperator, vals, vecs) -> np.ndarray:
-    """Column norms of H X - X diag(vals), one sparse-dense product."""
-    r = h.matrix @ vecs
+def _residuals(m: sp.spmatrix, vals, vecs) -> np.ndarray:
+    """Column norms of M X - X diag(vals), one sparse-dense product."""
+    r = m @ vecs
     r -= vecs * vals
     return np.linalg.norm(r, axis=0)
 
@@ -76,7 +76,7 @@ def dense_eigs(h: SparseOperator, k: int | None = None) -> SpectrumResult:
     k = h.dim if k is None else min(k, h.dim)
     subset = {"driver": "evd"} if k == h.dim else {"subset_by_index": (0, k - 1)}
     vals, vecs = sla.eigh(h.to_dense(), **subset)
-    return SpectrumResult(vals, vecs, _residuals(h, vals, vecs), sectors=(h.dim,))
+    return SpectrumResult(vals, vecs, _residuals(h.matrix, vals, vecs), sectors=(h.dim,))
 
 
 def ground_state(
@@ -84,7 +84,8 @@ def ground_state(
     max_iter: int = 20000,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
-    """Certified ground-state pair by preconditioned LOBPCG with block size 1.
+    """Certified ground-state pair by preconditioned LOBPCG with block size 1
+    (below 5 rows, by dense ``eigh``).
 
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) is preconditioned by
     the clipped Jacobi inverse 1 / max(|H_ii - min H_jj|, floor), the floor
@@ -117,14 +118,11 @@ def ground_state(
         best = min(best, (np.einsum("ij,ij->j", x, hx) / np.einsum("ij,ij->j", x, x)).min())
         return hx
 
-    try:
-        # lobpcg's tol is a quarter of the bound: its residuals land at 0.8-1 of its tol
+    if n < 5:   # too few rows for LOBPCG iterations: the lowest pair of the dense H
+        x = sla.eigh(m.toarray(), subset_by_index=(0, 0))[1][:, 0]
+    else:   # lobpcg's tol is a quarter of the bound: its residuals land at 0.8-1 of its tol
         x = spla.lobpcg(apply_h, start[:, None], M=lambda r: precond * r, tol=bound / 4,
                         maxiter=max_iter, largest=False)[1][:, 0]
-    except Exception as exc:   # below 5 rows lobpcg re-raises operator errors as a bare Exception
-        if used <= max_iter:
-            raise
-        raise ConvergenceError(f"LOBPCG did not converge in {max_iter} products with H", best) from exc
     psi = normalize(x)
     h_psi = m @ psi
     energy = float(psi @ h_psi)
@@ -259,37 +257,39 @@ def sector_eigenstates(
     dictionary: StateDictionary,
     k: int,
 ):
-    """All eigenpairs annotated with spin-1-sector overlaps.
+    """All eigenvalues annotated with spin-1-sector overlaps, and the band's eigenvectors.
 
-    H is diagonalised block by block in the sectors of the verified rung
-    symmetries (see ``symmetry_sectors``); the blocks' eigenvectors are
-    embedded in the full basis and merged by energy with a stable sort.
-    Residuals are taken against the full H.
+    H is diagonalised in the blocks of the verified rung symmetries (``symmetry_sectors``),
+    merged by energy with a stable sort.  Each block B = U^T H U is finished inside
+    the block; only the band's eigenvectors are embedded, as U v.  HUv - Uv lambda =
+    (HU - UB) v + U (B v - v lambda), so each residual ||B v - lambda v|| + ||HU - UB||_F
+    (exact, sparse) bounds the full-space one and an imperfect symmetry still shows.
 
-    Returns ``(spectrum, overlaps, band)`` where ``band`` indexes the k
-    eigenstates of maximal sector overlap (sorted by energy).  A warning is
-    emitted when no overlap exceeds 1/2 and the band is ambiguous.
+    Returns ``(spectrum, overlaps, band)``: ``band`` indexes the k eigenstates of
+    maximal sector overlap (sorted by energy), ``spectrum.eigenvectors`` holds their
+    vectors.  Warns when no overlap exceeds 1/2 and the band is ambiguous.
     """
     _check_dense_limit(h)
     names, blocks = symmetry_sectors(h, basis, dictionary.n_legs)
-    solved = []
-    for u in blocks:
-        vals, v = sla.eigh((u.T @ h.matrix @ u).toarray(), driver="evd")
-        solved.append((u, vals, v))
-    sectors = tuple(len(vals) for _, vals, _ in solved)
-    all_vals = np.concatenate([vals for _, vals, _ in solved])
-    order = np.argsort(all_vals, kind="stable")
-    vecs = np.empty((h.dim, h.dim), order="F")   # columns contiguous, as LAPACK returns them
-    residuals = np.empty(h.dim)
-    # block b's columns go to the energy-sorted positions of its eigenvalues
-    for (u, vals, v), cols in zip(solved, np.split(np.argsort(order), np.cumsum(sectors)[:-1])):
-        x = u @ v
-        vecs[:, cols] = x
-        residuals[cols] = _residuals(h, vals, x)
-    res = SpectrumResult(all_vals[order], vecs, residuals, tuple(names), sectors)
     sector_indices, _ = project_to_spin1(basis, dictionary)
-    overlaps = np.sum(np.abs(vecs[sector_indices]) ** 2, axis=0)
+    solved = []   # per block: isometry, eigenvalues, residual bounds, overlaps, its k best eigenvectors
+    for u in blocks:
+        b = u.T @ h.matrix @ u
+        vals, v = sla.eigh(b.toarray(), driver="evd", overwrite_a=True)
+        certificate = spla.norm(h.matrix @ u - u @ b)   # Frobenius
+        overlaps = np.sum((u[sector_indices] @ v) ** 2, axis=0)
+        # the block's k largest overlaps, ties included, hold every band member of the block
+        keep = overlaps >= np.sort(overlaps)[-min(k, len(vals))]
+        solved.append((u, vals, _residuals(b, vals, v) + certificate, overlaps, keep, v[:, keep]))
+    sectors = tuple(len(vals) for _, vals, *_ in solved)
+    order = np.argsort(np.concatenate([s[1] for s in solved]), kind="stable")
+    vals, residuals, overlaps = (np.concatenate([s[i] for s in solved])[order] for i in (1, 2, 3))
     band = np.sort(np.argsort(-overlaps, kind="stable")[:k])
     if overlaps[band].max() < 0.5:
         warnings.warn("spin-1 band is ambiguous: all sector overlaps below 0.5")
-    return res, overlaps, band
+    place = np.cumsum(np.concatenate([s[4] for s in solved]))[order[band]] - 1   # band among the kept
+    vecs = np.empty((h.dim, len(band)))
+    for (u, *_, v), lo in zip(solved, np.cumsum([0] + [s[5].shape[1] for s in solved])):
+        mine = (place >= lo) & (place < lo + v.shape[1])
+        vecs[:, mine] = u @ v[:, place[mine] - lo]
+    return SpectrumResult(vals, vecs, residuals, tuple(names), sectors), overlaps, band

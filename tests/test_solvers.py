@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,7 +34,8 @@ from rydladder import (
     sector_eigenstates,
 )
 from rydladder.basis import rung_permutations
-from rydladder.solvers import DENSE_DIM_LIMIT, EXACT_NORM_LIMIT, normalize, symmetry_sectors, taylor_step
+from rydladder.solvers import (DENSE_DIM_LIMIT, EXACT_NORM_LIMIT, RESIDUAL_TOL, SYMMETRY_TOL, normalize,
+                               symmetry_sectors, taylor_step)
 
 
 def _random_operator(n, seed, density=0.05):
@@ -380,9 +382,45 @@ def test_sector_eigenstates_match_full_eigh(case):
     ref_band = np.sort(np.argsort(-ref_overlaps, kind="stable")[:k])
     np.testing.assert_array_equal(band, ref_band)
     np.testing.assert_allclose(overlaps[band], ref_overlaps[band], rtol=0, atol=1e-8)
-    assert res.residuals.max() <= 1e-10 * spla.norm(h.matrix, 1)
+    bound = RESIDUAL_TOL * spla.norm(h.matrix, 1)
+    assert res.residuals.max() <= bound
+    # only the band's eigenvectors are returned, orthonormal and certified against the dense H
     x = res.eigenvectors
-    assert np.abs(x.T @ x - np.eye(h.dim)).max() < 1e-10
+    assert x.shape == (h.dim, k)
+    assert np.abs(x.T @ x - np.eye(k)).max() < 1e-10
+    assert np.linalg.norm(h.to_dense() @ x - x * res.eigenvalues[band], axis=0).max() <= bound
+
+
+def test_sector_residuals_bound_an_imperfect_symmetry():
+    """A diagonal term on one state but not on its leg image, half the symmetry
+    tolerance, keeps both symmetries.  The residual reported for each band state
+    still bounds the full-space residual of the vector returned for it; the
+    term, not rounding, sets that residual."""
+    h, basis, d = SECTOR_CASES["two-leg"][0]()
+    bump = np.zeros(h.dim)
+    bump[basis.index_of(0b01)] = 0.5 * SYMMETRY_TOL * spla.norm(h.matrix, 1)   # not on its image 0b10
+    h = SparseOperator(h.dim, (h.matrix + sp.diags(bump)).tocsr())
+    res, _, band = sector_eigenstates(h, basis, d, 3 ** (basis.n_atoms // d.n_legs))
+    assert res.symmetries == ("leg", "mirror")
+    x = res.eigenvectors
+    full = np.linalg.norm(h.to_dense() @ x - x * res.eigenvalues[band], axis=0)
+    assert full.max() > 0.1 * bump.max()
+    assert np.all(res.residuals[band] >= full)
+
+
+def test_sector_eigenstates_memory_is_below_a_dense_eigenvector_matrix():
+    """No dim x dim array: one call on a 2401-state ladder (at most two atoms
+    excited per rung) allocates less than half of one dim^2 float64 array at its
+    peak.  The blocks hold about dim / 4 states each, and the band is 81 states."""
+    h, basis, d = _ladder_case("three-leg", 4, delta0=0.2, max_excited=2)
+    assert h.dim == 2401
+    tracemalloc.start()
+    try:
+        sector_eigenstates(h, basis, d, 3 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * h.dim**2 * 8
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
