@@ -63,7 +63,7 @@ from .hamiltonians import (
     sqed_field_hamiltonian,
 )
 from .observables import classify_phase, order_parameters, renyi_entropy, site_profiles
-from .solvers import (EXACT_NORM_LIMIT, SolverError, TaylorStep, dense_eigs, ground_state, propagate,
+from .solvers import (EXACT_NORM_LIMIT, SolverError, dense_eigs, ground_state, propagate,
                       sector_eigenstates, symmetry_sectors, taylor_step)
 
 EXIT_OK = 0
@@ -71,7 +71,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 MODELS = ("rydberg", "effective", "cahm", "sqed-charge", "sqed-field")
-TASKS = ("gs", "spectrum", "evolve", "sweep", "match", "compare")
 UNITS = ("two-pi-mhz", "rad-per-us")
 
 
@@ -223,7 +222,15 @@ def _validate(cfg: RunConfig):
     if cfg.hamiltonian not in MODELS:
         raise ConfigError(f"[model] hamiltonian must be one of {MODELS}")
     if cfg.task not in TASKS:
-        raise ConfigError(f"[task] task must be one of {TASKS}")
+        raise ConfigError(f"[task] task must be one of {tuple(TASKS)}")
+    if cfg.bc not in [b.value for b in BoundaryCondition]:
+        raise ConfigError(f"[model] bc must be one of {[b.value for b in BoundaryCondition]}")
+    built = cfg.compare_models if cfg.task == "compare" else (cfg.hamiltonian,)
+    for model in built if cfg.task in ("gs", "spectrum", "evolve", "sweep", "compare") else ():
+        # only the effective chain and the field representation have boundary terms
+        if (model in ("rydberg", "cahm", "sqed-charge") and cfg.bc != "obc") or (
+                model == "sqed-field" and cfg.bc == "pbc"):
+            raise ConfigError(f"[model] bc = {cfg.bc} is not defined for hamiltonian {model}")
     if cfg.hamiltonian == "rydberg" and (cfg.a_x <= 0 or cfg.a_y <= 0):
         raise ConfigError("[geometry] a_x and a_y (or rho) must be positive")
     if cfg.task == "evolve" and cfg.dt <= 0:
@@ -356,7 +363,10 @@ def initial_state(cfg: RunConfig, model: Model) -> np.ndarray:
         psi[idx] = 1.0
         return psi
     if label.startswith("index:"):
-        idx = int(label[6:])
+        try:
+            idx = int(label[6:])
+        except ValueError:
+            raise ConfigError(f"initial state index must be an integer, got {label[6:]!r}") from None
         if not 0 <= idx < dim:
             raise ConfigError(f"initial state index {idx} out of range (dim {dim})")
         psi[idx] = 1.0
@@ -375,7 +385,7 @@ def _write_csv(path: Path, header: list[str], rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _gs_row(cfg: RunConfig, model: Model, seed: int):
+def _gs_row(model: Model, seed: int) -> dict:
     e0, psi = ground_state(model.op, seed=seed)
     row = {"E0": e0}
     if isinstance(model.basis, Spin1Basis):
@@ -389,7 +399,7 @@ def _gs_row(cfg: RunConfig, model: Model, seed: int):
             S2=renyi_entropy(psi, n, cut, 2) if n > 1 else 0.0,
             phase_label=classify_phase(op).value,
         )
-    return row, psi
+    return row
 
 
 def task_geom(cfg: RunConfig, outdir: Path) -> dict:
@@ -402,9 +412,10 @@ def task_geom(cfg: RunConfig, outdir: Path) -> dict:
     return {"n_atoms": atoms.n_atoms}
 
 
-def task_coeffs(cfg: RunConfig, outdir: Path) -> dict:
+def _coefficient_record(cfg: RunConfig) -> dict:
+    """The geometry's effective coefficients as ``coeffs.json`` and the manifest record them."""
     coeffs, longrange = geometry_coeffs(cfg)
-    record = {
+    return {
         "D": coeffs.D, "R": coeffs.R, "Rp": coeffs.Rp, "J": coeffs.J,
         "flavor": coeffs.flavor.value,
         "const_site": coeffs.const_site, "const_bond": coeffs.const_bond,
@@ -412,6 +423,10 @@ def task_coeffs(cfg: RunConfig, outdir: Path) -> dict:
         "longrange": [[k, rk, rpk] for k, rk, rpk in longrange],
         "validity": coeffs.validity,
     }
+
+
+def task_coeffs(cfg: RunConfig, outdir: Path) -> dict:
+    record = _coefficient_record(cfg)
     (outdir / "coeffs.json").write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))
     return record
@@ -441,10 +456,8 @@ def task_match(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def task_gs(cfg: RunConfig, outdir: Path) -> dict:
-    model = build_model(cfg)
-    row, _ = _gs_row(cfg, model, cfg.seed)
-    header = list(row.keys())
-    _write_csv(outdir / "gs.csv", header, [tuple(row.values())])
+    row = _gs_row(build_model(cfg), cfg.seed)
+    _write_csv(outdir / "gs.csv", list(row), [tuple(row.values())])
     return row
 
 
@@ -472,28 +485,15 @@ def task_spectrum(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
-@dataclass
-class Trajectory:
-    """An evolution run in the symmetry sector of its initial state."""
-
-    times: np.ndarray
-    states: np.ndarray       # samples in the sector, one per row
-    u: object                # sparse isometry of the sector; None when it is the whole space
-    symmetries: list[str]    # the verified symmetries that fix the initial state
-    step: TaylorStep         # the step of the operator evolved
-
-    def full_states(self):
-        """Each sample in the full basis, u @ state, built one at a time."""
-        return (phi if self.u is None else self.u @ phi for phi in self.states)
-
-
-def _evolve(cfg: RunConfig, model: Model) -> Trajectory:
+def _evolve(cfg: RunConfig, model: Model):
     """Evolve the initial state psi in its sector: U^T H U from U^T psi.
 
     On a Rydberg ladder the sector is that of the verified rung symmetries
     under which psi is an exact eigenvector (``symmetry_sectors``).  When none
     fixes psi, or the model has no rungs, the sector is the whole space,
     U = I is never applied, and the trajectory is the full-space one.
+    Returns the sample times, the samples in the full basis (each embedded
+    as U phi when it is read) and the run summary of the step evolved.
     """
     psi = initial_state(cfg, model)
     names, u, h = [], None, model.op
@@ -504,50 +504,41 @@ def _evolve(cfg: RunConfig, model: Model) -> Trajectory:
             h = SparseOperator(u.shape[1], (u.T @ h.matrix @ u).tocsr())
     step = taylor_step(h, cfg.dt)
     times, states = propagate(step, psi, cfg.t_total)
-    return Trajectory(times, states, u, names, step)
+    samples = states if u is None else (u @ phi for phi in states)
+    summary = {"n_steps": len(times) - 1, "symmetries": names, "sector": h.dim,
+               "step_onenorm": step.onenorm, "exact_norms": step.onenorm <= EXACT_NORM_LIMIT,
+               "taylor_degree": step.degree, "substeps": step.substeps}
+    return times, samples, summary
 
 
 def task_evolve(cfg: RunConfig, outdir: Path) -> dict:
     model = build_model(cfg)
-    traj = _evolve(cfg, model)
+    times, samples, summary = _evolve(cfg, model)
     rows = []
-    for t, prof in zip(traj.times, site_profiles(traj.full_states(), model.basis, model.atoms)):
+    for t, prof in zip(times, site_profiles(samples, model.basis, model.atoms)):
         for s in range(len(prof.lz)):
             rows.append((float(t), s + 1, float(prof.lz[s]), float(prof.lz2[s])))
     _write_csv(outdir / "timeseries.csv", ["t", "site", "lz", "lz2"], rows)
-    step = traj.step
-    return {"n_steps": len(traj.times) - 1, "symmetries": traj.symmetries, "sector": traj.states.shape[1],
-            "step_onenorm": step.onenorm, "exact_norms": step.onenorm <= EXACT_NORM_LIMIT,
-            "taylor_degree": step.degree, "substeps": step.substeps}
+    return summary
 
 
 def _sweep_point(cfg: RunConfig, value: float, seed: int):
     point = replace(cfg, **{cfg.axis: value})
+    drive = {"omega": point.omega, "delta": point.delta, "delta0": point.delta0}
     try:
-        model = build_model(point)
-        row, _ = _gs_row(point, model, seed)
-        row["error"] = ""
-        return row
+        return {**drive, **_gs_row(build_model(point), seed), "error": ""}
     except (SolverError, ResonanceError, FloatingPointError) as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        return {**drive, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def task_sweep(cfg: RunConfig, outdir: Path) -> dict:
     values = np.linspace(cfg.start, cfg.stop, cfg.steps)
     with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
         results = list(pool.map(lambda v: _sweep_point(cfg, float(v), cfg.seed), values))
-    keys = ["omega", "delta", "m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm",
+    keys = ["omega", "delta", "delta0", "m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm",
             "chi_rdw", "S1", "S2", "E0", "phase_label", "error"]
-    rows = []
-    for v, row in zip(values, results):
-        base = {"omega": cfg.omega, "delta": cfg.delta}
-        if cfg.axis in ("omega", "delta"):
-            base[cfg.axis] = float(v)
-        merged = {**{k: "" for k in keys}, **base, **row}
-        rows.append(tuple(merged[k] for k in keys))
-    _write_csv(outdir / "scan.csv", keys, rows)
-    n_failed = sum(1 for r in results if r.get("error"))
-    return {"points": len(rows), "failed": n_failed}
+    _write_csv(outdir / "scan.csv", keys, [tuple(r.get(k, "") for k in keys) for r in results])
+    return {"points": len(results), "failed": sum(1 for r in results if r["error"])}
 
 
 def task_compare(cfg: RunConfig, outdir: Path) -> dict:
@@ -565,13 +556,13 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
         )
         return {"E0_a": e_a, "E0_b": e_b, "max_deviation": abs(e_a - e_b)}
     # compare evolve: paired per-site traces
-    traj_a = _evolve(cfg, model_a)
-    traj_b = _evolve(cfg, model_b)
-    profs_a = site_profiles(traj_a.full_states(), model_a.basis, model_a.atoms)
-    profs_b = site_profiles(traj_b.full_states(), model_b.basis, model_b.atoms)
+    times, samples_a, _ = _evolve(cfg, model_a)
+    _, samples_b, _ = _evolve(cfg, model_b)
+    profs_a = site_profiles(samples_a, model_a.basis, model_a.atoms)
+    profs_b = site_profiles(samples_b, model_b.basis, model_b.atoms)
     rows = []
     max_dev = 0.0
-    for t, prof_a, prof_b in zip(traj_a.times, profs_a, profs_b):
+    for t, prof_a, prof_b in zip(times, profs_a, profs_b):
         for s in range(len(prof_a.lz2)):
             dev = abs(float(prof_a.lz2[s]) - float(prof_b.lz2[s]))
             max_dev = max(max_dev, dev)
@@ -582,6 +573,11 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
         rows,
     )
     return {"max_deviation": max_dev}
+
+
+# The one name -> task table: `main`'s commands, `[task] task` and `run` read it.
+TASKS = {"gs": task_gs, "spectrum": task_spectrum, "evolve": task_evolve, "sweep": task_sweep,
+         "match": task_match, "compare": task_compare, "geom": task_geom, "coeffs": task_coeffs}
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +593,7 @@ def derived_quantities(cfg: RunConfig) -> tuple[dict, list[str]]:
             out.update({k: float(v) for k, v in named.items()})
         if cfg.omega > 0:
             out["R_b"] = blockade_radius(cfg.c6, cfg.omega)
-        coeffs, longrange = geometry_coeffs(cfg)
-        out["coefficients"] = {
-            "D": coeffs.D, "R": coeffs.R, "Rp": coeffs.Rp, "J": coeffs.J,
-            "flavor": coeffs.flavor.value,
-        }
-        out["validity"] = coeffs.validity
-        if longrange:
-            out["longrange"] = [[k, rk, rpk] for k, rk, rpk in longrange]
+        out["coefficients"] = _coefficient_record(cfg)
     except (ConfigError, ResonanceError, ValueError, ZeroDivisionError) as exc:
         errors.append(f"{type(exc).__name__}: {exc}")
     return out, errors
@@ -614,15 +603,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
     outdir = Path(outdir if outdir is not None else cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    dispatch = {
-        "gs": task_gs,
-        "spectrum": task_spectrum,
-        "evolve": task_evolve,
-        "sweep": task_sweep,
-        "match": task_match,
-        "compare": task_compare,
-    }
-    summary = dispatch[cfg.task](cfg, outdir)
+    summary = TASKS[cfg.task](cfg, outdir)
     wall = time.perf_counter() - t0
     derived, derived_errors = derived_quantities(cfg)
     manifest = {
@@ -650,7 +631,7 @@ def main(argv=None) -> int:
         prog="rydladder",
         description="Rydberg-ladder simulators, effective spin-1 chains, and parameter matching",
     )
-    parser.add_argument("command", choices=("geom", "coeffs", "match", "run") + TASKS,
+    parser.add_argument("command", choices=("run", *TASKS),
                         help="task to run ('run' uses the task from the config)")
     parser.add_argument("--config", required=True, help="path to a run config or manifest.json")
     parser.add_argument("--out", default=None, help="output directory (default: config's)")
@@ -660,7 +641,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        if args.command in TASKS:
+        if args.command != "run":
             cfg.task = args.command
         if args.threads is not None:
             cfg.threads = args.threads
@@ -672,14 +653,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command in ("geom", "coeffs"):
-            outdir = Path(args.out if args.out is not None else cfg.directory)
-            outdir.mkdir(parents=True, exist_ok=True)
-            if args.command == "geom":
-                task_geom(cfg, outdir)
-            else:
-                task_coeffs(cfg, outdir)
-            return EXIT_OK
         return run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

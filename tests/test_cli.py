@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from rydladder.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    TASKS,
     ConfigError,
     RunConfig,
     _evolve,
@@ -22,6 +23,7 @@ from rydladder.cli import (
     initial_state,
     main,
     parse_config,
+    run,
 )
 from rydladder.solvers import taylor_step
 
@@ -257,6 +259,33 @@ def test_coeffs_subcommand(tmp_path, capsys):
         assert key in record
 
 
+@pytest.mark.parametrize("task", list(TASKS))
+def test_every_task_is_a_command_and_a_config_value(tmp_path, task):
+    """Each entry of the task table runs as ``rydladder <task>`` and as
+    ``[task] task = <task>``, and both write a manifest naming it."""
+    extra = {"evolve": "t_total = 0.01\ndt = 0.01", "sweep": "axis = delta\nstart = 20.0\nstop = 20.0",
+             "match": "direction = forward\nmatch_case = three-leg-00bc"}.get(task, "")
+    text = BASE.format(out=tmp_path / "run").replace("task = gs", f"task = {task}\n{extra}")
+    path = _write(tmp_path, text)
+    assert main([task, "--config", path, "--out", str(tmp_path / "command")]) == EXIT_OK
+    assert main(["run", "--config", path]) == EXIT_OK
+    for out in ("command", "run"):
+        assert json.loads((tmp_path / out / "manifest.json").read_text())["config"]["task"] == task
+
+
+def test_geom_and_coeffs_manifests_carry_the_coefficient_record(tmp_path, capsys):
+    path = _write(tmp_path, BASE.format(out=tmp_path))
+    for command in ("geom", "coeffs"):
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == EXIT_OK
+    record = json.loads((tmp_path / "coeffs" / "coeffs.json").read_text())
+    assert json.loads(capsys.readouterr().out) == record
+    manifests = {c: json.loads((tmp_path / c / "manifest.json").read_text()) for c in ("geom", "coeffs")}
+    for manifest in manifests.values():
+        assert manifest["derived"]["coefficients"] == record
+    assert manifests["coeffs"]["summary"] == record
+    assert manifests["geom"]["summary"] == {"n_atoms": 9}
+
+
 def test_evolve_timeseries_schema(tmp_path):
     out = tmp_path / "ev"
     text = BASE.format(out=out).replace("task = gs", "\n".join([
@@ -286,15 +315,15 @@ def test_sector_evolution_matches_full_space_and_expm(tmp_path, kind, symmetries
             "task = evolve", "initial = spin:000", "t_total = 0.1", "dt = 0.01"]))
     cfg = parse_config(_write(tmp_path, text))
     model = build_model(cfg)
-    traj = _evolve(cfg, model)
-    assert traj.symmetries == symmetries
-    assert traj.states.shape[1] < model.op.dim
+    sector_times, samples, summary = _evolve(cfg, model)
+    assert summary["symmetries"] == symmetries
+    assert summary["sector"] < model.op.dim
     psi0 = initial_state(cfg, model)
     times, full = krylov_evolve(model.op, psi0, cfg.t_total, cfg.dt)
-    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(sector_times, times)
     step = sla.expm(-1j * cfg.dt * model.op.to_dense())
     exact = psi0
-    for psi, ref in zip(traj.full_states(), full):
+    for psi, ref in zip(samples, full):
         assert np.linalg.norm(psi - ref) <= 1e-12
         assert np.linalg.norm(psi - exact) <= 1e-12
         exact = step @ exact
@@ -341,6 +370,14 @@ def test_initial_state_labels(tmp_path):
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
 
 
+def test_non_integer_index_label_is_a_config_error(tmp_path, capsys):
+    text = BASE.format(out=tmp_path).replace("task = gs", "\n".join([
+        "task = evolve", "initial = index:abc", "t_total = 0.01", "dt = 0.01",
+    ]))
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert "initial state index must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["three-leg", "two-leg"])
 @pytest.mark.parametrize("label", ["spin:+-", "spin:+-0+"])
 def test_rydberg_spin_label_needs_one_digit_per_rung(tmp_path, kind, label):
@@ -376,10 +413,32 @@ def test_sweep_schema_and_thread_determinism(tmp_path):
     assert body1 == (out2 / "scan.csv").read_text()
     lines = body1.strip().split("\n")
     assert lines[0].split(",") == [
-        "omega", "delta", "m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm",
+        "omega", "delta", "delta0", "m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm",
         "chi_rdw", "S1", "S2", "E0", "phase_label", "error",
     ]
     assert len(lines) == 5
+
+
+def test_delta0_sweep_records_each_point_and_matches_gs(tmp_path):
+    """The delta0 column is the grid, and each row is the gs run at its delta0."""
+    text = BASE.format(out=tmp_path / "sweep").replace("task = gs", "\n".join([
+        "task = sweep", "axis = delta0", "start = 0.1", "stop = 0.5", "steps = 3",
+    ]))
+    cfg = parse_config(_write(tmp_path, text))
+    assert run(cfg) == EXIT_OK
+    lines = (tmp_path / "sweep" / "scan.csv").read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    grid = np.linspace(cfg.start, cfg.stop, cfg.steps)
+    assert [float(r["delta0"]) for r in rows] == grid.tolist()
+    assert {(float(r["omega"]), float(r["delta"])) for r in rows} == {(cfg.omega, cfg.delta)}
+    energies = [float(r["E0"]) for r in rows]
+    assert len(set(energies)) == len(grid)
+    for i, (value, e0) in enumerate(zip(grid, energies)):
+        out = tmp_path / f"gs{i}"
+        assert run(replace(cfg, task="gs", delta0=float(value)), out) == EXIT_OK
+        gs = (out / "gs.csv").read_text().strip().split("\n")
+        expected = float(dict(zip(gs[0].split(","), gs[1].split(",")))["E0"])
+        assert e0 == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_sweep_single_point_matches_gs(tmp_path):
@@ -433,6 +492,41 @@ def test_compare_gs_outputs(tmp_path):
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
     lines = (out / "compare_gs.csv").read_text().strip().split("\n")
     assert lines[0] == "E0_rydberg,E0_effective,abs_deviation,rel_deviation"
+
+
+@pytest.mark.parametrize("hamiltonian, bc, task", [
+    ("rydberg", "00bc", "gs"),
+    ("rydberg", "pbc", "sweep"),
+    ("cahm", "pbc", "evolve"),
+    ("sqed-charge", "00bc", "spectrum"),
+    ("rydberg,effective", "00bc", "compare"),   # the compared pair is checked, not [model]
+])
+def test_bc_of_a_model_without_boundary_terms_is_a_config_error(tmp_path, capsys, hamiltonian, bc, task):
+    """Rydberg ladders and the charge representations are open chains only:
+    their builders take no bc, so any other bc would be silently ignored."""
+    line = f"compare_models = {hamiltonian}" if task == "compare" else f"hamiltonian = {hamiltonian}"
+    text = BASE.format(out=tmp_path).replace("hamiltonian = effective", line).replace(
+        "bc = obc", f"bc = {bc}").replace("task = gs", f"task = {task}")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert f"bc = {bc} is not defined for hamiltonian {hamiltonian.split(',')[0]}" in capsys.readouterr().err
+    # tasks that build no Hamiltonian leave bc alone
+    text = text.replace(f"task = {task}", "task = coeffs")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("hamiltonian, bc, code", [
+    ("sqed-field", "pbc", EXIT_CONFIG),
+    ("sqed-field", "00bc", EXIT_OK),
+    ("effective", "pbc", EXIT_OK),
+    ("effective", "xbc", EXIT_CONFIG),
+])
+def test_bc_of_the_field_representation_and_chain(tmp_path, capsys, hamiltonian, bc, code):
+    """The field representation has no periodic form; it failed at build time
+    with exit 3 before the config was checked."""
+    text = BASE.format(out=tmp_path).replace("hamiltonian = effective", f"hamiltonian = {hamiltonian}").replace(
+        "bc = obc", f"bc = {bc}").replace("[model]", "[model]\nX = 1.0\nY = 0.5\nYp = 0.5")
+    assert main(["run", "--config", _write(tmp_path, text)]) == code
+    assert ("config error" in capsys.readouterr().err) == (code == EXIT_CONFIG)
 
 
 def test_match_inverse_and_forward(tmp_path):
