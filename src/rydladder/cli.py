@@ -1,11 +1,11 @@
 """Config-driven command-line front end.
 
 A run is described by a sectioned key-value config file (INI syntax) with
-sections [geometry], [drive], [model], [task], [output].  Frequencies and
-energies in the config are interpreted per the ``units`` flag in [drive]:
-``two-pi-mhz`` (values are multiplied by 2 pi on ingestion, the convention
-of most hardware specs) or ``rad-per-us`` (stored as is).  Lengths are in
-micrometers and times in microseconds throughout.
+sections [geometry], [drive], [model], [task], [output], or by a manifest's
+``config`` object, read key by key the same way.  Frequencies and energies
+are interpreted per the ``units`` key: ``two-pi-mhz`` (multiplied by 2 pi on
+ingestion, the convention of most hardware specs) or ``rad-per-us`` (stored
+as is).  Lengths are in micrometers and times in microseconds throughout.
 
 Every run writes ``manifest.json`` with the resolved configuration (always
 in rad/us), derived quantities, seeds, and timing; re-running with
@@ -130,89 +130,86 @@ class RunConfig:
 
 
 def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("not a boolean (1/0, true/false, yes/no, on/off)") from None
 
 
-# INI converter per scalar key, read off the RunConfig annotations (strings
-# under postponed evaluation); dict and tuple fields are parsed by hand below.
+# Converter per key, read off the RunConfig annotations (strings under postponed
+# evaluation); the targets dict is read from its keys, and rho and units are
+# read into a_x and the scale of the energies.
 _CONVERTERS = {"int": int, "int | None": int, "float": float, "float | None": float,
-               "bool": _parse_bool, "str": str.strip}
-_KEY_CONVERTERS = {f.name: _CONVERTERS[f.type] for f in fields(RunConfig) if f.type in _CONVERTERS}
-_ENERGY_KEYS = {"omega", "delta", "delta0", "start", "stop", "c6"}
+               "bool": _parse_bool, "str": str.strip,
+               "tuple": lambda raw: tuple(m.strip() for m in raw.split(","))}
 _TARGET_KEYS = ("U", "X", "Y", "Yp")
+_KEY_CONVERTERS = {f.name: _CONVERTERS[f.type] for f in fields(RunConfig) if f.type in _CONVERTERS}
+_KEY_CONVERTERS.update(dict.fromkeys(_TARGET_KEYS, float), rho=float, units=str.strip)
+# sweep axes are always drive energies, so start/stop scale too
+_ENERGY_KEYS = {"omega", "delta", "delta0", "start", "stop", "c6", *_TARGET_KEYS}
 
 
-def _parse_section(cfg: RunConfig, section: str, items: dict, scale: float):
-    for key, raw in items.items():
-        if key not in _KEY_CONVERTERS and key not in ("compare_models", "rho", "units", *_TARGET_KEYS):
-            raise ConfigError(f"[{section}] unknown key {key!r}")
-        try:
-            if key in _ENERGY_KEYS:
-                # sweep axes are always drive energies, so start/stop scale too
-                setattr(cfg, key, float(raw) * scale)
-            elif key in _TARGET_KEYS:
-                cfg.targets[key] = float(raw) * scale
-            elif key == "compare_models":
-                models = tuple(m.strip() for m in raw.split(","))
-                if len(models) != 2 or any(m not in MODELS for m in models):
-                    raise ConfigError(f"[{section}] compare_models must name two of {MODELS}")
-                cfg.compare_models = models
-            elif key in _KEY_CONVERTERS:  # rho and units are handled by the caller
-                setattr(cfg, key, _KEY_CONVERTERS[key](raw))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+def _manifest_items(data) -> dict:
+    """A manifest's config object as raw key -> value text: ``targets``
+    flattened into its keys, ``compare_models`` joined, ``None`` skipped."""
+    if not isinstance(data, dict) or not isinstance(data.get("targets") or {}, dict):
+        raise ConfigError("a manifest's config and its targets must be JSON objects")
+    items = {**data, **(data.get("targets") or {}), "targets": None}
+    if isinstance(items.get("compare_models"), list):
+        items["compare_models"] = ",".join(map(str, items["compare_models"]))
+    return {key: str(val) for key, val in items.items() if val is not None}
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    """Read a config file (INI sections or a manifest JSON)."""
+    """Read a config file: INI sections, or a manifest JSON whose ``config``
+    object is read as one more section.  Validation is left to ``run``,
+    after the command line has picked the task."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text()
-    if text.lstrip().startswith("{"):
-        manifest = json.loads(text)
-        data = manifest.get("config", manifest)
-        cfg = RunConfig()
-        for key, val in data.items():
-            if key == "targets":
-                cfg.targets = dict(val)
-            elif key == "compare_models":
-                cfg.compare_models = tuple(val)
-            elif hasattr(cfg, key):
-                setattr(cfg, key, val)
-        _validate(cfg)
-        return cfg
-
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.optionxform = str  # keys are case-sensitive (Y vs Yp)
     try:
-        parser.read_string(text)
-    except configparser.Error as exc:
+        if text.lstrip().startswith("{"):
+            manifest = json.loads(text)
+            sections = {"config": _manifest_items(manifest.get("config", manifest))}
+        else:
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            parser.optionxform = str  # keys are case-sensitive (Y vs Yp)
+            parser.read_string(text)
+            sections = {}
+            for section in parser.sections():
+                if section not in ("geometry", "drive", "model", "task", "output"):
+                    raise ConfigError(f"unknown section [{section}]")
+                sections[section] = dict(parser.items(section))
+    except (configparser.Error, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    units = parser.get("drive", "units", fallback="rad-per-us").strip()
+    values = {}  # every key means the same in any section, units and rho included
+    for section, items in sections.items():
+        for key, raw in items.items():
+            if key not in _KEY_CONVERTERS:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            try:
+                values[key] = _KEY_CONVERTERS[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    units = values.pop("units", "rad-per-us")
     if units not in UNITS:
-        raise ConfigError(f"[drive] units must be one of {UNITS}, got {units!r}")
+        raise ConfigError(f"units must be one of {UNITS}, got {units!r}")
     scale = TWO_PI if units == "two-pi-mhz" else 1.0
-
-    cfg = RunConfig()
-    for section in parser.sections():
-        if section not in ("geometry", "drive", "model", "task", "output"):
-            raise ConfigError(f"unknown section [{section}]")
-        _parse_section(cfg, section, dict(parser.items(section)), scale)
+    values = {key: val * scale if key in _ENERGY_KEYS else val for key, val in values.items()}
+    rho = values.pop("rho", None)
+    targets = {key: values.pop(key) for key in list(values) if key in _TARGET_KEYS}
+    cfg = RunConfig(**values, targets=targets)
     # rho is an alternative to a_x
-    if parser.has_option("geometry", "rho"):
-        if parser.has_option("geometry", "a_x"):
+    if rho is not None:
+        if "a_x" in values:
             raise ConfigError("[geometry] give either a_x or rho, not both")
-        rho = float(parser.get("geometry", "rho"))
         if rho <= 0:
             raise ConfigError(f"[geometry] rho must be positive, got {rho}")
         if cfg.a_y <= 0:
             raise ConfigError("[geometry] rho requires a_y")
         cfg.a_x = cfg.a_y / rho
-    _validate(cfg)
     return cfg
 
 
@@ -246,6 +243,10 @@ def _validate(cfg: RunConfig):
             raise ConfigError("[task] steps must be >= 1")
     if cfg.task == "compare" and cfg.compare_task not in ("gs", "evolve"):
         raise ConfigError("[task] compare_task must be gs or evolve")
+    if cfg.task == "compare" and (len(cfg.compare_models) != 2 or not set(cfg.compare_models) <= set(MODELS)):
+        raise ConfigError(f"[task] compare_models must name two of {MODELS}")
+    if cfg.seed < 0:
+        raise ConfigError("[output] seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def geometry_coeffs(cfg: RunConfig) -> tuple[EffectiveCoefficients, list]:
 
 def _target_couplings(cfg: RunConfig) -> TargetCouplings:
     """The configured (U, X, Y, Y') targets, absent keys as zero."""
-    return TargetCouplings(**{k: cfg.targets.get(k, 0.0) for k in ("U", "X", "Y", "Yp")})
+    return TargetCouplings(**{k: cfg.targets.get(k, 0.0) for k in _TARGET_KEYS})
 
 
 @dataclass
@@ -600,6 +601,7 @@ def derived_quantities(cfg: RunConfig) -> tuple[dict, list[str]]:
 
 
 def run(cfg: RunConfig, outdir: str | Path | None = None) -> int:
+    _validate(cfg)
     outdir = Path(outdir if outdir is not None else cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -647,12 +649,6 @@ def main(argv=None) -> int:
             cfg.threads = args.threads
         if args.seed is not None:
             cfg.seed = args.seed
-        _validate(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         return run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -580,7 +580,7 @@ def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
             raise MatchingError("the clock variant is constrained to Y' = -3Y/2")
         if y >= 0:
             raise MatchingError("the clock variant can only simulate negative Y")
-        raise NotImplementedError(
+        raise MatchingError(
             "clock-variant inverse matching is underdetermined (V0, rho trade off); "
             "fix the geometry and use match_forward"
         )

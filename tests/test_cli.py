@@ -108,14 +108,16 @@ def test_parse_config_reads_every_scalar_key(tmp_path):
     }
     scalar = {f.name for f in fields(RunConfig)} - {"targets", "compare_models"}
     assert set(values) == scalar
-    # the parser takes any known key in any known section
-    text = "[drive]\nunits = rad-per-us\n[task]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
-    cfg = parse_config(_write(tmp_path, text))
+    # the parser takes any known key in any known section, and a manifest's
+    # config object (JSON numbers and booleans) through the same converters
+    ini = "[drive]\nunits = rad-per-us\n[task]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
     default = RunConfig()
-    for key, value in values.items():
-        assert getattr(default, key) != value, key
-        assert type(getattr(cfg, key)) is type(value), key
-        assert getattr(cfg, key) == value, key
+    for name, text in (("run.ini", ini), ("manifest.json", json.dumps({"config": values}))):
+        cfg = parse_config(_write(tmp_path, text, name))
+        for key, value in values.items():
+            assert getattr(default, key) != value, key
+            assert type(getattr(cfg, key)) is type(value), (name, key)
+            assert getattr(cfg, key) == value, (name, key)
 
 
 def test_parse_config_rejects_bad_units(tmp_path):
@@ -152,6 +154,22 @@ def test_exit_code_config_error_for_bad_task_values(tmp_path, capsys, task, line
     text = BASE.format(out=tmp_path).replace("task = gs", f"task = {task}\n{line}")
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_boolean_typo_is_a_config_error(tmp_path, capsys):
+    """Only 1/0, true/false, yes/no and on/off, in any case, are booleans: a
+    typo used to read as false and silently flip the sign of R."""
+    text = BASE.format(out=tmp_path).replace("case = 2", "case = 2\nstaggered = SPELLING")
+    for spelling, value in (("True", True), ("OFF", False), ("yes", True), ("0", False)):
+        assert parse_config(_write(tmp_path, text.replace("SPELLING", spelling))).staggered is value
+    assert main(["coeffs", "--config", _write(tmp_path, text.replace("SPELLING", "ture"))]) == EXIT_CONFIG
+    assert "staggered = 'ture': not a boolean" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, BASE.format(out=tmp_path))
+    assert main(["run", "--config", path, "--seed", "-1"]) == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_gs_task_outputs(tmp_path):
@@ -219,6 +237,28 @@ def test_manifest_round_trip_bitwise(tmp_path, task):
         assert json.loads((out2 / "manifest.json").read_text())["summary"] == summary
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("truncated", "cannot parse"),
+    ("misspelt key", "unknown key 'n_rung'"),
+    ("wrong type", "n_rungs = 'abc'"),
+])
+def test_malformed_manifest_is_a_config_error(tmp_path, capsys, edit, message):
+    """A manifest is read key by key like an INI file, so each of these is a
+    config error, not a traceback or a run with the default value."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, BASE.format(out=out))]) == EXIT_OK
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text)
+    if edit == "misspelt key":
+        manifest["config"]["n_rung"] = manifest["config"].pop("n_rungs")
+    elif edit == "wrong type":
+        manifest["config"]["n_rungs"] = "abc"
+    text = text[: len(text) // 2] if edit == "truncated" else json.dumps(manifest)
+    path = _write(tmp_path, text, "edited.json")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "again")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, hamiltonian, symmetries", [
     ("three-leg", "rydberg", ["leg", "mirror"]),
     # the in-plane middle leg is shifted along x: no rung mirror
@@ -249,6 +289,14 @@ def test_geom_subcommand(tmp_path):
     lines = (out / "geometry.csv").read_text().strip().split("\n")
     assert lines[0] == "atom_id,rung,leg,x,y,z"
     assert len(lines) == 1 + 9  # three rungs of three atoms
+
+
+def test_command_task_is_validated_instead_of_the_files(tmp_path):
+    """geom never reads k, so the file's spectrum task with k = 0 does not stop it."""
+    out = tmp_path / "geo"
+    text = BASE.format(out=tmp_path).replace("task = gs", "task = spectrum\nk = 0")
+    assert main(["geom", "--config", _write(tmp_path, text), "--out", str(out)]) == EXIT_OK
+    assert (out / "geometry.csv").read_text().startswith("atom_id,rung,leg,x,y,z\n")
 
 
 def test_coeffs_subcommand(tmp_path, capsys):
@@ -617,3 +665,12 @@ def test_clock_match_follows_prism_height(tmp_path):
         # X = Omega^2 V0 / [2 Delta (V0 - Delta)] does not see the middle leg
         if key != "X":
             assert records["tall"]["targets"][key] != pytest.approx(value, rel=1e-3)
+
+
+def test_underdetermined_inverse_match_is_a_numeric_failure(tmp_path, capsys):
+    """Y' = -3Y/2 fixes no (V0, rho): a matching failure, not a traceback."""
+    text = TRIANGLE.format(kind="prism", extra="", out=tmp_path).replace("two-pi-mhz", "rad-per-us")
+    text = text.replace("direction = forward", "direction = inverse").replace(
+        "hamiltonian = effective", "hamiltonian = effective\nX = 1.0\nY = -0.2\nYp = 0.3")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_NUMERIC
+    assert "underdetermined" in capsys.readouterr().err

@@ -260,7 +260,7 @@ def test_match_inverse_rejections():
         match_inverse(TargetCouplings(U=0, X=-1, Y=0.1, Yp=0.5), "three-leg-00bc")  # X <= 0
     with pytest.raises(MatchingError):
         match_inverse(TargetCouplings(U=0, X=1, Y=-0.1, Yp=0.2), "clock-00bc")  # Y' != -3Y/2
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(MatchingError, match="underdetermined"):
         match_inverse(TargetCouplings(U=0, X=1, Y=-0.2, Yp=0.3), "clock-00bc")
 
 
