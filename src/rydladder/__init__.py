@@ -12,7 +12,6 @@ from .effective import (
     EffectiveCoefficients,
     Flavor,
     MatchingError,
-    RabiPT,
     ResonanceError,
     TargetCouplings,
     coeffs_in_plane,
@@ -20,12 +19,10 @@ from .effective import (
     coeffs_three_leg,
     coeffs_two_leg,
     diagonal_expansion_oracle,
-    effective_rabi,
     ising_reduction,
     ising_reduction_critical_delta,
     match_forward,
     match_inverse,
-    rabi_pt_matrix,
     rung_rabi_j,
 )
 from .geometry import (

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .basis import BasisError, RungConstraint, RydbergBasis, Spin1Basis, StateDictionary, enumerate_rydberg
 from .effective import (
+    MATCH_CASES,
     EffectiveCoefficients,
     Flavor,
     MatchingError,
@@ -223,13 +224,24 @@ def _validate(cfg: RunConfig):
     if cfg.bc not in [b.value for b in BoundaryCondition]:
         raise ConfigError(f"[model] bc must be one of {[b.value for b in BoundaryCondition]}")
     built = cfg.compare_models if cfg.task == "compare" else (cfg.hamiltonian,)
-    for model in built if cfg.task in ("gs", "spectrum", "evolve", "sweep", "compare") else ():
+    built = built if cfg.task in ("gs", "spectrum", "evolve", "sweep", "compare") else ()
+    for model in built:
         # only the effective chain and the field representation have boundary terms
         if (model in ("rydberg", "cahm", "sqed-charge") and cfg.bc != "obc") or (
                 model == "sqed-field" and cfg.bc == "pbc"):
             raise ConfigError(f"[model] bc = {cfg.bc} is not defined for hamiltonian {model}")
-    if cfg.hamiltonian == "rydberg" and (cfg.a_x <= 0 or cfg.a_y <= 0):
+    if cfg.task == "match":
+        if cfg.direction not in ("forward", "inverse"):
+            raise ConfigError(f"[task] direction must be forward or inverse, got {cfg.direction!r}")
+        if cfg.match_case not in MATCH_CASES:
+            raise ConfigError(f"[task] match_case must be one of {MATCH_CASES}, got {cfg.match_case!r}")
+    reads_ladder = cfg.task in ("geom", "coeffs") or (cfg.task == "match" and cfg.direction == "forward")
+    if (reads_ladder or {"rydberg", "effective"} & set(built)) and (cfg.a_x <= 0 or cfg.a_y <= 0):
         raise ConfigError("[geometry] a_x and a_y (or rho) must be positive")
+    if (cfg.task == "coeffs" or "effective" in built) and cfg.kind == "three-leg" and cfg.case not in (1, 2):
+        raise ConfigError(f"[model] case must be 1 or 2, got {cfg.case}")
+    if "sqed-field" in built and cfg.flavor not in [f.value for f in Flavor]:
+        raise ConfigError(f"[model] flavor must be one of {[f.value for f in Flavor]}")
     if cfg.task == "evolve" and cfg.dt <= 0:
         raise ConfigError("[task] dt must be positive")
     if cfg.task == "evolve" and cfg.t_total < 0:
@@ -247,6 +259,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"[task] compare_models must name two of {MODELS}")
     if cfg.seed < 0:
         raise ConfigError("[output] seed must be >= 0")
+    if cfg.threads < 1:
+        raise ConfigError("[output] threads must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +449,6 @@ def task_coeffs(cfg: RunConfig, outdir: Path) -> dict:
 
 def task_match(cfg: RunConfig, outdir: Path) -> dict:
     if cfg.direction == "forward":
-        if cfg.a_x <= 0 or cfg.a_y <= 0:
-            raise ConfigError("[geometry] forward matching needs a_x and a_y (or rho)")
         v0 = cfg.c6 / cfg.a_y**6
         t, const_site, const_offset = match_forward(
             cfg.match_case, v0, cfg.delta, cfg.delta0, cfg.omega, ladder_spec(cfg).rho, _height(cfg)
@@ -446,11 +458,9 @@ def task_match(cfg: RunConfig, outdir: Path) -> dict:
             "const_site": const_site,
             "const_offset": const_offset,
         }
-    elif cfg.direction == "inverse":
+    else:
         params = match_inverse(_target_couplings(cfg), cfg.match_case, omega=cfg.omega or 1.0)
         record = {"device": params}
-    else:
-        raise ConfigError(f"[task] direction must be forward or inverse, got {cfg.direction!r}")
     (outdir / "match.json").write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))
     return record
@@ -534,7 +544,7 @@ def _sweep_point(cfg: RunConfig, value: float, seed: int):
 
 def task_sweep(cfg: RunConfig, outdir: Path) -> dict:
     values = np.linspace(cfg.start, cfg.stop, cfg.steps)
-    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         results = list(pool.map(lambda v: _sweep_point(cfg, float(v), cfg.seed), values))
     keys = ["omega", "delta", "delta0", "m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm",
             "chi_rdw", "S1", "S2", "E0", "phase_label", "error"]

@@ -69,16 +69,6 @@ class EffectiveCoefficients:
         return n_sites * self.const_site + (n_sites - 1) * self.const_bond
 
 
-@dataclass(frozen=True)
-class RabiPT:
-    """Second-order perturbation-theory sums for the three-atom rung."""
-
-    A: float
-    B: float
-    Gamma: float
-    Lambda: float
-
-
 def _check_denominators(named: dict):
     for name, val in named.items():
         if val == 0.0:
@@ -130,50 +120,13 @@ def coeffs_two_leg(
 
 def _rung_b(v0: float, delta: float, delta0: float) -> float:
     """The second-order sum B = 2 / (V0 - Delta) + 1 / (Delta + Delta_0) of the three-atom rung."""
+    _check_denominators({"V0-Delta": v0 - delta, "Delta+Delta_0": delta + delta0})
     return 2.0 / (v0 - delta) + 1.0 / (delta + delta0)
 
 
 def _rung_constant(v0: float, delta: float, delta0: float, omega: float) -> float:
     """Per-rung constant -(Delta + Delta_0) - Omega^2 B / 4 of a three-atom rung."""
     return -(delta + delta0) - omega**2 * _rung_b(v0, delta, delta0) / 4.0
-
-
-def rabi_pt_matrix(v0: float, v0p: float, delta: float, delta0: float, omega: float) -> RabiPT:
-    """Second-order sums A, B, Gamma, Lambda for the three-atom rung."""
-    _check_denominators(
-        {
-            "Delta": delta,
-            "Delta+Delta_0": delta + delta0,
-            "V0-Delta": v0 - delta,
-            "V0'-Delta": v0p - delta,
-            "V0-Delta-Delta_0": v0 - delta - delta0,
-        }
-    )
-    a = 1.0 / (v0 - delta - delta0) + 1.0 / (v0p - delta) + 1.0 / delta
-    b = _rung_b(v0, delta, delta0)
-    gamma = 0.5 * (
-        1.0 / delta
-        + 1.0 / (v0 - delta)
-        + 1.0 / (delta + delta0)
-        + 1.0 / (v0 - delta - delta0)
-    )
-    lam = 1.0 / (v0p - delta) + 1.0 / delta
-    return RabiPT(A=a, B=b, Gamma=gamma, Lambda=lam)
-
-
-def effective_rabi(case: int, pt: RabiPT, v0: float, delta: float, omega: float):
-    """Effective Rabi coupling J, operator flavor, and PT diagonal shift.
-
-    Case 1 (whole rung blockaded): clock operator, J = Omega^2 / (4 Delta).
-    Case 2 (spin-1 sector above the |r.r> band): ladder operator,
-    J = Omega^2 Gamma / 4.
-    """
-    diag_shift = (pt.B - pt.A) * omega**2 / 4.0
-    if case == 1:
-        return omega**2 / (4.0 * delta), Flavor.CLOCK_C, diag_shift
-    if case == 2:
-        return omega**2 * pt.Gamma / 4.0, Flavor.LADDER_U, diag_shift
-    raise ValueError(f"case must be 1 or 2, got {case}")
 
 
 def rung_rabi_j(v0: float, delta: float, omega: float) -> float:
@@ -232,26 +185,34 @@ def coeffs_three_leg(
     rho: float,
     staggered: bool = False,
 ) -> EffectiveCoefficients:
-    """Effective chain for the rectangular three-leg ladder.
+    """Effective chain for the rectangular three-leg ladder, second order in Omega.
 
-    The bulk (L^z)^2 coefficient absorbs the nearest-neighbor edge term as
-    2 (V2 - V1); the per-rung edge values are exposed through
-    ``d_first``/``d_last``.  In case 2 the Rabi coupling is quoted in the
-    Delta_0-independent closed form J = Omega^2 V0 / [4 Delta (V0 - Delta)]
-    (equal to Omega^2 Gamma / 4 at Delta_0 = 0), which also enters D; in
-    case 1 the PT diagonal (B - A) Omega^2 / 4 is kept as is.
+    Case 1 (whole rung blockaded): clock operator, J = Omega^2 / (4 Delta), and the PT
+    diagonal (B - A) Omega^2 / 4 with A = 1/(V0 - Delta - Delta_0) + 1/(V0' - Delta) + 1/Delta.
+    Case 2 (spin-1 sector above the |r.r> band): ladder operator and the Delta_0-independent
+    J = Omega^2 V0 / [4 Delta (V0 - Delta)], which also enters D; it equals Omega^2 Gamma / 4
+    at Delta_0 = 0, Gamma = [1/Delta + 1/(V0-Delta) + 1/(Delta+Delta_0) + 1/(V0-Delta-Delta_0)] / 2.
+    The bulk (L^z)^2 coefficient absorbs the nearest-neighbor edge term as 2 (V2 - V1); the
+    per-rung edge values are exposed through ``d_first``/``d_last``.
     """
     v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
-    pt = rabi_pt_matrix(v0, v["V0p"], delta, delta0, omega)
-    j, flavor, diag_shift = effective_rabi(case, pt, v0, delta, omega)
-    if case == 2:
-        j = rung_rabi_j(v0, delta, omega)
-    pt_diag = diag_shift if case == 1 else j
+    v0p = v["V0p"]
+    _check_denominators({"Delta": delta, "Delta+Delta_0": delta + delta0, "V0-Delta": v0 - delta,
+                         "V0'-Delta": v0p - delta, "V0-Delta-Delta_0": v0 - delta - delta0})
+    if case == 1:
+        a = 1.0 / (v0 - delta - delta0) + 1.0 / (v0p - delta) + 1.0 / delta
+        j, flavor = omega**2 / (4.0 * delta), Flavor.CLOCK_C
+        pt_diag = (_rung_b(v0, delta, delta0) - a) * omega**2 / 4.0
+    elif case == 2:
+        j = pt_diag = rung_rabi_j(v0, delta, omega)
+        flavor = Flavor.LADDER_U
+    else:
+        raise ValueError(f"case must be 1 or 2, got {case}")
     return EffectiveCoefficients(
         J=j,
         flavor=flavor,
         const_site=_rung_constant(v0, delta, delta0, omega),
-        validity=_three_leg_validity(case, v0, v["V0p"], delta, delta0, omega),
+        validity=_three_leg_validity(case, v0, v0p, delta, delta0, omega),
         **_three_atom_rung_diagonal(v, delta0 + pt_diag, staggered),
     )
 
@@ -374,14 +335,8 @@ def ising_reduction(delta: float, v1: float, v2: float):
     The sign change of the residual in Delta locates the small-drive boundary
     between the ferro- and para-ordered density-wave phases.
     """
-    _check_denominators(
-        {
-            "Delta-V1-V2": delta - v1 - v2,
-            "2Delta-4V2": 2 * delta - 4 * v2,
-            "2Delta-4V1": 2 * delta - 4 * v1,
-            "Delta": delta,
-        }
-    )
+    _check_denominators({"Delta-V1-V2": delta - v1 - v2, "2Delta-4V2": 2 * delta - 4 * v2,
+                         "2Delta-4V1": 2 * delta - 4 * v1, "Delta": delta})
     j_eff = (
         1.0 / (delta - v1 - v2)
         - 1.0 / (2 * delta - 4 * v2)
@@ -410,6 +365,7 @@ def ising_reduction_critical_delta(v1: float, v2: float):
 # Matching to the compact-scalar-QED target couplings
 
 NEWTON_TOL = 1e-12   # max |residual| of the target couplings at which inverse matching stops
+MATCH_CASES = ("three-leg-00bc", "two-leg", "clock-00bc")   # the routes of match_forward and match_inverse
 
 
 def _three_leg_y(v: dict) -> tuple[float, float]:
@@ -439,13 +395,13 @@ def match_forward(
     * ``"two-leg"``        -- two-leg ladder (reaches only Y < 0);
     * ``"clock-00bc"``     -- clock variant (Y' = -3Y/2) on the prism at ``height``.
     """
+    if case not in MATCH_CASES:
+        raise MatchingError(f"unknown matching case {case!r}")
     if case == "two-leg":
         v = _ladder_v(LadderKind.TWO_LEG, v0, rho)
         v1, v2 = v["V1"], v["V2"]
         t = TargetCouplings(U=-2.0 * delta + 2.0 * v2, X=omega, Y=-v2, Yp=(v1 + v2) / 2.0)
         return t, 0.0, 0.0
-    if case not in ("three-leg-00bc", "clock-00bc"):
-        raise MatchingError(f"unknown matching case {case!r}")
     # both 00BC routes hop by twice the rung's Rabi coupling and share its drive constant
     x = 2.0 * rung_rabi_j(v0, delta, omega)
     drive = omega**2 / 4.0 * (2.0 / (delta - v0) - 1.0 / delta)

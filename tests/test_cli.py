@@ -674,3 +674,61 @@ def test_underdetermined_inverse_match_is_a_numeric_failure(tmp_path, capsys):
         "hamiltonian = effective", "hamiltonian = effective\nX = 1.0\nY = -0.2\nYp = 0.3")
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_NUMERIC
     assert "underdetermined" in capsys.readouterr().err
+
+
+def test_prism_resonance_is_one_sweep_error_and_a_gs_numeric_failure(tmp_path, capsys):
+    """At Delta_0 = -Delta the rung's B sum diverges: the sweep records the
+    point and goes on, the single run exits 3; both once ended in a traceback."""
+    out = tmp_path / "sweep"
+    text = TRIANGLE.format(kind="prism", extra="", out=out).replace("two-pi-mhz", "rad-per-us")
+    text = text.replace("task = match", "\n".join([
+        "task = sweep", "axis = delta0", "start = -21.0", "stop = -19.0", "steps = 3",
+    ]))
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    lines = (out / "scan.csv").read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [float(r["delta0"]) for r in rows] == [-21.0, -20.0, -19.0]
+    assert [r["error"] for r in rows] == [
+        "", "ResonanceError: vanishing denominator: Delta+Delta_0 = 0", ""]
+    text = text.replace("delta0 = 0.3", "delta0 = -20.0")
+    assert main(["gs", "--config", _write(tmp_path, text)]) == EXIT_NUMERIC
+    assert "numeric failure: vanishing denominator: Delta+Delta_0 = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("coeffs", "case = 2", "case = 3", "case must be 1 or 2"),
+    ("gs", "hamiltonian = effective", "hamiltonian = sqed-field\nX = 1.0\nY = 0.5\nflavor = X",
+     "flavor must be one of"),
+    ("match", "task = gs", "task = match\nmatch_case = nonsense", "match_case must be one of"),
+    ("match", "task = gs", "task = match\ndirection = sideways", "direction must be forward or inverse"),
+], ids=["case", "flavor", "match_case", "direction"])
+def test_unknown_model_and_match_values_are_config_errors(tmp_path, capsys, command, old, new, message):
+    """Values the config names but no route knows are config errors, not numeric failures."""
+    text = BASE.format(out=tmp_path).replace(old, new)
+    assert main([command, "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_effective_chain_without_spacings_is_a_config_error(tmp_path, capsys):
+    """The effective chain reads its couplings off the ladder, as the Rydberg model does."""
+    text = BASE.format(out=tmp_path).replace("a_y = 4.0\n", "").replace("rho = 0.3333333333333333\n", "")
+    assert main(["gs", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert "a_x and a_y (or rho) must be positive" in capsys.readouterr().err
+
+
+def test_inverse_match_needs_no_geometry(tmp_path):
+    """Inverse matching returns the spacings; it reads none, whatever [model] says."""
+    out = tmp_path / "inv"
+    text = "\n".join(["[model]", "X = 1.1", "Y = -8.0", "Yp = 12.0", "U = -4.0",
+                      "[task]", "task = match", "direction = inverse", "match_case = two-leg",
+                      "[output]", f"directory = {out}", ""])
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    assert json.loads((out / "match.json").read_text())["device"]["rho"] > 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
+    path = _write(tmp_path, BASE.format(out=tmp_path))
+    assert main(["run", "--config", path, "--threads", threads]) == EXIT_CONFIG
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()

@@ -20,12 +20,10 @@ from rydladder import (
     coeffs_three_leg,
     coeffs_two_leg,
     diagonal_expansion_oracle,
-    effective_rabi,
     ladder_couplings,
     match_forward,
     match_inverse,
     pairwise_couplings,
-    rabi_pt_matrix,
     rung_rabi_j,
 )
 
@@ -53,42 +51,54 @@ def test_two_leg_longrange_tail_decays():
     assert v1_2 == pytest.approx(v1_1 / 64.0)
 
 
-def test_rabi_pt_matrix_entries():
-    v0, v0p, delta, delta0 = 100.0, 100.0 / 64.0, 40.0, 0.3
-    pt = rabi_pt_matrix(v0, v0p, delta, delta0, omega=1.0)
-    assert pt.A == pytest.approx(1 / (v0 - delta - delta0) + 1 / (v0p - delta) + 1 / delta)
-    assert pt.B == pytest.approx(2 / (v0 - delta) + 1 / (delta + delta0))
-    assert pt.Gamma == pytest.approx(
-        0.5 * (1 / delta + 1 / (v0 - delta) + 1 / (delta + delta0) + 1 / (v0 - delta - delta0))
-    )
-    assert pt.Lambda == pytest.approx(1 / (v0p - delta) + 1 / delta)
+def test_three_leg_case1_pt_diagonal():
+    """Case 1 hops with the clock operator at Omega^2 / (4 Delta) and adds the
+    second-order diagonal (B - A) Omega^2 / 4 to the on-rung Delta_0."""
+    v0, delta, delta0, omega, rho = 100.0, 40.0, 0.3, 2.0, 0.4
+    c = coeffs_three_leg(1, v0, delta, delta0, omega, rho)
+    v = ladder_couplings(LadderSpec(LadderKind.THREE_LEG, 1, 1 / rho, 1.0), v0)
+    v0p = v["V0p"]
+    assert v0p == pytest.approx(v0 / 64.0)
+    a = 1 / (v0 - delta - delta0) + 1 / (v0p - delta) + 1 / delta
+    b = 2 / (v0 - delta) + 1 / (delta + delta0)
+    assert c.flavor is Flavor.CLOCK_C
+    assert c.J == pytest.approx(omega**2 / (4 * delta))
+    assert c.D == pytest.approx(delta0 + (b - a) * omega**2 / 4 + 2 * (v["V2"] - v["V1"]))
 
 
 def test_rabi_pt_resonance_detection():
-    with pytest.raises(ResonanceError):
-        rabi_pt_matrix(100.0, 100.0 / 64.0, 0.0, 0.1, 1.0)
-    with pytest.raises(ResonanceError):
-        rabi_pt_matrix(100.0, 100.0 / 64.0, 100.0, 0.0, 1.0)
+    for case in (1, 2):
+        with pytest.raises(ResonanceError, match="denominator: Delta = 0"):
+            coeffs_three_leg(case, 100.0, 0.0, 0.1, 1.0, 0.4)
+        with pytest.raises(ResonanceError, match="denominator: V0-Delta = 0"):
+            coeffs_three_leg(case, 100.0, 100.0, 0.0, 1.0, 0.4)
 
 
-def test_effective_rabi_cases():
-    v0, delta, omega = 100.0, 40.0, 2.0
-    pt = rabi_pt_matrix(v0, v0 / 64.0, delta, 0.0, omega)
-    j1, f1, _ = effective_rabi(1, pt, v0, delta, omega)
-    assert f1 is Flavor.CLOCK_C
-    assert j1 == pytest.approx(omega**2 / (4 * delta))
-    j2, f2, _ = effective_rabi(2, pt, v0, delta, omega)
-    assert f2 is Flavor.LADDER_U
-    assert j2 == pytest.approx(omega**2 * pt.Gamma / 4)
+@pytest.mark.parametrize("coeffs", [coeffs_prism, coeffs_in_plane])
+def test_triangular_rung_resonances_raise_resonance_error(coeffs):
+    """The blockaded triangular rung divides by V0 - Delta and Delta + Delta_0;
+    at Delta_0 = -Delta it used to end in a bare ZeroDivisionError."""
+    with pytest.raises(ResonanceError, match=r"denominator: Delta\+Delta_0 = 0"):
+        coeffs(100.0, 40.0, -40.0, 1.0, 0.4)
+    with pytest.raises(ResonanceError, match="denominator: V0-Delta = 0"):
+        coeffs(100.0, 100.0, 0.3, 1.0, 0.4)
+
+
+def test_three_leg_rabi_cases():
+    v0, delta, delta0, omega = 100.0, 40.0, 0.0, 2.0
+    c = coeffs_three_leg(2, v0, delta, delta0, omega, 0.4)
+    gamma = 0.5 * (1 / delta + 1 / (v0 - delta) + 1 / (delta + delta0) + 1 / (v0 - delta - delta0))
+    assert c.flavor is Flavor.LADDER_U
+    assert c.J == pytest.approx(omega**2 * gamma / 4)
     with pytest.raises(ValueError):
-        effective_rabi(3, pt, v0, delta, omega)
+        coeffs_three_leg(3, v0, delta, delta0, omega, 0.4)
 
 
 def test_rung_rabi_closed_form_equals_pt_sum_without_offset():
     """Omega^2 V0 / [4 Delta (V0-Delta)] equals Omega^2 Gamma / 4 at Delta_0 = 0."""
-    v0, delta, omega = 100.0, 37.0, 1.7
-    pt = rabi_pt_matrix(v0, v0 / 64.0, delta, 0.0, omega)
-    assert rung_rabi_j(v0, delta, omega) == pytest.approx(omega**2 * pt.Gamma / 4, rel=1e-12)
+    v0, delta, delta0, omega = 100.0, 37.0, 0.0, 1.7
+    gamma = 0.5 * (1 / delta + 1 / (v0 - delta) + 1 / (delta + delta0) + 1 / (v0 - delta - delta0))
+    assert rung_rabi_j(v0, delta, omega) == pytest.approx(omega**2 * gamma / 4, rel=1e-12)
 
 
 def test_staggered_flips_only_r():

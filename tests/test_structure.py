@@ -1,4 +1,5 @@
-"""Source-structure checks: package imports sit at module level and are used."""
+"""Source-structure checks: package imports sit at module level and are used,
+and every public definition has a caller."""
 
 import ast
 import importlib
@@ -73,6 +74,24 @@ def test_package_functions_bound_only_under_their_own_names():
         if inspect.isfunction(obj) and obj.__module__.startswith("rydladder") and name != obj.__name__
     ]
     assert aliases == []
+
+
+# Public library names that only tests call: references the tests compare the
+# program against (the brute-force oracle, the full-space propagator) and
+# diagnostics no task reports yet.
+TEST_REFERENCES = {"krylov_evolve", "diagonal_expansion_oracle", "reduced_density_matrix",
+                   "susceptibility_peak", "ising_reduction_critical_delta"}
+
+
+def test_every_public_definition_is_used_by_the_package_or_named_as_a_test_reference():
+    """No library function that only tests call, unless it is listed above; a
+    listed name that the package comes to use must leave the list."""
+    trees = [_tree(path) for path in MODULES]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert defined - referenced == TEST_REFERENCES
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
