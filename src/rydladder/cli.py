@@ -64,8 +64,8 @@ from .hamiltonians import (
     sqed_field_hamiltonian,
 )
 from .observables import classify_phase, order_parameters, renyi_entropy, site_profiles
-from .solvers import (EXACT_NORM_LIMIT, SolverError, dense_eigs, ground_state, propagate,
-                      sector_eigenstates, symmetry_sectors, taylor_step)
+from .solvers import (SolverError, dense_eigs, ground_state, krylov_evolve, sector_eigenstates,
+                      symmetry_sectors)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,7 +234,10 @@ def _validate(cfg: RunConfig):
         if cfg.direction not in ("forward", "inverse"):
             raise ConfigError(f"[task] direction must be forward or inverse, got {cfg.direction!r}")
         if cfg.match_case not in MATCH_CASES:
-            raise ConfigError(f"[task] match_case must be one of {MATCH_CASES}, got {cfg.match_case!r}")
+            raise ConfigError(f"[task] match_case must be one of {tuple(MATCH_CASES)}, got {cfg.match_case!r}")
+        if cfg.direction == "forward" and MATCH_CASES[cfg.match_case] != cfg.kind:
+            raise ConfigError(f"[task] match_case = {cfg.match_case} matches a "
+                              f"{MATCH_CASES[cfg.match_case].value} ladder, not kind = {cfg.kind}")
     reads_ladder = cfg.task in ("geom", "coeffs") or (cfg.task == "match" and cfg.direction == "forward")
     if (reads_ladder or {"rydberg", "effective"} & set(built)) and (cfg.a_x <= 0 or cfg.a_y <= 0):
         raise ConfigError("[geometry] a_x and a_y (or rho) must be positive")
@@ -504,7 +507,7 @@ def _evolve(cfg: RunConfig, model: Model):
     fixes psi, or the model has no rungs, the sector is the whole space,
     U = I is never applied, and the trajectory is the full-space one.
     Returns the sample times, the samples in the full basis (each embedded
-    as U phi when it is read) and the run summary of the step evolved.
+    as U phi when it is read) and the run summary with the propagator's report.
     """
     psi = initial_state(cfg, model)
     names, u, h = [], None, model.op
@@ -513,13 +516,9 @@ def _evolve(cfg: RunConfig, model: Model):
         if names:
             u, psi = block, block.T @ psi
             h = SparseOperator(u.shape[1], (u.T @ h.matrix @ u).tocsr())
-    step = taylor_step(h, cfg.dt)
-    times, states = propagate(step, psi, cfg.t_total)
+    times, states, report = krylov_evolve(h, psi, cfg.t_total, cfg.dt)
     samples = states if u is None else (u @ phi for phi in states)
-    summary = {"n_steps": len(times) - 1, "symmetries": names, "sector": h.dim,
-               "step_onenorm": step.onenorm, "exact_norms": step.onenorm <= EXACT_NORM_LIMIT,
-               "taylor_degree": step.degree, "substeps": step.substeps}
-    return times, samples, summary
+    return times, samples, {"n_steps": len(times) - 1, "symmetries": names, "sector": h.dim, **report}
 
 
 def task_evolve(cfg: RunConfig, outdir: Path) -> dict:

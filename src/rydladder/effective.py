@@ -365,7 +365,8 @@ def ising_reduction_critical_delta(v1: float, v2: float):
 # Matching to the compact-scalar-QED target couplings
 
 NEWTON_TOL = 1e-12   # max |residual| of the target couplings at which inverse matching stops
-MATCH_CASES = ("three-leg-00bc", "two-leg", "clock-00bc")   # the routes of match_forward and match_inverse
+# the routes of match_forward and match_inverse, each with the ladder it describes
+MATCH_CASES = {"three-leg-00bc": LadderKind.THREE_LEG, "two-leg": LadderKind.TWO_LEG, "clock-00bc": LadderKind.PRISM}
 
 
 def _three_leg_y(v: dict) -> tuple[float, float]:

@@ -9,9 +9,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-# the parameter search and Taylor core of expm_multiply, run here once per trajectory
-from scipy.sparse.linalg._expm_multiply import (LazyOperatorNormInfo, _exact_1_norm,
-                                                _expm_multiply_simple_core, _fragment_3_1)
 
 from .basis import RydbergBasis, StateDictionary, project_to_spin1, rung_permutations
 from .hamiltonians import SparseOperator
@@ -19,8 +16,8 @@ from .hamiltonians import SparseOperator
 DENSE_DIM_LIMIT = 4096
 SYMMETRY_TOL = 1e-12   # ||Pi H Pi^T - H||_1 / ||H||_1 below which a permutation is a symmetry
 RESIDUAL_TOL = 1e-10   # ||H psi - E psi|| / ||H||_1 up to which a ground state is certified
-EXACT_NORM_LIMIT = 63.4   # the Taylor parameters use exact 1-norms only up to here
-TAYLOR_TOL = np.finfo(float).eps / 2   # 2**-53, expm_multiply's double-precision tolerance
+KRYLOV_DIM = 60        # Lanczos steps per window of krylov_evolve
+KRYLOV_TOL = 1e-13     # the defect bound on the error one window of krylov_evolve adds
 
 # lobpcg warns when it stops short of its tol; ground_state's exact residual check decides instead.
 # Set once: catch_warnings per call is not thread-safe.
@@ -132,68 +129,79 @@ def ground_state(
     return energy, psi
 
 
-@dataclass
-class TaylorStep:
-    """One propagator step exp(-i H dt) = exp(shift) exp(a), parameters fixed."""
+def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float):
+    """Trajectory of exp(-i H t) psi sampled every ``dt``, by Lanczos windows.
 
-    a: sp.csr_matrix   # -i H dt - shift I
-    shift: complex     # tr(-i H dt) / dim
-    onenorm: float     # ||a||_1, exact
-    degree: int        # Taylor degree m*
-    substeps: int      # scaling steps s
-    dt: float          # the sampling interval the step spans
+    Returns ``(times, states, report)`` with ``states[k]`` the state at
+    ``times[k]`` (``states[0]`` the normalized psi) and ``report`` the number of
+    ``windows``, the ``matvecs`` (products with H) and the ``error_bound`` on
+    every ||states[k] - exp(-i H times[k]) psi||, rounding aside.
 
-
-def taylor_step(h: SparseOperator, dt: float) -> TaylorStep:
-    """Trace shift, shifted step, its 1-norm and the Taylor parameters (m*, s).
-
-    The same work, in the same arithmetic, as one call of scipy's
-    ``expm_multiply`` on ``(-1j * dt) * H`` before its Taylor loop: code
-    fragment 3.1 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)) at
-    tolerance 2**-53.  Above ``EXACT_NORM_LIMIT`` it estimates 1-norms of
-    powers of ``a`` with scipy's randomized ``onenormest``.
+    A window runs m = KRYLOV_DIM Lanczos steps from its start state v, without
+    reorthogonalisation, and diagonalises T = S Lambda S^T once; its samples are
+    beta_0 V S exp(-i Lambda tau) S^T e_1, beta_0 = ||v||.  Their error is bounded by
+    the defect integral beta_0 beta_m int_0^tau |e_m^T exp(-i T s) e_1| ds (Hochbruck
+    & Lubich 1997; Jawecki, Auzinger & Koch 2020), taken by trapezoid at spacing
+    <= 0.1 / spread(T) with a factor-2 margin.  The window runs to the largest
+    grid point where that is <= KRYLOV_TOL, between samples if need be, and the
+    next window starts there; the bounds of the windows add up.  A breakdown
+    beta_j = 0 makes the subspace exact.  Beyond the samples, memory is the
+    (m + 1) dim complex numbers of the Lanczos vectors and the residual.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    step = (-1j * dt) * h.matrix
-    shift = step.trace() / float(h.dim)
-    a = step - shift * sp.identity(h.dim, dtype=step.dtype, format="csr")
-    norm = _exact_1_norm(a)
-    degree, substeps = 0, 1
-    if norm != 0:
-        degree, substeps = _fragment_3_1(LazyOperatorNormInfo(a, A_1_norm=norm), 1, TAYLOR_TOL)
-    return TaylorStep(a, shift, float(norm), degree, substeps, dt)
-
-
-def propagate(step: TaylorStep, psi: np.ndarray, t_total: float):
-    """``krylov_evolve`` with its Taylor step given: each sample runs only the
-    Taylor core of ``expm_multiply`` with the step's fixed parameters."""
-    psi = normalize(np.asarray(psi, dtype=complex))
-    n_steps = int(round(t_total / step.dt))
-    times = np.arange(n_steps + 1) * step.dt
-    states = np.empty((n_steps + 1, len(psi)), dtype=complex)
-    states[0] = psi
-    for k in range(n_steps):
-        states[k + 1] = _expm_multiply_simple_core(step.a, states[k], 1.0, step.shift, step.degree,
-                                                   step.substeps, TAYLOR_TOL)
-    return times, states
-
-
-def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float):
-    """Trajectory of exp(-i H t) psi sampled every ``dt``.
-
-    Returns ``(times, states)`` with ``states[k]`` the state at
-    ``times[k]``; ``states[0]`` is the (normalized) initial state.
-
-    Truncated Taylor with scaling (Al-Mohy & Higham, algorithm 3.2) at
-    tolerance 2**-53 per sample; the parameters are chosen once per trajectory
-    (``taylor_step``) and each sample runs only the Taylor core.  While the
-    step's 1-norm is <= ``EXACT_NORM_LIMIT`` (exact 1-norms only) each sample
-    is bitwise one ``expm_multiply((-1j*dt)*H, psi)`` call and re-runs are
-    bitwise identical.  Above it the parameters come from one randomized
-    ``onenormest`` per trajectory: accurate, bitwise repeatable only in practice.
-    """
-    return propagate(taylor_step(h, dt), psi, t_total)
+    n_steps = int(round(t_total / dt))
+    times = np.arange(n_steps + 1) * dt
+    states = np.empty((n_steps + 1, h.dim), dtype=complex)
+    states[0] = normalize(np.asarray(psi, dtype=complex))
+    v = np.empty((min(KRYLOV_DIM, h.dim), h.dim), dtype=complex)
+    alpha, beta = np.zeros(len(v)), np.zeros(len(v))   # beta[j] couples v[j] and v[j + 1]
+    x, start, k, report = states[0], 0.0, 1, {"windows": 0, "matvecs": 0, "error_bound": 0.0}
+    while k <= n_steps:
+        beta0 = np.linalg.norm(x)
+        v[0] = x / beta0
+        for j in range(len(v)):
+            w = h.matrix @ v[j]
+            alpha[j] = np.vdot(v[j], w).real
+            w -= alpha[j] * v[j]
+            if j:
+                w -= beta[j - 1] * v[j - 1]
+            beta[j] = np.linalg.norm(w)
+            if beta[j] == 0 or j + 1 == len(v):
+                break
+            v[j + 1] = w / beta[j]
+        m = j + 1
+        lam, s = sla.eigh_tridiagonal(alpha[:m], beta[:m - 1])
+        c = beta0 * s[0]
+        defect = beta[m - 1] * s[m - 1] * c   # beta_0 beta_m e_m^T exp(-i T s) e_1 = sum(defect exp(-i lam s))
+        remaining = times[-1] - start
+        n_grid = max(1, int(np.ceil(10 * remaining * (lam[-1] - lam[0]))))
+        step = remaining / n_grid
+        phases = np.exp(-1j * step * np.outer(np.arange(min(n_grid, 256) + 1), lam))
+        # |e_m^T exp(-i T s) e_1| <= 1 bounds the integral by crude * tau: a breakdown, or a
+        # small enough beta_m, covers the rest at once
+        crude = beta0 * beta[m - 1]
+        i, err = (n_grid, crude * remaining) if crude * remaining <= KRYLOV_TOL else (0, 0.0)
+        while i < n_grid:   # twice the trapezoid of the defect integral, chunk by chunk of the grid
+            g = np.abs(phases[:n_grid - i + 1] @ (defect * np.exp(-1j * i * step * lam)))
+            errs = err + step * np.cumsum(g[1:] + g[:-1])
+            n_ok = int(np.searchsorted(errs, KRYLOV_TOL, side="right"))
+            err, i = (errs[n_ok - 1] if n_ok else err), i + n_ok
+            if n_ok < len(errs):
+                break
+        tau, last = i * step, i == n_grid
+        if not last and crude * tau < KRYLOV_TOL:   # the crude bound reaches further (dim 1, say)
+            tau, err = KRYLOV_TOL / crude, KRYLOV_TOL
+        end = n_steps + 1 if last else int(np.searchsorted(times, start + tau, side="right"))
+        coeffs = (np.exp(-1j * np.outer(times[k:end] - start, lam)) * c) @ s.T
+        for state, coeff in zip(states[k:end], coeffs):   # one GEMV each: no block temporaries
+            np.matmul(coeff, v[:m], out=state)
+        x = (np.exp(-1j * tau * lam) * c) @ s.T @ v[:m]
+        report["windows"] += 1
+        report["matvecs"] += m
+        report["error_bound"] += float(err)
+        start, k = start + tau, end
+    return times, states, report
 
 
 def _symmetry_blocks(dim: int, perms, chis) -> list[sp.csr_matrix]:

@@ -7,9 +7,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from rydladder import SparseOperator, krylov_evolve, match_forward
+from rydladder import krylov_evolve, match_forward
 from rydladder.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -25,7 +24,7 @@ from rydladder.cli import (
     parse_config,
     run,
 )
-from rydladder.solvers import taylor_step
+from rydladder.solvers import KRYLOV_DIM, KRYLOV_TOL
 
 BASE = """
 [geometry]
@@ -223,17 +222,14 @@ def test_manifest_round_trip_bitwise(tmp_path, task):
     assert main(["run", "--config", str(out / "manifest.json"), "--out", str(out2)]) == EXIT_OK
     assert (out / output).read_bytes() == (out2 / output).read_bytes()
     if task == "evolve":
-        # the manifest states the condition under which the re-run is bitwise
-        # identical: expm_multiply's trace-shifted ||H dt||_1 <= 63.4, for the
-        # H evolved, that of the sector even under both rung symmetries
+        # the manifest reports the propagator's windows, products with H and
+        # error bound, for the H evolved: that of the sector even under both
+        # rung symmetries; the re-run reports the same
         summary = json.loads((out / "manifest.json").read_text())["summary"]
         h = _even_sector(build_model(parse_config(str(out / "manifest.json"))))
         assert (summary["symmetries"], summary["sector"]) == (["leg", "mirror"], len(h))
-        shifted = h - np.trace(h) / len(h) * np.eye(len(h))
-        assert summary["step_onenorm"] == pytest.approx(0.002 * np.abs(shifted).sum(axis=0).max(), rel=1e-12)
-        step = taylor_step(SparseOperator(len(h), sp.csr_matrix(h)), 0.002)
-        assert (summary["taylor_degree"], summary["substeps"]) == (step.degree, step.substeps)
-        assert summary["exact_norms"] is True
+        assert summary["windows"] >= 1 and summary["matvecs"] == summary["windows"] * KRYLOV_DIM
+        assert 0 < summary["error_bound"] <= summary["windows"] * KRYLOV_TOL
         assert json.loads((out2 / "manifest.json").read_text())["summary"] == summary
 
 
@@ -347,9 +343,8 @@ def test_evolve_timeseries_schema(tmp_path):
     # the effective chain has no rungs to reflect: its whole space is evolved
     op = build_model(parse_config(str(out / "manifest.json"))).op
     assert (summary["symmetries"], summary["sector"]) == ([], op.dim)
-    step = taylor_step(op, 0.01)
-    assert (summary["taylor_degree"], summary["substeps"]) == (step.degree, step.substeps)
-    assert summary["taylor_degree"] >= 1 and summary["substeps"] >= 1
+    assert summary["windows"] >= 1 and 1 <= summary["matvecs"] <= summary["windows"] * KRYLOV_DIM
+    assert 0 <= summary["error_bound"] <= summary["windows"] * KRYLOV_TOL
 
 
 @pytest.mark.parametrize("kind, symmetries", [
@@ -367,7 +362,7 @@ def test_sector_evolution_matches_full_space_and_expm(tmp_path, kind, symmetries
     assert summary["symmetries"] == symmetries
     assert summary["sector"] < model.op.dim
     psi0 = initial_state(cfg, model)
-    times, full = krylov_evolve(model.op, psi0, cfg.t_total, cfg.dt)
+    times, full, _ = krylov_evolve(model.op, psi0, cfg.t_total, cfg.dt)
     np.testing.assert_array_equal(sector_times, times)
     step = sla.expm(-1j * cfg.dt * model.op.to_dense())
     exact = psi0
@@ -389,14 +384,13 @@ def test_state_fixed_by_no_symmetry_evolves_in_full_space_bitwise(tmp_path):
     model = build_model(cfg)
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert (summary["symmetries"], summary["sector"]) == ([], model.op.dim)
-    step = taylor_step(model.op, cfg.dt)
-    assert (summary["step_onenorm"], summary["taylor_degree"], summary["substeps"]) == (
-        step.onenorm, step.degree, step.substeps)
+    times, states, report = krylov_evolve(model.op, initial_state(cfg, model), cfg.t_total, cfg.dt)
+    assert {key: summary[key] for key in report} == report
     # the profile arithmetic of site_profiles, one sample at a time, written out
     occ = model.basis.occupations().astype(float)
     rungs = [model.atoms.atoms_of_rung(i) for i in range(1, model.atoms.n_rungs + 1)]
     lines = ["t,site,lz,lz2"]
-    for t, psi in zip(*krylov_evolve(model.op, initial_state(cfg, model), cfg.t_total, cfg.dt)):
+    for t, psi in zip(times, states):
         occ_mean = np.abs(psi) ** 2 @ occ
         for s, rung in enumerate(rungs):
             up = occ_mean[rung[model.atoms.leg_of[rung] == +1]].sum()
@@ -665,6 +659,24 @@ def test_clock_match_follows_prism_height(tmp_path):
         # X = Omega^2 V0 / [2 Delta (V0 - Delta)] does not see the middle leg
         if key != "X":
             assert records["tall"]["targets"][key] != pytest.approx(value, rel=1e-3)
+
+
+@pytest.mark.parametrize("match_case", ["two-leg", "three-leg-00bc", "clock-00bc"])
+@pytest.mark.parametrize("kind", ["chain", "two-leg", "three-leg", "prism", "in-plane-triangle"])
+def test_forward_match_route_must_fit_the_geometry(tmp_path, capsys, kind, match_case):
+    """A forward match reads the configured ladder, so its route must describe
+    that ladder: a two-leg ladder with the default three-leg-00bc route once
+    got three-leg targets (X = 0.0265 rad/us where the two-leg route gives
+    X = Omega) and exit 0."""
+    text = TRIANGLE.format(kind=kind, extra="", out=tmp_path).replace(
+        "match_case = clock-00bc", f"match_case = {match_case}")
+    fits = {"two-leg": "two-leg", "three-leg-00bc": "three-leg", "clock-00bc": "prism"}[match_case] == kind
+    assert main(["run", "--config", _write(tmp_path, text)]) == (EXIT_OK if fits else EXIT_CONFIG)
+    if not fits:
+        assert f"match_case = {match_case} matches a" in capsys.readouterr().err
+        assert not (tmp_path / "match.json").exists()
+    elif match_case == "two-leg":
+        assert json.loads((tmp_path / "match.json").read_text())["targets"]["X"] == 2 * math.pi
 
 
 def test_underdetermined_inverse_match_is_a_numeric_failure(tmp_path, capsys):

@@ -34,8 +34,8 @@ from rydladder import (
     sector_eigenstates,
 )
 from rydladder.basis import rung_permutations
-from rydladder.solvers import (DENSE_DIM_LIMIT, EXACT_NORM_LIMIT, RESIDUAL_TOL, SYMMETRY_TOL, normalize,
-                               symmetry_sectors, taylor_step)
+from rydladder.solvers import (DENSE_DIM_LIMIT, KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL, SYMMETRY_TOL, normalize,
+                               symmetry_sectors)
 
 
 def _random_operator(n, seed, density=0.05):
@@ -237,13 +237,8 @@ def test_krylov_step_matches_expm():
     assert np.linalg.norm(exact - approx) < 1e-10
 
 
-@pytest.mark.parametrize("dt", [0.05, 0.2])
-def test_evolve_accurate_at_large_step(dt):
-    """A step that keeps the norm but not the state is caught against expm.
-
-    Nine-atom three-leg ladder at criterion 06's drive (||H|| ~ 800 rad/us)
-    from the spin state 000, evolved to t = 1 us.
-    """
+def _nine_atom_ladder():
+    """Nine-atom three-leg ladder at criterion 06's drive (||H|| ~ 800 rad/us), in the spin state 000."""
     tp = 2 * math.pi
     atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 3, 3.0, 1.0), delta0=0.2 * tp)
     basis = enumerate_rydberg(atoms.n_atoms)
@@ -251,8 +246,25 @@ def test_evolve_accurate_at_large_step(dt):
     pattern = StateDictionary.for_kind(atoms.spec.kind).spin_to_pattern[0]
     psi0 = np.zeros(h.dim, dtype=complex)
     psi0[basis.index_of(sum(pattern << (3 * s) for s in range(3)))] = 1.0
+    return h, psi0
+
+
+def _two_level_atom(omega):
+    atoms = build_ladder(LadderSpec(LadderKind.CHAIN, 1, 5.0, 5.0))
+    return rydberg_hamiltonian(atoms, omega, 0.9, pairwise_couplings(atoms, c6=100.0), enumerate_rydberg(1))
+
+
+def _random_state(dim):
+    return normalize(np.random.default_rng(1).standard_normal(dim) + 1j)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.2])
+def test_evolve_accurate_at_large_step(dt):
+    """A step that keeps the norm but not the state is caught against expm,
+    on the nine-atom ladder evolved to t = 1 us."""
+    h, psi0 = _nine_atom_ladder()
     exact = sla.expm(-1j * h.to_dense()) @ psi0
-    _, states = krylov_evolve(h, psi0, 1.0, dt)
+    _, states, _ = krylov_evolve(h, psi0, 1.0, dt)
     assert np.linalg.norm(states[-1] - exact) <= 1e-10
 
 
@@ -260,7 +272,7 @@ def test_krylov_unitarity_and_energy_conservation():
     for h in _physical_instances():
         psi0 = np.zeros(h.dim, dtype=complex)
         psi0[0] = 1.0
-        times, states = krylov_evolve(h, psi0, t_total=0.5, dt=0.01)
+        times, states, _ = krylov_evolve(h, psi0, t_total=0.5, dt=0.01)
         e0 = np.real(np.vdot(states[0], h.matrix @ states[0]))
         for k in range(1, len(times)):
             assert abs(np.linalg.norm(states[k]) - 1.0) < 1e-10 * k
@@ -272,9 +284,9 @@ def test_krylov_time_reversal():
     h = _physical_instances()[1]
     psi0 = np.zeros(h.dim, dtype=complex)
     psi0[h.dim // 3] = 1.0
-    _, fwd = krylov_evolve(h, psi0, 0.3, 0.01)
+    _, fwd, _ = krylov_evolve(h, psi0, 0.3, 0.01)
     # propagate backwards by conjugation: exp(+iHt) psi = conj(exp(-iHt) conj(psi))
-    _, back = krylov_evolve(h, np.conj(fwd[-1]), 0.3, 0.01)
+    _, back, _ = krylov_evolve(h, np.conj(fwd[-1]), 0.3, 0.01)
     assert np.linalg.norm(np.conj(back[-1]) - psi0) < 1e-8
 
 
@@ -286,35 +298,68 @@ def test_two_level_rabi_closed_form():
     cm = pairwise_couplings(atoms, c6=100.0)
     h = rydberg_hamiltonian(atoms, omega, delta, cm, basis)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    times, states = krylov_evolve(h, psi0, 2.0, 0.001)
+    times, states, _ = krylov_evolve(h, psi0, 2.0, 0.001)
     w = math.sqrt(omega**2 + delta**2)
     for t, psi in zip(times[::200], states[::200]):
         p_r = abs(psi[1]) ** 2
         assert p_r == pytest.approx((omega / w) ** 2 * math.sin(w * t / 2) ** 2, abs=1e-8)
 
 
-@pytest.mark.parametrize("dt", [0.05, 2.0])
-def test_evolve_bitwise_equals_expm_multiply_per_sample(dt):
-    """Parameters chosen once per trajectory give scipy's per-call result bit for bit."""
-    h = _random_operator(60, 2)
-    step = taylor_step(h, dt)
-    assert step.onenorm <= EXACT_NORM_LIMIT
-    assert step.substeps == (1 if dt < 1 else 2)
-    psi = normalize(np.random.default_rng(1).standard_normal(60) + 1j)
-    _, states = krylov_evolve(h, psi, 10 * dt, dt)
-    ref = states[0]
-    for k in range(1, len(states)):
-        ref = spla.expm_multiply((-1j * dt) * h.matrix, ref)
-        assert np.array_equal(states[k], ref), f"sample {k} differs"
+@pytest.mark.parametrize("case, t_total, dt", [
+    ("random", 0.5, 0.05), ("random", 20.0, 2.0), ("random", 30.0, 10.0),
+    ("ladder", 1.0, 0.05), ("ladder", 1.0, 0.2), ("ladder", 3.0, 1.0),
+    ("dim-1", 2.0, 0.1), ("two-level", 2.0, 0.01), ("omega-0", 1.0, 0.01),
+])
+def test_evolve_error_within_its_bound(case, t_total, dt):
+    """Every sample against an eigendecomposition: its error is at most the
+    summed defect bound plus rounding, which the bound leaves out (1e-12).
+    At dt = 1 a Lanczos window spans less than a sample interval, so windows
+    end between samples; a breakdown (dim 1, the two-level atom, a basis state
+    of a diagonal H) ends the Lanczos run early and covers the rest at once."""
+    if case == "random":
+        h = _random_operator(60, 2)
+        psi = _random_state(60)
+    elif case == "ladder":
+        h, psi = _nine_atom_ladder()
+    elif case == "dim-1":
+        h = SparseOperator(1, sp.csr_matrix([[3.7]]))
+        psi = np.array([0.6 + 0.8j])
+    else:
+        h = _two_level_atom(1.7 if case == "two-level" else 0.0)
+        psi = np.array([1.0, 0.0])
+    times, states, report = krylov_evolve(h, psi, t_total, dt)
+    vals, vecs = np.linalg.eigh(h.to_dense())
+    amplitudes = vecs.T @ normalize(psi.astype(complex))
+    errors = [np.linalg.norm(state - vecs @ (np.exp(-1j * vals * t) * amplitudes))
+              for t, state in zip(times, states)]
+    assert max(errors) <= report["error_bound"] + 1e-12
+    assert report["error_bound"] <= report["windows"] * KRYLOV_TOL
+    assert report["matvecs"] <= report["windows"] * min(KRYLOV_DIM, h.dim)
+    if h.dim <= 2:
+        assert report["windows"] == 1
+    if case == "ladder" and dt == 1.0:
+        assert report["windows"] > len(times) - 1
+
+
+def test_evolve_advances_where_the_first_grid_point_fails():
+    """A 1x1 operator has one Ritz value, so the defect integrand is constant
+    and the grid's first point can exceed KRYLOV_TOL; the window then runs to
+    KRYLOV_TOL / (beta_0 beta_m) instead.  Rounding of the phase h t (about
+    eps |h| t, in the reference as well) lies outside the bound."""
+    h, t_total = 1e4, 10.0
+    psi = np.array([1.0 + 1j * math.sqrt(2)]) / math.sqrt(3)
+    times, states, report = krylov_evolve(SparseOperator(1, sp.csr_matrix([[h]])), psi, t_total, 0.1)
+    assert report["windows"] > 1
+    rounding = 8 * np.finfo(float).eps * h * t_total
+    assert np.abs(states[:, 0] - np.exp(-1j * h * times) * psi[0]).max() <= report["error_bound"] + rounding
 
 
 def test_evolve_above_exact_norm_limit_matches_expm():
-    """Above EXACT_NORM_LIMIT the Taylor parameters come from onenormest once per trajectory."""
+    """A sampling interval of 10 time units, ||H dt||_1 far above one, against expm."""
     h = _random_operator(60, 2)
     dt = 10.0
-    assert taylor_step(h, dt).onenorm > EXACT_NORM_LIMIT
     psi = normalize(np.random.default_rng(1).standard_normal(60) + 1j)
-    times, states = krylov_evolve(h, psi, 3 * dt, dt)
+    times, states, _ = krylov_evolve(h, psi, 3 * dt, dt)
     for t, state in zip(times, states):
         exact = sla.expm(-1j * t * h.to_dense()) @ psi
         assert np.linalg.norm(state - exact) <= 1e-10

@@ -62,6 +62,24 @@ def test_no_private_names_imported_from_other_package_modules(path):
     assert private == [], f"{path.name}: private names imported from the package: {private}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_library_internals_imported(path):
+    """Third-party libraries are used through their public modules only: a
+    private module such as ``scipy.sparse.linalg._expm_multiply`` can change
+    or vanish in any release."""
+    private = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        private += [f"{name}:{node.lineno}" for name in names
+                    if any(part.startswith("_") and not part.endswith("__") for part in name.split("."))]
+    assert private == [], f"{path.name}: private library names imported: {private}"
+
+
 def test_package_functions_bound_only_under_their_own_names():
     """An entry point has one name: no function of the package is bound in the
     package or in one of its modules under a name other than its ``__name__``."""
@@ -79,8 +97,8 @@ def test_package_functions_bound_only_under_their_own_names():
 # Public library names that only tests call: references the tests compare the
 # program against (the brute-force oracle, the full-space propagator) and
 # diagnostics no task reports yet.
-TEST_REFERENCES = {"krylov_evolve", "diagonal_expansion_oracle", "reduced_density_matrix",
-                   "susceptibility_peak", "ising_reduction_critical_delta"}
+TEST_REFERENCES = {"diagonal_expansion_oracle", "reduced_density_matrix", "susceptibility_peak",
+                   "ising_reduction_critical_delta"}
 
 
 def test_every_public_definition_is_used_by_the_package_or_named_as_a_test_reference():
