@@ -40,6 +40,7 @@ from .geometry import (
 )
 from .hamiltonians import (
     BoundaryCondition,
+    FlipOperator,
     SparseOperator,
     cahm_hamiltonian,
     charge_kernel,

@@ -30,6 +30,11 @@ class RungConstraint:
     n_legs: int
     max_excited: int
 
+    def patterns(self) -> np.ndarray:
+        """The admissible rung bit patterns, ascending."""
+        return np.array([p for p in range(1 << self.n_legs) if p.bit_count() <= self.max_excited],
+                        dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class RydbergBasis:
@@ -69,10 +74,10 @@ def enumerate_rydberg(n_atoms: int, constraint: RungConstraint | None = None) ->
         raise BasisError("n_atoms is not a multiple of the rung size")
     n_rungs = n_atoms // nl
     # Admissible per-rung bit patterns, then a mixed-radix product over rungs.
-    patterns = [p for p in range(1 << nl) if bin(p).count("1") <= constraint.max_excited]
+    patterns = constraint.patterns()
     states = np.zeros(1, dtype=np.int64)
     for r in range(n_rungs):
-        shifted = np.array(patterns, dtype=np.int64) << (r * nl)
+        shifted = patterns << (r * nl)
         states = (states[:, None] | shifted[None, :]).ravel()
     states.sort()
     return RydbergBasis(n_atoms, states, constraint)

@@ -565,9 +565,9 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
             [(e_a, e_b, abs(e_a - e_b), rel)],
         )
         return {"E0_a": e_a, "E0_b": e_b, "max_deviation": abs(e_a - e_b)}
-    # compare evolve: paired per-site traces
-    times, samples_a, _ = _evolve(cfg, model_a)
-    _, samples_b, _ = _evolve(cfg, model_b)
+    # compare evolve: paired per-site traces, and each propagation's report
+    times, samples_a, report_a = _evolve(cfg, model_a)
+    _, samples_b, report_b = _evolve(cfg, model_b)
     profs_a = site_profiles(samples_a, model_a.basis, model_a.atoms)
     profs_b = site_profiles(samples_b, model_b.basis, model_b.atoms)
     rows = []
@@ -582,7 +582,7 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
         ["t", "site", f"lz2_{name_a}", f"lz2_{name_b}", "abs_deviation"],
         rows,
     )
-    return {"max_deviation": max_dev}
+    return {"max_deviation": max_dev, "evolve_a": report_a, "evolve_b": report_b}
 
 
 # The one name -> task table: `main`'s commands, `[task] task` and `run` read it.

@@ -10,10 +10,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .basis import BasisError, RydbergBasis, Spin1Basis
 from .effective import EffectiveCoefficients, Flavor, TargetCouplings
@@ -28,7 +30,12 @@ class BoundaryCondition(str, Enum):
 
 @dataclass
 class SparseOperator:
-    """Hermitian (real symmetric) operator over an enumerated basis."""
+    """Hermitian (real symmetric) operator over an enumerated basis, as CSR.
+
+    The solvers read it through ``diagonal``, ``@`` (a vector or a (dim, k)
+    block), ``norm1`` and ``max_off_diagonal``, which ``FlipOperator`` provides
+    without a matrix; ``matrix`` is for the symmetry and dense paths.
+    """
 
     dim: int
     matrix: sp.csr_matrix
@@ -51,8 +58,107 @@ class SparseOperator:
         m.eliminate_zeros()
         return cls(dim, m)
 
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal()
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
+    def norm1(self) -> float:
+        """||H||_1, the largest absolute column sum."""
+        return spla.norm(self.matrix, 1)
+
+    def max_off_diagonal(self) -> float:
+        """The largest off-diagonal |H_ij| (0 for a diagonal H)."""
+        m = self.matrix
+        return np.abs(m.data[m.indices != np.repeat(np.arange(self.dim), np.diff(m.indptr))]).max(initial=0.0)
+
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+
+@dataclass(eq=False)
+class FlipOperator:
+    """diag + amplitude * sum_a X_a on the complete basis of ``n_atoms`` atoms.
+
+    X_a flips atom a, so every off-diagonal element is ``amplitude``, between
+    configurations one bit apart, and only the diagonal is stored.  Products
+    with H run on it directly; the CSR is assembled by
+    ``SparseOperator.from_coo`` the first time ``matrix`` is read, and kept.
+    """
+
+    n_atoms: int
+    diag: np.ndarray
+    amplitude: float
+
+    @property
+    def dim(self) -> int:
+        return len(self.diag)
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """H x for a vector or a (dim, k) block.  The flip partner of state s under
+        atom a is s ^ (1 << a), so X_a x is x viewed as (2^(n-a-1), 2, 2^a, k)
+        reversed along its second axis: a strided copy, with no index array."""
+        xk = x.reshape(self.dim, -1)
+        out = np.zeros(xk.shape, np.result_type(xk, self.diag))
+        for a in range(self.n_atoms):
+            view = (-1, 2, 1 << a, xk.shape[1])
+            out.reshape(view)[...] += xk.reshape(view)[:, ::-1]
+        out *= self.amplitude
+        out += self.diag[:, None] * xk
+        return out.reshape(x.shape)
+
+    def norm1(self) -> float:
+        """||H||_1 in closed form: every column holds H_ii and n_atoms flips."""
+        return float(np.abs(self.diag).max() + self.n_atoms * abs(self.amplitude))
+
+    def max_off_diagonal(self) -> float:
+        return abs(self.amplitude)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        index = np.arange(self.dim)
+        rows = np.concatenate([np.flatnonzero(~index & (1 << a)) for a in range(self.n_atoms)])
+        cols = rows ^ np.repeat(1 << np.arange(self.n_atoms), self.dim // 2)
+        return SparseOperator.from_coo(self.diag, rows, cols, self.amplitude).matrix
+
+    def to_dense(self) -> np.ndarray:
+        return self.matrix.toarray()
+
+
+Operator = SparseOperator | FlipOperator   # either: the solvers read both the same way
+
+
+def _rydberg_diagonal(basis: RydbergBasis, field: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_a field_a n_a + sum_{a<b} V_ab n_a n_b for every state, in basis order.
+
+    The basis is a product over groups of atoms: the rungs of a constrained
+    basis, the single atoms of a complete one.  The diagonal is filled group by
+    group: each of the group's patterns extends every state of the atoms placed
+    before it, adding the field and the couplings of its own atoms, and their
+    couplings to the placed ones.  No (dim, n_atoms) occupation table is built.
+    """
+    size, patterns = (1, np.arange(2)) if basis.constraint is None else (
+        basis.constraint.n_legs, basis.constraint.patterns())
+    groups = [np.arange(g, g + size) for g in range(0, basis.n_atoms, size)]
+    if basis.n_atoms % size or len(patterns) ** len(groups) != basis.dim:
+        raise BasisError("the basis is not the product of its rung patterns")
+    bits = ((patterns[:, None] >> np.arange(size)) & 1).astype(float)   # (pattern, atom of the group)
+    diag = np.zeros(1)
+    for g, atoms in enumerate(groups):
+        own = bits @ field[atoms] + 0.5 * np.einsum("pi,ij,pj->p", bits, v[np.ix_(atoms, atoms)], bits)
+        new = own[:, None] + diag   # row p: the placed states extended by pattern p
+        for j, a in enumerate(atoms):
+            placed = np.zeros(1)   # sum_b V_ab n_b over the placed atoms, per placed state
+            for prev in groups[:g]:
+                placed = ((bits @ v[a, prev])[:, None] + placed).ravel()
+            for p in np.flatnonzero(bits[:, j]):
+                new[p] += placed
+        diag = new.ravel()
+    return diag
 
 
 def rydberg_hamiltonian(
@@ -64,7 +170,7 @@ def rydberg_hamiltonian(
     range_cutoff: float | None = None,
     frozen_sources: np.ndarray | None = None,
     c6: float | None = None,
-) -> SparseOperator:
+) -> Operator:
     """Driven Rydberg array: drive flips, detuning, and pair interactions.
 
     Pairs farther apart than ``range_cutoff`` are dropped when it is set.
@@ -74,25 +180,24 @@ def rydberg_hamiltonian(
     atoms (e.g. the zero-field boundary rungs of the 00 boundary condition);
     they contribute a diagonal field sum_a V(a, source) n_a, subject to the
     same ``range_cutoff``, and require ``c6``.
+
+    On the complete basis (dim 2^n_atoms) this is a ``FlipOperator``, whose
+    CSR is built only when read; otherwise the CSR of the basis' flip pairs.
     """
     if basis.n_atoms != atoms.n_atoms:
         raise BasisError(
             f"basis has {basis.n_atoms} atoms but the array has {atoms.n_atoms}"
         )
-    occ = basis.occupations().astype(float)
     v = couplings.v.copy()
     if range_cutoff is not None:
         pos = atoms.positions
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         v[dist > range_cutoff] = 0.0
-    det = delta + atoms.detuning_offset
-    # two two-operand einsums: the three-operand one is 4x slower at dim 16384
-    diag = -occ @ det + 0.5 * np.einsum("sj,sj->s", np.einsum("si,ij->sj", occ, v), occ)
+    field = -(delta + atoms.detuning_offset)
     if frozen_sources is not None:
         if c6 is None:
             raise ValueError("frozen_sources requires the c6 coefficient")
-        field = np.zeros(atoms.n_atoms)
         for src in np.atleast_2d(np.asarray(frozen_sources, dtype=float)):
             d = np.linalg.norm(atoms.positions - src, axis=1)
             if np.any(d == 0.0):
@@ -101,8 +206,9 @@ def rydberg_hamiltonian(
             if range_cutoff is not None:
                 vs[d > range_cutoff] = 0.0
             field += vs
-        diag = diag + occ @ field
-    del occ   # set-up peak memory: not needed by the sparse assembly below
+    diag = _rydberg_diagonal(basis, field, v)
+    if basis.dim == 1 << basis.n_atoms:
+        return FlipOperator(basis.n_atoms, diag, 0.5 * omega)
 
     rows, cols = [], []
     index = np.arange(basis.dim)

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import RydbergBasis, StateDictionary, project_to_spin1, rung_permutations
-from .hamiltonians import SparseOperator
+from .hamiltonians import Operator
 
 DENSE_DIM_LIMIT = 4096
 SYMMETRY_TOL = 1e-12   # ||Pi H Pi^T - H||_1 / ||H||_1 below which a permutation is a symmetry
@@ -58,12 +58,12 @@ def _residuals(m: sp.spmatrix, vals, vecs) -> np.ndarray:
     return np.linalg.norm(r, axis=0)
 
 
-def _check_dense_limit(h: SparseOperator):
+def _check_dense_limit(h: Operator):
     if h.dim > DENSE_DIM_LIMIT:
         raise SolverError(f"dimension {h.dim} exceeds the dense limit {DENSE_DIM_LIMIT}")
 
 
-def dense_eigs(h: SparseOperator, k: int | None = None) -> SpectrumResult:
+def dense_eigs(h: Operator, k: int | None = None) -> SpectrumResult:
     """Lowest-k eigenpairs by dense diagonalization (oracle backend).
 
     Only k eigenpairs are computed when k < dim (LAPACK ``syevr`` on the index
@@ -77,7 +77,7 @@ def dense_eigs(h: SparseOperator, k: int | None = None) -> SpectrumResult:
 
 
 def ground_state(
-    h: SparseOperator,
+    h: Operator,
     max_iter: int = 20000,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
@@ -87,20 +87,22 @@ def ground_state(
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) is preconditioned by
     the clipped Jacobi inverse 1 / max(|H_ii - min H_jj|, floor), the floor
     being the largest off-diagonal |H_ij|.  Returns only when the true
-    residual ||H psi - E psi|| <= RESIDUAL_TOL ||H||_1 (exact sparse 1-norm, E the
+    residual ||H psi - E psi|| <= RESIDUAL_TOL ||H||_1 (exact 1-norm, E the
     Rayleigh quotient); otherwise raises :class:`ConvergenceError` carrying
-    the lowest Rayleigh quotient seen.  Memory is a few vectors of length
-    dim; ``max_iter`` caps the products with H.  Deterministic for a given seed.
+    the lowest Rayleigh quotient seen.  H is read only through its diagonal,
+    its products, ``norm1`` and ``max_off_diagonal``.  Memory is a few vectors
+    of length dim; ``max_iter`` caps the products with H.  Deterministic for a
+    given seed.
     """
-    m, n = h.matrix, h.dim
-    diag = m.diagonal()
+    n = h.dim
+    diag = h.diagonal()
     # lowest-diagonal basis state plus a small random part (all sectors reachable)
     start = np.zeros(n)
     start[int(np.argmin(diag))] = 1.0
-    floor = np.abs(m.data[m.indices != np.repeat(np.arange(n), np.diff(m.indptr))]).max(initial=0.0)
+    floor = h.max_off_diagonal()
     if floor == 0:   # diagonal H (dim 1 included): that basis state alone is exact
         return float(diag.min()), start
-    bound = RESIDUAL_TOL * spla.norm(m, 1)
+    bound = RESIDUAL_TOL * h.norm1()
     start += 1e-3 * np.random.default_rng(seed).standard_normal(n) / np.sqrt(n)
     precond = 1.0 / np.maximum(np.abs(diag - diag.min()), floor)[:, None]
     used, best = 0, np.inf
@@ -110,18 +112,18 @@ def ground_state(
         used += x.shape[1]
         if used > max_iter:
             raise ConvergenceError(f"LOBPCG did not converge in {max_iter} products with H", best)
-        hx = m @ x
+        hx = h @ x
         # einsum, not numpy's BLAS, whose thread pool stalls scipy's (10x on 2 CPUs)
         best = min(best, (np.einsum("ij,ij->j", x, hx) / np.einsum("ij,ij->j", x, x)).min())
         return hx
 
     if n < 5:   # too few rows for LOBPCG iterations: the lowest pair of the dense H
-        x = sla.eigh(m.toarray(), subset_by_index=(0, 0))[1][:, 0]
+        x = sla.eigh(h @ np.eye(n), subset_by_index=(0, 0))[1][:, 0]
     else:   # lobpcg's tol is a quarter of the bound: its residuals land at 0.8-1 of its tol
         x = spla.lobpcg(apply_h, start[:, None], M=lambda r: precond * r, tol=bound / 4,
                         maxiter=max_iter, largest=False)[1][:, 0]
     psi = normalize(x)
-    h_psi = m @ psi
+    h_psi = h @ psi
     energy = float(psi @ h_psi)
     residual = np.linalg.norm(h_psi - energy * psi)
     if residual > bound:
@@ -129,7 +131,7 @@ def ground_state(
     return energy, psi
 
 
-def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float):
+def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
     """Trajectory of exp(-i H t) psi sampled every ``dt``, by Lanczos windows.
 
     Returns ``(times, states, report)`` with ``states[k]`` the state at
@@ -161,7 +163,7 @@ def krylov_evolve(h: SparseOperator, psi: np.ndarray, t_total: float, dt: float)
         beta0 = np.linalg.norm(x)
         v[0] = x / beta0
         for j in range(len(v)):
-            w = h.matrix @ v[j]
+            w = h @ v[j]
             alpha[j] = np.vdot(v[j], w).real
             w -= alpha[j] * v[j]
             if j:
@@ -230,7 +232,7 @@ def _symmetry_blocks(dim: int, perms, chis) -> list[sp.csr_matrix]:
     return blocks
 
 
-def symmetry_sectors(h: SparseOperator, basis: RydbergBasis, n_legs: int, psi: np.ndarray | None = None):
+def symmetry_sectors(h: Operator, basis: RydbergBasis, n_legs: int, psi: np.ndarray | None = None):
     """Verified rung symmetries of H and the isometries of their sectors.
 
     A rung permutation (``rung_permutations``) is kept when it maps the basis
@@ -259,8 +261,28 @@ def symmetry_sectors(h: SparseOperator, basis: RydbergBasis, n_legs: int, psi: n
     return names, _symmetry_blocks(h.dim, perms, [chi])
 
 
+def _block_eigenstates(h: Operator, u: sp.csr_matrix, sector_indices, k: int):
+    """One block B = U^T H U of ``sector_eigenstates``: its eigenvalues, residual bounds
+    and sector overlaps, the mask of its k largest overlaps and their eigenvectors.
+
+    B is densified in Fortran order, which LAPACK overwrites in place, and the
+    eigenvectors are copied once to C order, which the sparse products read; the
+    locals die on return, before the next block is densified."""
+    b = u.T @ h.matrix @ u
+    vals, v = sla.eigh(b.toarray(order="F"), driver="evd", overwrite_a=True)
+    v = np.ascontiguousarray(v)
+    certificate = spla.norm(h.matrix @ u - u @ b)   # Frobenius
+    overlaps = np.sum((u[sector_indices] @ v) ** 2, axis=0)
+    # the block's k largest overlaps, ties included, hold every band member of the block
+    keep = overlaps >= np.sort(overlaps)[-min(k, len(vals))]
+    kept, r = v[:, keep], b @ v
+    v *= vals   # V is read no more: B V - V diag(vals) with no third n^2 array
+    r -= v
+    return vals, np.linalg.norm(r, axis=0) + certificate, overlaps, keep, kept
+
+
 def sector_eigenstates(
-    h: SparseOperator,
+    h: Operator,
     basis: RydbergBasis,
     dictionary: StateDictionary,
     k: int,
@@ -280,15 +302,8 @@ def sector_eigenstates(
     _check_dense_limit(h)
     names, blocks = symmetry_sectors(h, basis, dictionary.n_legs)
     sector_indices, _ = project_to_spin1(basis, dictionary)
-    solved = []   # per block: isometry, eigenvalues, residual bounds, overlaps, its k best eigenvectors
-    for u in blocks:
-        b = u.T @ h.matrix @ u
-        vals, v = sla.eigh(b.toarray(), driver="evd", overwrite_a=True)
-        certificate = spla.norm(h.matrix @ u - u @ b)   # Frobenius
-        overlaps = np.sum((u[sector_indices] @ v) ** 2, axis=0)
-        # the block's k largest overlaps, ties included, hold every band member of the block
-        keep = overlaps >= np.sort(overlaps)[-min(k, len(vals))]
-        solved.append((u, vals, _residuals(b, vals, v) + certificate, overlaps, keep, v[:, keep]))
+    # per block: isometry, eigenvalues, residual bounds, overlaps, its k best eigenvectors
+    solved = [(u, *_block_eigenstates(h, u, sector_indices, k)) for u in blocks]
     sectors = tuple(len(vals) for _, vals, *_ in solved)
     order = np.argsort(np.concatenate([s[1] for s in solved]), kind="stable")
     vals, residuals, overlaps = (np.concatenate([s[i] for s in solved])[order] for i in (1, 2, 3))

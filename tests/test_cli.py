@@ -522,8 +522,16 @@ def test_compare_evolve_outputs(tmp_path):
     lines = (out / "compare_evolve.csv").read_text().strip().split("\n")
     assert lines[0] == "t,site,lz2_rydberg,lz2_effective,abs_deviation"
     assert len(lines) == 1 + 3 * 3  # 3 time samples x 3 sites
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["summary"]["max_deviation"] < 0.05
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["max_deviation"] < 0.05
+    # both propagations report, so the deviation can be set against their error bounds
+    rydberg, effective = summary["evolve_a"], summary["evolve_b"]
+    assert (rydberg["symmetries"], effective["symmetries"]) == (["leg", "mirror"], [])
+    assert rydberg["sector"] < 2**9 and effective["sector"] == 3**3
+    for report in (rydberg, effective):
+        assert report["n_steps"] == 2
+        assert report["windows"] >= 1 and 1 <= report["matvecs"] <= report["windows"] * KRYLOV_DIM
+        assert 0 <= report["error_bound"] <= report["windows"] * KRYLOV_TOL
 
 
 def test_compare_gs_outputs(tmp_path):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,11 @@ from rydladder import (
     BoundaryCondition,
     EffectiveCoefficients,
     Flavor,
+    FlipOperator,
     LadderKind,
     LadderSpec,
     RungConstraint,
+    RydbergBasis,
     SparseOperator,
     Spin1Basis,
     TargetCouplings,
@@ -27,6 +30,7 @@ from rydladder import (
     sqed_charge_hamiltonian,
     sqed_field_hamiltonian,
 )
+from rydladder.basis import BasisError
 
 
 def _is_symmetric(op: SparseOperator) -> bool:
@@ -117,6 +121,93 @@ def test_frozen_sources_add_classical_field():
     assert h.matrix.diagonal()[i] == pytest.approx(64.0 / 5.0**6)
     with pytest.raises(ValueError):
         rydberg_hamiltonian(atoms, 0.0, 0.0, cm, basis, frozen_sources=src)
+
+
+def _occupation_reference(atoms, omega, delta, cm, basis, range_cutoff=None, sources=None, c6=None):
+    """The Rydberg Hamiltonian from the (dim, n_atoms) occupation table and the
+    flip partners found by ``index_of``, assembled by ``from_coo``."""
+    occ = basis.occupations().astype(float)
+    v = cm.v.copy()
+    field = -(delta + atoms.detuning_offset)
+    if range_cutoff is not None:
+        v[np.linalg.norm(atoms.positions[:, None] - atoms.positions[None], axis=2) > range_cutoff] = 0.0
+    for src in [] if sources is None else sources:
+        d = np.linalg.norm(atoms.positions - src, axis=1)
+        field = field + np.where(d > (range_cutoff or np.inf), 0.0, c6 / d**6)
+    diag = occ @ field + 0.5 * np.einsum("si,ij,sj->s", occ, v, occ)
+    rows, cols = [], []
+    for a in range(atoms.n_atoms):
+        partner = basis.index_of(basis.states ^ (1 << a))
+        src = np.flatnonzero(np.arange(basis.dim) < partner)
+        rows.append(src)
+        cols.append(partner[src])
+    return SparseOperator.from_coo(diag, np.concatenate(rows), np.concatenate(cols), 0.5 * omega)
+
+
+def _flip_case(kind, n_rungs, omega=1.3, cutoff=None, zero_zero=False, max_excited=None):
+    """A ladder at a_x = 3, a_y = 1 and its Hamiltonian's arguments; with
+    ``zero_zero``, frozen sources on the middle leg one rung beyond each end."""
+    shift = 0.3 if kind == "in-plane-triangle" else None
+    atoms = build_ladder(LadderSpec(LadderKind(kind), n_rungs, 3.0, 1.0, shift), delta0=0.2)
+    constraint = None if max_excited is None else RungConstraint(atoms.n_legs, max_excited)
+    basis = enumerate_rydberg(atoms.n_atoms, constraint)
+    cm = pairwise_couplings(atoms, 40.0)
+    sources = np.array([[-3.0, 1.0, 0.0], [3.0 * n_rungs, 1.0, 0.0]]) if zero_zero else None
+    return atoms, omega, 20.0, cm, basis, cutoff, sources, 40.0
+
+
+FLIP_CASES = {
+    "two-leg": lambda **kw: _flip_case("two-leg", 5, **kw),
+    "three-leg": lambda **kw: _flip_case("three-leg", 3, **kw),
+    "prism": lambda **kw: _flip_case("prism", 3, **kw),
+    "in-plane": lambda **kw: _flip_case("in-plane-triangle", 3, **kw),
+    "two-leg-cutoff": lambda **kw: _flip_case("two-leg", 5, cutoff=3.5, **kw),
+    "three-leg-00bc": lambda **kw: _flip_case("three-leg", 3, cutoff=3.2, zero_zero=True, **kw),
+    "two-leg-no-drive": lambda **kw: _flip_case("two-leg", 5, omega=0.0, **kw),
+}
+
+
+@pytest.mark.parametrize("case", FLIP_CASES)
+def test_flip_operator_equals_the_occupation_csr(case):
+    """On the complete basis the operator stores the diagonal only; its diagonal,
+    its products with real and complex blocks and vectors, its 1-norm, its
+    preconditioner floor and the CSR it builds on demand all equal the reference's."""
+    args = FLIP_CASES[case]()
+    op = rydberg_hamiltonian(*args[:6], frozen_sources=args[6], c6=args[7])
+    ref = _occupation_reference(*args)
+    assert isinstance(op, FlipOperator) and "matrix" not in vars(op)
+    scale = spla.norm(ref.matrix, 1)
+    np.testing.assert_allclose(op.diagonal(), ref.matrix.diagonal(), rtol=1e-12, atol=1e-12 * scale)
+    rng = np.random.default_rng(0)
+    real = rng.standard_normal((op.dim, 3))
+    for x in (real, real + 1j * rng.standard_normal(real.shape), real[:, 0]):
+        np.testing.assert_allclose(op @ x, ref.matrix @ x, rtol=0, atol=1e-12 * scale * np.abs(x).max())
+    assert op.norm1() == pytest.approx(scale, rel=1e-12)
+    assert op.max_off_diagonal() == ref.max_off_diagonal() == 0.5 * abs(args[1])
+    assert "matrix" not in vars(op)
+    assert op.matrix.nnz == ref.matrix.nnz
+    assert abs(op.matrix - ref.matrix).max() <= 1e-12 * scale
+    assert op.matrix is op.matrix   # built once
+
+
+@pytest.mark.parametrize("case, max_excited", [("two-leg", 1), ("three-leg", 1), ("prism", 2),
+                                               ("in-plane", 1), ("three-leg-00bc", 1)])
+def test_rung_by_rung_diagonal_on_a_constrained_basis(case, max_excited):
+    """A rung-capped basis keeps the CSR, whose diagonal is filled rung by rung."""
+    args = FLIP_CASES[case](max_excited=max_excited)
+    op = rydberg_hamiltonian(*args[:6], frozen_sources=args[6], c6=args[7])
+    ref = _occupation_reference(*args)
+    assert isinstance(op, SparseOperator) and op.dim < 1 << args[4].n_atoms
+    scale = spla.norm(ref.matrix, 1)
+    np.testing.assert_allclose(op.diagonal(), ref.matrix.diagonal(), rtol=1e-12, atol=1e-12 * scale)
+    assert abs(op.matrix - ref.matrix).max() <= 1e-12 * scale
+
+
+def test_rydberg_hamiltonian_rejects_a_basis_that_is_no_rung_product():
+    atoms, omega, delta, cm, *_ = FLIP_CASES["two-leg"]()
+    basis = RydbergBasis(atoms.n_atoms, np.arange(5))
+    with pytest.raises(BasisError, match="product"):
+        rydberg_hamiltonian(atoms, omega, delta, cm, basis)
 
 
 def _brute_force_effective(coeffs, n_sites, bc):

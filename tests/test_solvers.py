@@ -119,16 +119,21 @@ def test_ground_state_dispatch():
     assert e == pytest.approx(dense_eigs(h, k=1).eigenvalues[0], abs=1e-10)
 
 
-@pytest.fixture(scope="module")
-def two_leg_4096():
+def _two_leg_12():
     """Twelve-atom two-leg ladder at criterion 05's hard point (rho = 0.5,
-    Omega = 0.2 * 2pi), dim 4096, and its dense ground-state energy."""
+    Omega = 0.2 * 2pi), dim 4096."""
     tp = 2 * math.pi
     c6, v0 = 858386.0 * tp, 1000.0 * tp
     a_y = (c6 / v0) ** (1 / 6)
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 6, 2 * a_y, a_y))
     basis = enumerate_rydberg(atoms.n_atoms)
-    h = rydberg_hamiltonian(atoms, 0.2 * tp, 1.0 * tp, pairwise_couplings(atoms, c6), basis)
+    return rydberg_hamiltonian(atoms, 0.2 * tp, 1.0 * tp, pairwise_couplings(atoms, c6), basis)
+
+
+@pytest.fixture(scope="module")
+def two_leg_4096():
+    """``_two_leg_12`` and its dense ground-state energy."""
+    h = _two_leg_12()
     assert h.dim == DENSE_DIM_LIMIT
     return h, dense_eigs(h, k=1).eigenvalues[0]
 
@@ -150,6 +155,23 @@ def test_ground_state_within_small_product_budget(two_leg_4096, seed):
     e, psi = ground_state(h, max_iter=200, seed=seed)
     assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
     assert e == pytest.approx(e_dense, rel=1e-9)
+
+
+def test_complete_basis_solves_leave_the_csr_unbuilt(two_leg_4096):
+    """ground_state and krylov_evolve read the complete-basis operator only through
+    its diagonal, its products, its 1-norm and its floor, so its CSR is never
+    assembled.  The energy equals dense eigh of that CSR, assembled afterwards,
+    within the certified residual."""
+    _, e_dense = two_leg_4096
+    h = _two_leg_12()
+    e, psi = ground_state(h)
+    _, states, report = krylov_evolve(h, psi, 0.1, 0.05)
+    assert "matrix" not in vars(h)
+    residual = np.linalg.norm(h.matrix @ psi - e * psi)
+    assert residual <= RESIDUAL_TOL * spla.norm(h.matrix, 1)
+    assert -1e-12 * abs(e_dense) <= e - e_dense <= residual
+    # an eigenstate only turns its phase
+    assert abs(np.vdot(psi, states[-1])) == pytest.approx(1.0, abs=1e-9 + report["error_bound"])
 
 
 def test_ground_state_strongly_driven_effective_chain():
