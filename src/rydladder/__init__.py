@@ -9,8 +9,8 @@ from .basis import (
     project_to_spin1,
 )
 from .effective import (
+    BoundaryCondition,
     EffectiveCoefficients,
-    Flavor,
     MatchingError,
     ResonanceError,
     TargetCouplings,
@@ -24,6 +24,7 @@ from .effective import (
     match_forward,
     match_inverse,
     rung_rabi_j,
+    target_coefficients,
 )
 from .geometry import (
     DEFAULT_C6,
@@ -39,15 +40,12 @@ from .geometry import (
     pairwise_couplings,
 )
 from .hamiltonians import (
-    BoundaryCondition,
     FlipOperator,
     SparseOperator,
-    cahm_hamiltonian,
     charge_kernel,
     effective_spin1_hamiltonian,
     rydberg_hamiltonian,
     sqed_charge_hamiltonian,
-    sqed_field_hamiltonian,
 )
 from .observables import (
     OrderParameters,

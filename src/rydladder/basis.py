@@ -105,7 +105,7 @@ class Spin1Basis:
         for m in ms:
             if m not in (-1, 0, 1):
                 raise BasisError(f"invalid spin projection {m}")
-            idx = idx * 3 + (m + 1)
+            idx = idx * 3 + int(m) + 1   # a Python int: numpy's int8 digits would wrap
         return idx
 
 

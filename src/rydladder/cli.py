@@ -32,8 +32,8 @@ from . import __version__
 from .basis import BasisError, RungConstraint, RydbergBasis, Spin1Basis, StateDictionary, enumerate_rydberg
 from .effective import (
     MATCH_CASES,
+    BoundaryCondition,
     EffectiveCoefficients,
-    Flavor,
     MatchingError,
     ResonanceError,
     TargetCouplings,
@@ -43,6 +43,7 @@ from .effective import (
     coeffs_two_leg,
     match_forward,
     match_inverse,
+    target_coefficients,
 )
 from .geometry import (
     DEFAULT_C6,
@@ -54,15 +55,7 @@ from .geometry import (
     ladder_couplings,
     pairwise_couplings,
 )
-from .hamiltonians import (
-    BoundaryCondition,
-    SparseOperator,
-    cahm_hamiltonian,
-    effective_spin1_hamiltonian,
-    rydberg_hamiltonian,
-    sqed_charge_hamiltonian,
-    sqed_field_hamiltonian,
-)
+from .hamiltonians import SparseOperator, effective_spin1_hamiltonian, rydberg_hamiltonian, sqed_charge_hamiltonian
 from .observables import classify_phase, order_parameters, renyi_entropy, site_profiles
 from .solvers import (SolverError, dense_eigs, ground_state, krylov_evolve, sector_eigenstates,
                       symmetry_sectors)
@@ -72,6 +65,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 MODELS = ("rydberg", "effective", "cahm", "sqed-charge", "sqed-field")
+FLAVORS = ("U", "C")   # the field representation without (U) or with (C) its clock element J2 = X/2
 UNITS = ("two-pi-mhz", "rad-per-us")
 
 
@@ -243,8 +237,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[geometry] a_x and a_y (or rho) must be positive")
     if (cfg.task == "coeffs" or "effective" in built) and cfg.kind == "three-leg" and cfg.case not in (1, 2):
         raise ConfigError(f"[model] case must be 1 or 2, got {cfg.case}")
-    if "sqed-field" in built and cfg.flavor not in [f.value for f in Flavor]:
-        raise ConfigError(f"[model] flavor must be one of {[f.value for f in Flavor]}")
+    if "sqed-field" in built and cfg.flavor not in FLAVORS:
+        raise ConfigError(f"[model] flavor must be one of {FLAVORS}")
     if cfg.task == "evolve" and cfg.dt <= 0:
         raise ConfigError("[task] dt must be positive")
     if cfg.task == "evolve" and cfg.t_total < 0:
@@ -286,7 +280,7 @@ def _height(cfg: RunConfig) -> float | None:
     return None if cfg.prism_height is None else cfg.prism_height / cfg.a_y
 
 
-def geometry_coeffs(cfg: RunConfig) -> tuple[EffectiveCoefficients, list]:
+def geometry_coeffs(cfg: RunConfig) -> EffectiveCoefficients:
     """Closed-form effective coefficients for the configured geometry."""
     kind = LadderKind(cfg.kind)
     spec = ladder_spec(cfg)
@@ -295,12 +289,12 @@ def geometry_coeffs(cfg: RunConfig) -> tuple[EffectiveCoefficients, list]:
     if kind is LadderKind.TWO_LEG:
         return coeffs_two_leg(v0, cfg.delta, cfg.omega, rho, cfg.k_max, cfg.staggered)
     if kind is LadderKind.THREE_LEG:
-        return coeffs_three_leg(cfg.case, v0, cfg.delta, cfg.delta0, cfg.omega, rho, cfg.staggered), []
+        return coeffs_three_leg(cfg.case, v0, cfg.delta, cfg.delta0, cfg.omega, rho, cfg.staggered)
     if kind is LadderKind.PRISM:
-        return coeffs_prism(v0, cfg.delta, cfg.delta0, cfg.omega, rho, _height(cfg), cfg.staggered), []
+        return coeffs_prism(v0, cfg.delta, cfg.delta0, cfg.omega, rho, _height(cfg), cfg.staggered)
     if kind is LadderKind.IN_PLANE_TRIANGLE:
         shift = None if cfg.shift is None else cfg.shift / cfg.a_y
-        return coeffs_in_plane(v0, cfg.delta, cfg.delta0, cfg.omega, rho, shift, cfg.staggered), []
+        return coeffs_in_plane(v0, cfg.delta, cfg.delta0, cfg.omega, rho, shift, cfg.staggered)
     raise ConfigError(f"no effective description for geometry kind {cfg.kind!r}")
 
 
@@ -332,20 +326,13 @@ def build_model(cfg: RunConfig, which: str | None = None) -> Model:
         except BasisError:
             dictionary = None
         return Model(op, basis, atoms, dictionary)
-    if which == "effective":
-        coeffs, longrange = geometry_coeffs(cfg)
-        op = effective_spin1_hamiltonian(coeffs, cfg.n_rungs, BoundaryCondition(cfg.bc), longrange)
-        return Model(op, Spin1Basis(cfg.n_rungs))
-    t = _target_couplings(cfg)
-    if which == "cahm":
-        return Model(cahm_hamiltonian(t, cfg.n_rungs), Spin1Basis(cfg.n_rungs))
-    if which == "sqed-field":
-        return Model(
-            sqed_field_hamiltonian(t, cfg.n_rungs, BoundaryCondition(cfg.bc), Flavor(cfg.flavor)),
-            Spin1Basis(cfg.n_rungs),
-        )
+    if which in ("effective", "cahm", "sqed-field"):
+        bc = BoundaryCondition(cfg.bc)
+        coeffs = geometry_coeffs(cfg) if which == "effective" else target_coefficients(
+            which, _target_couplings(cfg), bc, clock=cfg.flavor == "C")
+        return Model(effective_spin1_hamiltonian(coeffs, cfg.n_rungs, bc), Spin1Basis(cfg.n_rungs))
     if which == "sqed-charge":
-        op, charge_cfg = sqed_charge_hamiltonian(t, cfg.n_rungs)
+        op, charge_cfg = sqed_charge_hamiltonian(_target_couplings(cfg), cfg.n_rungs)
         return Model(op, charge_cfg)
     raise ConfigError(f"unknown model {which!r}")
 
@@ -430,21 +417,8 @@ def task_geom(cfg: RunConfig, outdir: Path) -> dict:
     return {"n_atoms": atoms.n_atoms}
 
 
-def _coefficient_record(cfg: RunConfig) -> dict:
-    """The geometry's effective coefficients as ``coeffs.json`` and the manifest record them."""
-    coeffs, longrange = geometry_coeffs(cfg)
-    return {
-        "D": coeffs.D, "R": coeffs.R, "Rp": coeffs.Rp, "J": coeffs.J,
-        "flavor": coeffs.flavor.value,
-        "const_site": coeffs.const_site, "const_bond": coeffs.const_bond,
-        "d_first": coeffs.d_first, "d_last": coeffs.d_last,
-        "longrange": [[k, rk, rpk] for k, rk, rpk in longrange],
-        "validity": coeffs.validity,
-    }
-
-
 def task_coeffs(cfg: RunConfig, outdir: Path) -> dict:
-    record = _coefficient_record(cfg)
+    record = asdict(geometry_coeffs(cfg))
     (outdir / "coeffs.json").write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))
     return record
@@ -603,7 +577,7 @@ def derived_quantities(cfg: RunConfig) -> tuple[dict, list[str]]:
             out.update({k: float(v) for k, v in named.items()})
         if cfg.omega > 0:
             out["R_b"] = blockade_radius(cfg.c6, cfg.omega)
-        out["coefficients"] = _coefficient_record(cfg)
+        out["coefficients"] = asdict(geometry_coeffs(cfg))
     except (ConfigError, ResonanceError, ValueError, ZeroDivisionError) as exc:
         errors.append(f"{type(exc).__name__}: {exc}")
     return out, errors

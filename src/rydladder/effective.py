@@ -28,9 +28,10 @@ class ResonanceError(ZeroDivisionError):
     pass
 
 
-class Flavor(str, Enum):
-    LADDER_U = "U"   # spin-1 raising/lowering, no |+1> <-> |-1> channel
-    CLOCK_C = "C"    # three-state clock, adds the |+1> <-> |-1> element
+class BoundaryCondition(str, Enum):
+    OBC = "obc"
+    PBC = "pbc"
+    ZERO_ZERO = "00bc"
 
 
 @dataclass(frozen=True)
@@ -47,22 +48,27 @@ class TargetCouplings:
 class EffectiveCoefficients:
     """Coefficients of the generic effective spin-1 chain.
 
-    The identity coefficient scales with the chain length as
-    ``n * const_site + (n - 1) * const_bond``.  ``bc_lz2_edge``/``bc_const``
-    hold the 00-boundary-condition corrections where they are known.
+    ``J`` is the amplitude of the spin-1 hopping m -> m +- 1 and ``J2`` that of
+    the |-1> <-> |+1> element, equal to J for the three-state clock operator
+    and 0 for the ladder operator.  ``longrange`` lists (k, R_k, R'_k), the
+    range-k counterparts of (R, R') for k >= 2.  The identity coefficient
+    scales with the chain length as ``n * const_site + (n - 1) * const_bond``.
+    ``bc_lz2_edge``/``bc_const`` hold the 00-boundary-condition corrections
+    where they are known.
     """
 
     D: float
     R: float
     Rp: float
     J: float
-    flavor: Flavor = Flavor.LADDER_U
+    J2: float = 0.0
     const_site: float = 0.0
     const_bond: float = 0.0
     d_first: float | None = None
     d_last: float | None = None
     bc_lz2_edge: float = 0.0
     bc_const: float = 0.0
+    longrange: tuple = ()
     validity: dict = field(default_factory=dict)
 
     def const_total(self, n_sites: int) -> float:
@@ -87,35 +93,29 @@ def coeffs_two_leg(
     rho: float,
     k_max: int = 1,
     staggered: bool = False,
-):
-    """Effective chain for the two-leg ladder, plus long-range tail.
-
-    Returns ``(coeffs, longrange)`` where ``longrange`` lists
-    (k, R_k, R'_k) for 2 <= k <= k_max.
-    """
+) -> EffectiveCoefficients:
+    """Effective chain for the two-leg ladder, with the range-k tail
+    (k, R_k, R'_k) for 2 <= k <= k_max in ``longrange``."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    v = _ladder_v(LadderKind.TWO_LEG, v0, rho)
-    v1, v2 = v["V1"], v["V2"]
     sgn = -1.0 if staggered else 1.0
-    coeffs = EffectiveCoefficients(
+    terms = []   # (k, R_k, R'_k): range-k pairs see the same table at k times the rung spacing
+    for k in range(1, k_max + 1):
+        v = _ladder_v(LadderKind.TWO_LEG, v0, rho / k)
+        terms.append((k, sgn * (v["V1"] - v["V2"]) / 2.0, (v["V1"] + v["V2"]) / 2.0))
+    (_, r, rp), *longrange = terms
+    return EffectiveCoefficients(
         D=-delta,
-        R=sgn * (v1 - v2) / 2.0,
-        Rp=(v1 + v2) / 2.0,
+        R=r,
+        Rp=rp,
         J=-omega / 2.0,
+        longrange=tuple(longrange),
         validity={
             "rabi_leakage": omega**2 / (4.0 * v0) if v0 else math.inf,
             "detuning_ratio": abs(delta) / v0 if v0 else math.inf,
             "nnn_ratio": 1.0 / 64.0 * (1 + rho**2) ** 3,
         },
     )
-    longrange = []
-    for k in range(2, k_max + 1):
-        # range-k pairs see the same table at k times the rung spacing
-        vk = _ladder_v(LadderKind.TWO_LEG, v0, rho / k)
-        v1k, v2k = vk["V1"], vk["V2"]
-        longrange.append((k, sgn * (v1k - v2k) / 2.0, (v1k + v2k) / 2.0))
-    return coeffs, longrange
 
 
 def _rung_b(v0: float, delta: float, delta0: float) -> float:
@@ -156,8 +156,8 @@ def _clock_rung(v: dict, v0, delta, delta0, omega) -> dict:
     constant assume V0 = V0'; ``rung_asymmetry`` = |V0' - V0| / V0 flags it."""
     validity = _three_leg_validity(1, v0, v["V0p"], delta, delta0, omega)
     validity["rung_asymmetry"] = abs(v["V0p"] - v0) / v0 if v0 else math.inf
-    return dict(J=rung_rabi_j(v0, delta, omega), flavor=Flavor.CLOCK_C, validity=validity,
-                const_site=_rung_constant(v0, delta, delta0, omega))
+    j = rung_rabi_j(v0, delta, omega)
+    return dict(J=j, J2=j, validity=validity, const_site=_rung_constant(v0, delta, delta0, omega))
 
 
 def _three_atom_rung_diagonal(v: dict, d_site: float, staggered: bool) -> dict:
@@ -201,16 +201,16 @@ def coeffs_three_leg(
                          "V0'-Delta": v0p - delta, "V0-Delta-Delta_0": v0 - delta - delta0})
     if case == 1:
         a = 1.0 / (v0 - delta - delta0) + 1.0 / (v0p - delta) + 1.0 / delta
-        j, flavor = omega**2 / (4.0 * delta), Flavor.CLOCK_C
+        j = j2 = omega**2 / (4.0 * delta)
         pt_diag = (_rung_b(v0, delta, delta0) - a) * omega**2 / 4.0
     elif case == 2:
         j = pt_diag = rung_rabi_j(v0, delta, omega)
-        flavor = Flavor.LADDER_U
+        j2 = 0.0
     else:
         raise ValueError(f"case must be 1 or 2, got {case}")
     return EffectiveCoefficients(
         J=j,
-        flavor=flavor,
+        J2=j2,
         const_site=_rung_constant(v0, delta, delta0, omega),
         validity=_three_leg_validity(case, v0, v0p, delta, delta0, omega),
         **_three_atom_rung_diagonal(v, delta0 + pt_diag, staggered),
@@ -263,6 +263,40 @@ def coeffs_in_plane(
         d_last=delta0 / 2.0 + v4 - v1,
         **_clock_rung(v, v0, delta, delta0, omega),
     )
+
+
+def target_coefficients(
+    model: str,
+    t: TargetCouplings,
+    bc: BoundaryCondition = BoundaryCondition.OBC,
+    clock: bool = False,
+) -> EffectiveCoefficients:
+    """The chain of a target model as effective spin-1 coefficients.
+
+    ``"cahm"``: the open compact Abelian Higgs chain
+    (U/2) sum (L^z)^2 - Y sum L^z L^z - X sum U^x, i.e. D = U/2, R = -Y,
+    R' = 0, J = X/2; only the spin-1 truncation is exercised, and Y' and
+    ``clock`` are not read.
+
+    ``"sqed-field"``: the field representation with the quartic Y' penalty,
+    (U/2 + Y) sum (L^z)^2 - (Y + Y') sum L^z L^z + Y' sum (L^z)^2 (L^z)^2
+    - (X/2) sum (U+ + U-).  Under 00BC the boundary fields are fixed to zero;
+    their bonds contribute no cross terms, so the chain keeps a uniform D.
+    Under OBC the edge (L^z)^2 coefficients drop to U/2 + Y/2.  ``clock``
+    adds the |-1> <-> |+1> element at J2 = X/2.
+    """
+    bc = BoundaryCondition(bc)
+    if model == "cahm":
+        if bc is not BoundaryCondition.OBC:
+            raise ValueError("the CAHM chain is open")
+        return EffectiveCoefficients(D=0.5 * t.U, R=-t.Y, Rp=0.0, J=0.5 * t.X)
+    if model == "sqed-field":
+        if bc is BoundaryCondition.PBC:
+            raise ValueError("field representation supports OBC and 00BC only")
+        edge = 0.5 * t.U + 0.5 * t.Y if bc is BoundaryCondition.OBC else None
+        return EffectiveCoefficients(D=0.5 * t.U + t.Y, R=-(t.Y + t.Yp), Rp=t.Yp, J=0.5 * t.X,
+                                     J2=0.5 * t.X if clock else 0.0, d_first=edge, d_last=edge)
+    raise ValueError(f"no coefficient map for target model {model!r}")
 
 
 def diagonal_expansion_oracle(

@@ -8,24 +8,16 @@ drive phase can be chosen real), so operators are stored as real
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import BasisError, RydbergBasis, Spin1Basis
-from .effective import EffectiveCoefficients, Flavor, TargetCouplings
+from .effective import BoundaryCondition, EffectiveCoefficients, TargetCouplings
 from .geometry import AtomArray, CouplingMatrix
-
-
-class BoundaryCondition(str, Enum):
-    OBC = "obc"
-    PBC = "pbc"
-    ZERO_ZERO = "00bc"
 
 
 @dataclass
@@ -41,9 +33,10 @@ class SparseOperator:
     matrix: sp.csr_matrix
 
     @classmethod
-    def from_coo(cls, diag, rows, cols, amplitude: float) -> "SparseOperator":
-        """The form of every Hamiltonian here: diag + amplitude * sum over the
-        flip pairs, each given once with row < col, of |row><col| + |col><row|."""
+    def from_coo(cls, diag, rows, cols, amplitude) -> "SparseOperator":
+        """The form of every Hamiltonian here: diag + the sum over the flip pairs,
+        each given once with row < col, of amplitude * (|row><col| + |col><row|),
+        with one amplitude for every pair or one per pair."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if np.any(rows >= cols):
@@ -51,8 +44,9 @@ class SparseOperator:
         dim = len(diag)
         idx = np.int32 if dim < 2**31 else np.int64   # scipy's own index type, so the COO takes no copy
         index = np.arange(dim, dtype=idx)
-        vals = np.full(dim + 2 * len(rows), float(amplitude))
+        vals = np.empty(dim + 2 * len(rows))
         vals[:dim] = diag
+        vals[dim:].reshape(2, -1)[...] = amplitude
         m = sp.coo_matrix((vals, (np.concatenate([index, rows, cols], dtype=idx),
                                   np.concatenate([index, cols, rows], dtype=idx))), shape=(dim, dim)).tocsr()
         m.eliminate_zeros()
@@ -225,15 +219,18 @@ def effective_spin1_hamiltonian(
     coeffs: EffectiveCoefficients,
     n_sites: int,
     bc: BoundaryCondition = BoundaryCondition.OBC,
-    longrange: Sequence[tuple[int, float, float]] | None = None,
 ) -> SparseOperator:
-    """Generic effective spin-1 chain D, R, R', J.
+    """Generic effective spin-1 chain of ``coeffs``.
 
-    ``longrange`` lists additional interactions (k, R_k, R'_k) between sites
-    i and i+k; entries with k >= n_sites are ignored with a warning.  Edge
-    overrides ``d_first``/``d_last`` replace D on the boundary sites; the
-    00BC variant additionally shifts both edge (L^z)^2 coefficients by
-    ``coeffs.bc_lz2_edge`` and adds the constant ``coeffs.bc_const``.
+    Sites at distance k interact through R_k m_i m_j + R'_k m_i^2 m_j^2, with
+    (R_1, R'_1) = (R, R') and the range-k terms of ``coeffs.longrange``.  Under
+    PBC each pair at ring distance k is coupled once: all n_sites wrapped
+    pairs when 2k < n_sites, the n_sites/2 antipodal pairs when 2k = n_sites.
+    A range-k term (k >= 2) with no pair, k >= n_sites open or 2k > n_sites
+    periodic, is ignored with a warning.  Edge overrides ``d_first``/``d_last``
+    replace D on the boundary sites; the 00BC variant additionally shifts both
+    edge (L^z)^2 coefficients by ``coeffs.bc_lz2_edge`` and adds the constant
+    ``coeffs.bc_const``.  The hopping is -J (U+ + U-) plus -J2 on |-1> <-> |+1>.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
@@ -255,43 +252,31 @@ def effective_spin1_hamiltonian(
         const += coeffs.bc_const
 
     diag = m2 @ d_site + np.full(dim, const)
+    for k, r, rp in ((1, coeffs.R, coeffs.Rp), *coeffs.longrange):
+        if bc is BoundaryCondition.PBC:
+            n_pairs = n_sites if 2 * k < n_sites else k if 2 * k == n_sites else 0
+        else:
+            n_pairs = n_sites - k
+        if n_pairs <= 0 and k > 1:   # a single site has no nearest-neighbour bond to miss
+            warnings.warn(f"long-range term k={k} ignored for n_sites={n_sites}")
+        for i in range(n_pairs):
+            j = (i + k) % n_sites
+            diag += r * m[:, i] * m[:, j] + rp * m2[:, i] * m2[:, j]
 
-    bonds = [(i, i + 1, coeffs.R, coeffs.Rp) for i in range(n_sites - 1)]
-    if bc is BoundaryCondition.PBC and n_sites > 2:
-        bonds.append((n_sites - 1, 0, coeffs.R, coeffs.Rp))
-    if longrange:
-        for k, rk, rpk in longrange:
-            if k >= n_sites:
-                warnings.warn(f"long-range term k={k} ignored for n_sites={n_sites}")
-                continue
-            bonds.extend((i, i + k, rk, rpk) for i in range(n_sites - k))
-    for i, j, r, rp in bonds:
-        diag += r * m[:, i] * m[:, j] + rp * m2[:, i] * m2[:, j]
-
-    # -J (U+ + U-): raising site s from m to m+1 moves index i to i + stride
+    # Raising site s by dm moves index i to i + dm * stride: dm = 1 is the hop
+    # at -J, dm = 2 the clock pair -1 -> +1 at -J2, emitted only when J2 != 0.
     rows, cols = [], []
-    for s in range(n_sites):
-        stride = 3 ** (n_sites - 1 - s)
-        src = np.flatnonzero(digits[:, s] <= 0)
-        rows.append(src)
-        cols.append(src + stride)
-        if coeffs.flavor is Flavor.CLOCK_C:
-            # extra |-1> <-> |+1> element of the clock operator
-            src = np.flatnonzero(digits[:, s] == -1)
+    for dm in (1, 2) if coeffs.J2 else (1,):
+        for s in range(n_sites):
+            stride = 3 ** (n_sites - 1 - s)
+            src = np.flatnonzero(digits[:, s] <= 1 - dm)
             rows.append(src)
-            cols.append(src + 2 * stride)
-    return SparseOperator.from_coo(diag, np.concatenate(rows), np.concatenate(cols), -coeffs.J)
-
-
-def cahm_hamiltonian(t: TargetCouplings, n_sites: int) -> SparseOperator:
-    """Compact Abelian Higgs chain (U/2) sum (L^z)^2 - Y sum L^z L^z - X sum U^x.
-
-    This is the open effective chain with D = U/2, R = -Y, R' = 0, J = X/2
-    and the ladder flavor.  Only the spin-1 truncation is exercised; Y' is
-    ignored.
-    """
-    coeffs = EffectiveCoefficients(D=0.5 * t.U, R=-t.Y, Rp=0.0, J=0.5 * t.X)
-    return effective_spin1_hamiltonian(coeffs, n_sites)
+            cols.append(src + dm * stride)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    amplitude = -coeffs.J
+    if coeffs.J2:   # a site can step by one in two thirds of the states, and by two in one third
+        amplitude = np.repeat([-coeffs.J, -coeffs.J2], [2 * len(rows) // 3, len(rows) // 3])
+    return SparseOperator.from_coo(diag, rows, cols, amplitude)
 
 
 def charge_kernel(n_sites: int) -> np.ndarray:
@@ -326,38 +311,3 @@ def sqed_charge_hamiltonian(t: TargetCouplings, n_sites: int):
         cols.append(np.searchsorted(keep, keep[src] + 2 * 3 ** (n_links - 2 - i)))
     op = SparseOperator.from_coo(diag, np.concatenate(rows), np.concatenate(cols), -0.5 * t.X)
     return op, cfg
-
-
-def sqed_field_hamiltonian(
-    t: TargetCouplings,
-    n_sites: int,
-    bc: BoundaryCondition = BoundaryCondition.ZERO_ZERO,
-    flavor: Flavor = Flavor.LADDER_U,
-) -> SparseOperator:
-    """Field-representation Hamiltonian with the quartic Y' penalty.
-
-    Expanded form: (U/2 + Y) sum (L^z)^2 - (Y + Y') sum L^z L^z
-    + Y' sum (L^z)^2 (L^z)^2 - (X/2) sum (U+ + U-), with the boundary field
-    values fixed to zero for 00BC.  For OBC the edge (L^z)^2 coefficients
-    drop to U/2 + Y/2.
-    """
-    bc = BoundaryCondition(bc)
-    coeffs = EffectiveCoefficients(
-        D=0.5 * t.U + t.Y,
-        R=-(t.Y + t.Yp),
-        Rp=t.Yp,
-        J=0.5 * t.X,
-        flavor=flavor,
-    )
-    if bc is BoundaryCondition.OBC:
-        coeffs = replace(
-            coeffs, d_first=0.5 * t.U + 0.5 * t.Y, d_last=0.5 * t.U + 0.5 * t.Y
-        )
-    elif bc is BoundaryCondition.ZERO_ZERO:
-        # The boundary bonds to the frozen zero fields contribute no cross
-        # terms, so 00BC is the plain uniform-D chain.
-        bc = BoundaryCondition.OBC
-    else:
-        raise ValueError("field representation supports OBC and 00BC only")
-    return effective_spin1_hamiltonian(coeffs, n_sites, bc)
-

@@ -41,7 +41,7 @@ from rydladder import (
     rydberg_hamiltonian,
     sector_eigenstates,
     site_profiles,
-    sqed_field_hamiltonian,
+    target_coefficients,
 )
 
 TP = 2.0 * math.pi
@@ -146,8 +146,9 @@ def test_criterion_04_energy_density_table():
         )
         t, _, _ = match_forward("three-leg-00bc", v0, delta, delta0, omega, rho)
         for n in (2, 3, 4):
+            bc = BoundaryCondition.ZERO_ZERO
             res = dense_eigs(
-                sqed_field_hamiltonian(t, n, BoundaryCondition.ZERO_ZERO),
+                effective_spin1_hamiltonian(target_coefficients("sqed-field", t, bc), n, bc),
                 k=2,
             )
             e = res.eigenvalues / n
@@ -214,7 +215,7 @@ def test_criterion_05_two_leg_error_curves():
                 enumerate_rydberg(atoms.n_atoms),
             )
             e_full, _ = ground_state(h)
-            coeffs, _ = coeffs_two_leg(v0, delta, omega, rho)
+            coeffs = coeffs_two_leg(v0, delta, omega, rho)
             e_eff, _ = ground_state(effective_spin1_hamiltonian(coeffs, ns))
             e_eff += coeffs.const_total(ns)
             return abs(e_eff - e_full) / abs(e_full)
@@ -283,7 +284,7 @@ def test_criterion_07_five_site_quench():
         psi0 = np.zeros(basis.dim, complex)
         psi0[basis.index_of(0)] = 1.0
         _, states, _ = krylov_evolve(h, psi0, 0.5, 0.002)
-        coeffs, _ = coeffs_two_leg(v0, delta, omega, rho)
+        coeffs = coeffs_two_leg(v0, delta, omega, rho)
         heff = effective_spin1_hamiltonian(coeffs, ns)
         sb = Spin1Basis(ns)
         psie = np.zeros(sb.dim, complex)
@@ -359,7 +360,7 @@ def test_criterion_09_oracle_equivalence():
                 cm = pairwise_couplings(atoms, c6=v0 * ay**6)
                 oracle, residual = diagonal_expansion_oracle(atoms, cm, delta)
                 if kind is LadderKind.TWO_LEG:
-                    closed, _ = coeffs_two_leg(v0, delta, 0.0, rho)
+                    closed = coeffs_two_leg(v0, delta, 0.0, rho)
                 elif kind is LadderKind.THREE_LEG:
                     closed = coeffs_three_leg(case, v0, delta, delta0, 0.0, rho)
                 elif kind is LadderKind.PRISM:

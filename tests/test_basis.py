@@ -99,6 +99,12 @@ def test_spin1_digit_round_trip(n_sites, data):
     assert list(basis.digits()[idx]) == ms
 
 
+def test_spin1_index_of_reads_its_own_int8_digits():
+    """A row of ``digits()`` is int8; the index used to wrap past 127."""
+    basis = Spin1Basis(6)
+    assert [basis.index_of(row) for row in basis.digits()] == list(range(basis.dim))
+
+
 def test_spin1_site_order():
     # site 1 is the most significant digit
     basis = Spin1Basis(3)

@@ -299,7 +299,7 @@ def test_coeffs_subcommand(tmp_path, capsys):
     out = tmp_path / "co"
     assert main(["coeffs", "--config", _write(tmp_path, BASE.format(out=out))]) == EXIT_OK
     record = json.loads((out / "coeffs.json").read_text())
-    for key in ("D", "R", "Rp", "J", "flavor", "validity"):
+    for key in ("D", "R", "Rp", "J", "J2", "validity"):
         assert key in record
 
 

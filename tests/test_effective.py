@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydladder import (
-    Flavor,
     LadderKind,
     LadderSpec,
     MatchingError,
@@ -30,20 +29,20 @@ from rydladder import (
 
 def test_two_leg_coefficients_form():
     v0, delta, omega, rho = 640.0, 3.0, 1.2, 0.5
-    coeffs, longrange = coeffs_two_leg(v0, delta, omega, rho)
+    coeffs = coeffs_two_leg(v0, delta, omega, rho)
     v1 = v0 * rho**6
     v2 = v0 * rho**6 / (1 + rho**2) ** 3
     assert coeffs.D == pytest.approx(-delta)
     assert coeffs.R == pytest.approx((v1 - v2) / 2)
     assert coeffs.Rp == pytest.approx((v1 + v2) / 2)
     assert coeffs.J == pytest.approx(-omega / 2)
-    assert longrange == []
+    assert (coeffs.J2, coeffs.longrange) == (0.0, ())
 
 
 def test_two_leg_longrange_tail_decays():
-    coeffs, longrange = coeffs_two_leg(640.0, 3.0, 1.2, 0.5, k_max=4)
-    assert [k for k, _, _ in longrange] == [2, 3, 4]
-    rps = [coeffs.Rp] + [rpk for _, _, rpk in longrange]
+    coeffs = coeffs_two_leg(640.0, 3.0, 1.2, 0.5, k_max=4)
+    assert [k for k, _, _ in coeffs.longrange] == [2, 3, 4]
+    rps = [coeffs.Rp] + [rpk for _, _, rpk in coeffs.longrange]
     assert all(a > b > 0 for a, b in zip(rps, rps[1:]))
     # range-k couplings scale as 1/k^6 on the same leg
     v1_2 = ladder_couplings(LadderSpec(LadderKind.TWO_LEG, 1, 2 / 0.5, 1.0), 640.0)["V1"]
@@ -61,8 +60,8 @@ def test_three_leg_case1_pt_diagonal():
     assert v0p == pytest.approx(v0 / 64.0)
     a = 1 / (v0 - delta - delta0) + 1 / (v0p - delta) + 1 / delta
     b = 2 / (v0 - delta) + 1 / (delta + delta0)
-    assert c.flavor is Flavor.CLOCK_C
     assert c.J == pytest.approx(omega**2 / (4 * delta))
+    assert c.J2 == c.J
     assert c.D == pytest.approx(delta0 + (b - a) * omega**2 / 4 + 2 * (v["V2"] - v["V1"]))
 
 
@@ -88,7 +87,7 @@ def test_three_leg_rabi_cases():
     v0, delta, delta0, omega = 100.0, 40.0, 0.0, 2.0
     c = coeffs_three_leg(2, v0, delta, delta0, omega, 0.4)
     gamma = 0.5 * (1 / delta + 1 / (v0 - delta) + 1 / (delta + delta0) + 1 / (v0 - delta - delta0))
-    assert c.flavor is Flavor.LADDER_U
+    assert c.J2 == 0.0
     assert c.J == pytest.approx(omega**2 * gamma / 4)
     with pytest.raises(ValueError):
         coeffs_three_leg(3, v0, delta, delta0, omega, 0.4)
@@ -126,7 +125,7 @@ def _oracle_case(kind, case, v0, delta, delta0, rho, shift=None, height=None):
     cm = pairwise_couplings(atoms, c6=v0 * ay**6)
     oracle, residual = diagonal_expansion_oracle(atoms, cm, delta)
     if kind is LadderKind.TWO_LEG:
-        closed, _ = coeffs_two_leg(v0, delta, 0.0, rho)
+        closed = coeffs_two_leg(v0, delta, 0.0, rho)
     elif kind is LadderKind.THREE_LEG:
         closed = coeffs_three_leg(case, v0, delta, delta0, 0.0, rho)
     elif kind is LadderKind.PRISM:

@@ -1,6 +1,7 @@
 """Hamiltonian builders: diagonal oracles, flip structure, representations."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from rydladder import (
     BoundaryCondition,
     EffectiveCoefficients,
-    Flavor,
     FlipOperator,
     LadderKind,
     LadderSpec,
@@ -21,14 +21,14 @@ from rydladder import (
     Spin1Basis,
     TargetCouplings,
     build_ladder,
-    cahm_hamiltonian,
     charge_kernel,
+    coeffs_two_leg,
     effective_spin1_hamiltonian,
     enumerate_rydberg,
     pairwise_couplings,
     rydberg_hamiltonian,
     sqed_charge_hamiltonian,
-    sqed_field_hamiltonian,
+    target_coefficients,
 )
 from rydladder.basis import BasisError
 
@@ -58,6 +58,17 @@ def test_from_coo_rejects_lower_triangle():
     op = SparseOperator.from_coo([1.5, 0.25, 0.0], [0], [2], -2.0)
     assert np.array_equal(op.to_dense(), [[1.5, 0.0, -2.0], [0.0, 0.25, 0.0], [-2.0, 0.0, 0.0]])
     assert op.matrix.nnz == 4   # the zero diagonal entry is not stored
+
+
+def test_from_coo_takes_one_amplitude_per_pair():
+    rng = np.random.default_rng(3)
+    diag = rng.normal(size=6)
+    rows, cols = np.array([0, 1, 2, 0]), np.array([3, 5, 4, 1])
+    amps = rng.normal(size=4)
+    ref = np.diag(diag)
+    for r, c, a in zip(rows, cols, amps):
+        ref[r, c] = ref[c, r] = a
+    assert np.array_equal(SparseOperator.from_coo(diag, rows, cols, amps).to_dense(), ref)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -211,7 +222,11 @@ def test_rydberg_hamiltonian_rejects_a_basis_that_is_no_rung_product():
 
 
 def _brute_force_effective(coeffs, n_sites, bc):
-    """Independent dense construction by explicit loops over basis states."""
+    """Independent dense construction by explicit loops over basis states.
+
+    Every pair of sites is coupled by the term of its distance: j - i on an
+    open chain, the ring distance min(j - i, n - j + i) under PBC.
+    """
     basis = Spin1Basis(n_sites)
     dim = basis.dim
     digits = basis.digits().astype(float)
@@ -226,14 +241,17 @@ def _brute_force_effective(coeffs, n_sites, bc):
         d_site[0] += coeffs.bc_lz2_edge
         d_site[-1] += coeffs.bc_lz2_edge
         const += coeffs.bc_const
-    bonds = [(i, i + 1) for i in range(n_sites - 1)]
-    if bc is BoundaryCondition.PBC and n_sites > 2:
-        bonds.append((n_sites - 1, 0))
+    terms = {1: (coeffs.R, coeffs.Rp), **{k: (r, rp) for k, r, rp in coeffs.longrange}}
+    bonds = []
+    for i, j in itertools.combinations(range(n_sites), 2):
+        dist = min(j - i, n_sites - j + i) if bc is BoundaryCondition.PBC else j - i
+        if dist in terms:
+            bonds.append((i, j, *terms[dist]))
     for k in range(dim):
         m = digits[k]
         e = const + sum(d_site[s] * m[s] ** 2 for s in range(n_sites))
-        for i, j in bonds:
-            e += coeffs.R * m[i] * m[j] + coeffs.Rp * m[i] ** 2 * m[j] ** 2
+        for i, j, r, rp in bonds:
+            e += r * m[i] * m[j] + rp * m[i] ** 2 * m[j] ** 2
         h[k, k] = e
     for k in range(dim):
         m = digits[k]
@@ -244,19 +262,22 @@ def _brute_force_effective(coeffs, n_sites, bc):
                     m2[s] += dm
                     k2 = basis.index_of([int(x) for x in m2])
                     h[k, k2] += -coeffs.J
-                if coeffs.flavor is Flavor.CLOCK_C and m[s] == -dm:
+                if m[s] == -dm:   # the |-1> <-> |+1> element
                     m2 = m.copy()
                     m2[s] = dm
                     k2 = basis.index_of([int(x) for x in m2])
-                    h[k, k2] += -coeffs.J
+                    h[k, k2] += -coeffs.J2
     return h
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
-@pytest.mark.parametrize("flavor", list(Flavor))
-def test_effective_chain_matches_brute_force(bc, flavor):
+@pytest.mark.parametrize("j2", [pytest.param(0.0, id="U"), pytest.param(0.2, id="C"),
+                                pytest.param(-0.35, id="J2")])
+def test_effective_chain_matches_brute_force(bc, j2):
+    """J2 = 0 is the ladder operator, J2 = J the clock, and any other J2 a free
+    |-1> <-> |+1> amplitude."""
     coeffs = EffectiveCoefficients(
-        D=0.7, R=-0.3, Rp=0.45, J=0.2, flavor=flavor,
+        D=0.7, R=-0.3, Rp=0.45, J=0.2, J2=j2,
         const_site=0.1, const_bond=-0.05, d_first=0.6, d_last=0.8,
         bc_lz2_edge=0.15, bc_const=0.25,
     )
@@ -267,14 +288,34 @@ def test_effective_chain_matches_brute_force(bc, flavor):
 
 def test_longrange_terms_and_warning():
     coeffs = EffectiveCoefficients(D=0.5, R=0.1, Rp=0.2, J=0.0)
-    h2 = effective_spin1_hamiltonian(coeffs, 3, longrange=[(2, 0.03, 0.07)])
+    h2 = effective_spin1_hamiltonian(replace(coeffs, longrange=((2, 0.03, 0.07),)), 3)
     base = effective_spin1_hamiltonian(coeffs, 3)
     basis = Spin1Basis(3)
     digits = basis.digits().astype(float)
     extra = 0.03 * digits[:, 0] * digits[:, 2] + 0.07 * digits[:, 0] ** 2 * digits[:, 2] ** 2
     assert np.allclose(h2.matrix.diagonal() - base.matrix.diagonal(), extra)
     with pytest.warns(UserWarning):
-        effective_spin1_hamiltonian(coeffs, 3, longrange=[(3, 0.1, 0.1)])
+        effective_spin1_hamiltonian(replace(coeffs, longrange=((3, 0.1, 0.1),)), 3)
+    # on a ring of 5 sites range 3 is ring distance 2, already the range-2 term's
+    with pytest.warns(UserWarning):
+        effective_spin1_hamiltonian(replace(coeffs, longrange=((3, 0.1, 0.1),)), 5, BoundaryCondition.PBC)
+
+
+@pytest.mark.parametrize("n_sites", [4, 5, 6, 7])
+def test_periodic_range_k_chain_is_translation_invariant(n_sites):
+    """Under PBC each pair at ring distance k is coupled once, so a cyclic site
+    shift leaves H unchanged."""
+    coeffs = coeffs_two_leg(1000.0, 1.0, 0.5, 0.5, k_max=n_sites // 2)
+    h = effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC).to_dense()
+    ref = _brute_force_effective(coeffs, n_sites, BoundaryCondition.PBC)
+    assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+    basis = Spin1Basis(n_sites)
+    shift = np.array([basis.index_of(np.roll(m, 1)) for m in basis.digits()])
+    assert np.abs(h[np.ix_(shift, shift)] - h).max() <= 1e-13 * np.abs(h).max()
+
+
+def _target_chain(model, t, n_sites, bc=BoundaryCondition.OBC):
+    return effective_spin1_hamiltonian(target_coefficients(model, t, bc), n_sites, bc)
 
 
 def test_charge_kernel_formula():
@@ -343,7 +384,7 @@ def test_field_representation_expansion():
     the direct expansion (U/2 + Y) sum (L^z)^2 - Y sum L^z L^z term by term.
     """
     t = TargetCouplings(U=0.9, X=0.3, Y=0.25, Yp=0.0)
-    h = sqed_field_hamiltonian(t, 3, BoundaryCondition.ZERO_ZERO)
+    h = _target_chain("sqed-field", t, 3, BoundaryCondition.ZERO_ZERO)
     basis = Spin1Basis(3)
     m = basis.digits().astype(float)
     diag = (0.5 * t.U + t.Y) * (m**2).sum(axis=1)
@@ -354,7 +395,7 @@ def test_field_representation_expansion():
 
 def test_field_representation_obc_edges():
     t = TargetCouplings(U=0.9, X=0.0, Y=0.25, Yp=0.1)
-    h = sqed_field_hamiltonian(t, 2, BoundaryCondition.OBC)
+    h = _target_chain("sqed-field", t, 2, BoundaryCondition.OBC)
     basis = Spin1Basis(2)
     m = basis.digits().astype(float)
     edge = 0.5 * t.U + 0.5 * t.Y
@@ -363,12 +404,15 @@ def test_field_representation_obc_edges():
     diag += t.Yp * m[:, 0] ** 2 * m[:, 1] ** 2
     assert np.allclose(h.matrix.diagonal(), diag)
     with pytest.raises(ValueError):
-        sqed_field_hamiltonian(t, 2, BoundaryCondition.PBC)
+        target_coefficients("sqed-field", t, BoundaryCondition.PBC)
+    # the clock flavor adds only the |-1> <-> |+1> element, at the hopping amplitude X/2
+    clock = target_coefficients("sqed-field", t, BoundaryCondition.OBC, clock=True)
+    assert clock == replace(target_coefficients("sqed-field", t, BoundaryCondition.OBC), J2=0.5 * t.X)
 
 
 def test_cahm_definition():
     t = TargetCouplings(U=1.1, X=0.6, Y=-0.4, Yp=0.0)
-    h = cahm_hamiltonian(t, 3)
+    h = _target_chain("cahm", t, 3)
     basis = Spin1Basis(3)
     m = basis.digits().astype(float)
     diag = 0.5 * t.U * (m**2).sum(axis=1)

@@ -179,7 +179,7 @@ def test_ground_state_strongly_driven_effective_chain():
     against ARPACK.  A preconditioner floor of the largest off-diagonal row sum
     stalled here at 8.6x the residual bound."""
     tp = 2 * math.pi
-    coeffs, _ = coeffs_two_leg(1000.0 * tp, 1.0 * tp, 5.0 * tp, 0.5)
+    coeffs = coeffs_two_leg(1000.0 * tp, 1.0 * tp, 5.0 * tp, 0.5)
     h = effective_spin1_hamiltonian(coeffs, 8)
     e, psi = ground_state(h)
     assert np.linalg.norm(psi) == pytest.approx(1.0)
