@@ -18,9 +18,6 @@ from .effective import (
     coeffs_prism,
     coeffs_three_leg,
     coeffs_two_leg,
-    diagonal_expansion_oracle,
-    ising_reduction,
-    ising_reduction_critical_delta,
     match_forward,
     match_inverse,
     rung_rabi_j,

@@ -14,10 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
-from .basis import StateDictionary
-from .geometry import AtomArray, CouplingMatrix, LadderKind, LadderSpec, ladder_couplings
+from .geometry import LadderKind, LadderSpec, ladder_couplings
 
 
 class MatchingError(ValueError):
@@ -52,7 +49,8 @@ class EffectiveCoefficients:
     the |-1> <-> |+1> element, equal to J for the three-state clock operator
     and 0 for the ladder operator.  ``longrange`` lists (k, R_k, R'_k), the
     range-k counterparts of (R, R') for k >= 2.  The identity coefficient
-    scales with the chain length as ``n * const_site + (n - 1) * const_bond``.
+    of an open chain is ``n * const_site + (n - 1) * const_bond``
+    (``const_total``); a ring of n >= 3 sites has n bonds.
     ``bc_lz2_edge``/``bc_const`` hold the 00-boundary-condition corrections
     where they are known.
     """
@@ -299,106 +297,10 @@ def target_coefficients(
     raise ValueError(f"no coefficient map for target model {model!r}")
 
 
-def diagonal_expansion_oracle(
-    atoms: AtomArray,
-    couplings: CouplingMatrix,
-    delta: float,
-):
-    """Brute-force fit of the diagonal effective coefficients.
-
-    Evaluates the exact interaction + detuning diagonal of the simulator on
-    the 9 spin-sector configurations of a two-rung block and least-squares
-    fits const + d1 m1^2 + d2 m2^2 + R m1 m2 + R' m1^2 m2^2.  Returns
-    ``(coeffs, residual)``; the residual vanishes up to rounding when only
-    nearest-rung pairs contribute.
-    """
-    if atoms.n_rungs != 2:
-        raise ValueError("the oracle expects a two-rung block")
-    dictionary = StateDictionary.for_kind(atoms.spec.kind)
-    det = delta + atoms.detuning_offset
-    v = couplings.v
-
-    energies = np.empty(9)
-    design = np.empty((9, 5))
-    k = 0
-    for m1 in (-1, 0, 1):
-        for m2 in (-1, 0, 1):
-            config = int(dictionary.configs([m1, m2]))
-            occ = np.array([(config >> a) & 1 for a in range(atoms.n_atoms)], float)
-            energies[k] = -occ @ det + 0.5 * occ @ v @ occ
-            design[k] = (1.0, m1 * m1, m2 * m2, m1 * m2, m1 * m1 * m2 * m2)
-            k += 1
-    fit, _, rank, _ = np.linalg.lstsq(design, energies, rcond=None)
-    if rank < 5:
-        raise RuntimeError("singular oracle fit")
-    residual = float(np.max(np.abs(design @ fit - energies)))
-    const, d1, d2, r, rp = (float(x) for x in fit)
-    # Bulk D combines the on-rung part with the bond contribution seen by
-    # both edges of the block; the isolated-rung values separate the two.
-    # On one rung e(m) = const + d * m^2 over the three spin states.
-    e = _single_rung_energies(atoms, delta, dictionary.spin_to_pattern)
-    single_d = 0.5 * (e[1] + e[-1]) - e[0]
-    single_c = e[0]
-    coeffs = EffectiveCoefficients(
-        D=d1 + d2 - single_d,
-        R=r,
-        Rp=rp,
-        J=0.0,
-        const_site=single_c,
-        const_bond=const - 2.0 * single_c,
-        d_first=d1,
-        d_last=d2,
-    )
-    return coeffs, residual
-
-
-def _single_rung_energies(atoms: AtomArray, delta: float, spin_to_pattern: dict) -> dict:
-    """Detuning energy of each spin state of one isolated rung (no inter-rung pairs)."""
-    rung = atoms.atoms_of_rung(1)
-    det = delta + atoms.detuning_offset
-    return {
-        m: -sum(det[rung[b]] for b in range(len(rung)) if (pat >> b) & 1)
-        for m, pat in spin_to_pattern.items()
-    }
-
-
-def ising_reduction(delta: float, v1: float, v2: float):
-    """Degenerate-PT Ising couplings inside the density-wave phase.
-
-    Returns (J_eff, transverse coefficient 1/Delta, residual J_eff - 1/Delta).
-    The sign change of the residual in Delta locates the small-drive boundary
-    between the ferro- and para-ordered density-wave phases.
-    """
-    _check_denominators({"Delta-V1-V2": delta - v1 - v2, "2Delta-4V2": 2 * delta - 4 * v2,
-                         "2Delta-4V1": 2 * delta - 4 * v1, "Delta": delta})
-    j_eff = (
-        1.0 / (delta - v1 - v2)
-        - 1.0 / (2 * delta - 4 * v2)
-        - 1.0 / (2 * delta - 4 * v1)
-    )
-    transverse = 1.0 / delta
-    return j_eff, transverse, j_eff - transverse
-
-
-def ising_reduction_critical_delta(v1: float, v2: float):
-    """Root of the Ising-reduction residual in Delta, by bracketed bisection."""
-    from scipy.optimize import brentq   # lazy: importing scipy.optimize costs ~15 MB of peak RSS
-
-    lo = 1e-6 * max(v1, v2)
-    hi = 2.0 * min(v1, v2) * (1.0 - 1e-9)
-
-    def f(d):
-        return ising_reduction(d, v1, v2)[2]
-
-    if f(lo) * f(hi) > 0:
-        raise MatchingError(f"no sign change of the residual on ({lo}, {hi})")
-    return float(brentq(f, lo, hi, xtol=1e-12))
-
-
 # ---------------------------------------------------------------------------
 # Matching to the compact-scalar-QED target couplings
 
-NEWTON_TOL = 1e-12   # max |residual| of the target couplings at which inverse matching stops
+MATCH_RTOL = 1e-10   # round-trip error of (U, X, Y, Y'), relative to the largest, that inverse matching accepts
 # the routes of match_forward and match_inverse, each with the ladder it describes
 MATCH_CASES = {"three-leg-00bc": LadderKind.THREE_LEG, "two-leg": LadderKind.TWO_LEG, "clock-00bc": LadderKind.PRISM}
 
@@ -452,46 +354,6 @@ def match_forward(
     return t, -(delta + delta0) + v1 + drive, v1
 
 
-def _damped_newton(f, x0):
-    """Damped Newton with a forward-difference Jacobian, to max |f| < NEWTON_TOL."""
-    x = np.asarray(x0, dtype=float)
-    fx = np.asarray(f(x), dtype=float)
-    for _ in range(100):
-        if np.max(np.abs(fx)) < NEWTON_TOL:
-            return x
-        n = len(x)
-        jac = np.empty((len(fx), n))
-        for k in range(n):
-            h = 1e-7 * max(1.0, abs(x[k]))
-            xk = x.copy()
-            xk[k] += h
-            jac[:, k] = (np.asarray(f(xk)) - fx) / h
-        try:
-            step = np.linalg.solve(jac, fx)
-        except np.linalg.LinAlgError as exc:
-            raise MatchingError("singular Jacobian in inverse matching") from exc
-        lam = 1.0
-        base = np.max(np.abs(fx))
-        accepted = False
-        while lam > 1e-10:
-            xn = x - lam * step
-            try:
-                fn = np.asarray(f(xn), dtype=float)
-            except (ResonanceError, FloatingPointError, ValueError):
-                lam *= 0.5
-                continue
-            if np.max(np.abs(fn)) < base:
-                x, fx = xn, fn
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            break
-    if np.max(np.abs(fx)) >= NEWTON_TOL:
-        raise MatchingError(f"inverse matching did not converge, residual {np.max(np.abs(fx)):.3e}")
-    return x
-
-
 def _three_leg_rho_from_ratio(ratio: float) -> float:
     """Solve Y / (Y + Y') = g(rho) for the three-leg ladder by bisection."""
     from scipy.optimize import brentq   # lazy: importing scipy.optimize costs ~15 MB of peak RSS
@@ -511,11 +373,11 @@ def _three_leg_rho_from_ratio(ratio: float) -> float:
 
 
 def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
-    """Target couplings -> device parameters (v0, delta, delta0, rho).
+    """Target couplings -> device parameters (v0, delta, delta0, omega, rho), in closed form.
 
-    Uses closed-form seeds followed by a damped-Newton polish so that
-    ``match_forward`` round-trips to 1e-10.  Unreachable targets raise
-    :class:`MatchingError` naming the violated constraint.
+    ``match_forward`` at the returned point must reproduce (U, X, Y, Y') to
+    ``MATCH_RTOL`` times the largest of them, or :class:`MatchingError` is
+    raised, as it is for unreachable targets, naming the violated constraint.
     """
     u, x, y, yp = target.U, target.X, target.Y, target.Yp
     if case == "three-leg-00bc":
@@ -525,11 +387,8 @@ def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
         if x <= 0:
             raise MatchingError("three-leg matching requires X > 0")
         rho = _three_leg_rho_from_ratio(y / s)
-        unit = _ladder_v(LadderKind.THREE_LEG, 1.0, rho)
-        v0 = s / _three_leg_y(unit)[1]
+        v0 = s / _three_leg_y(_ladder_v(LadderKind.THREE_LEG, 1.0, rho))[1]
         v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
-        v1, v3 = v["V1"], v["V3"]
-        delta0_of = lambda xx: (u - 2.0 * v3 + 2.0 * v1 - xx) / 2.0
         # X = Omega^2 V0 / (2 Delta (V0 - Delta)) attains its minimum
         # 2 Omega^2 / V0 at Delta = V0 / 2.  With (V0, rho) pinned by (Y, Y')
         # a smaller X is unreachable at the requested drive, so the drive
@@ -537,25 +396,12 @@ def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
         # the smaller quadratic root is taken at the requested Omega.
         disc = v0**2 - 2.0 * omega**2 * v0 / x
         if disc < 0.0:
-            omega = math.sqrt(0.5 * x * v0)
-            delta = 0.5 * v0
-
-            def f(p):
-                t, _, _ = match_forward(case, p[0], 0.5 * p[0], p[1], p[3], p[2])
-                return [t.U - u, t.X - x, t.Y - y, t.Yp - yp]
-
-            v0, delta0, rho, omega = _damped_newton(f, [v0, delta0_of(x), rho, omega])
-            delta = 0.5 * v0
+            omega, delta = math.sqrt(0.5 * x * v0), 0.5 * v0
         else:
             delta = (v0 - math.sqrt(disc)) / 2.0
-
-            def f(p):
-                t, _, _ = match_forward(case, p[0], p[1], p[2], omega, p[3])
-                return [t.U - u, t.X - x, t.Y - y, t.Yp - yp]
-
-            v0, delta, delta0, rho = _damped_newton(f, [v0, delta, delta0_of(x), rho])
-        return {"v0": v0, "delta": delta, "delta0": delta0, "omega": omega, "rho": rho}
-    if case == "two-leg":
+        delta0 = (u - 2.0 * v["V3"] + 2.0 * v["V1"] - x) / 2.0
+        params = {"v0": v0, "delta": delta, "delta0": delta0, "omega": omega, "rho": rho}
+    elif case == "two-leg":
         if y >= 0:
             raise MatchingError("the two-leg ladder can only simulate negative Y")
         v2 = -y
@@ -563,10 +409,8 @@ def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
         if v1 <= v2:
             raise MatchingError("two-leg matching requires Y' > -Y (V1 > V2 > 0)")
         rho = math.sqrt((v1 / v2) ** (1.0 / 3.0) - 1.0)
-        v0 = v1 / rho**6
-        delta = v2 - u / 2.0
-        return {"v0": v0, "delta": delta, "delta0": 0.0, "omega": x, "rho": rho}
-    if case == "clock-00bc":
+        params = {"v0": v1 / rho**6, "delta": v2 - u / 2.0, "delta0": 0.0, "omega": x, "rho": rho}
+    elif case == "clock-00bc":
         if abs(yp + 1.5 * y) > 1e-12 * max(1.0, abs(y)):
             raise MatchingError("the clock variant is constrained to Y' = -3Y/2")
         if y >= 0:
@@ -575,4 +419,10 @@ def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
             "clock-variant inverse matching is underdetermined (V0, rho trade off); "
             "fix the geometry and use match_forward"
         )
-    raise MatchingError(f"unknown matching case {case!r}")
+    else:
+        raise MatchingError(f"unknown matching case {case!r}")
+    t, _, _ = match_forward(case, **params)
+    miss = max(abs(t.U - u), abs(t.X - x), abs(t.Y - y), abs(t.Yp - yp))
+    if not miss <= MATCH_RTOL * max(abs(u), abs(x), abs(y), abs(yp)):
+        raise MatchingError(f"the matched device misses the targets by {miss:.3e}")
+    return params

@@ -228,9 +228,11 @@ def effective_spin1_hamiltonian(
     pairs when 2k < n_sites, the n_sites/2 antipodal pairs when 2k = n_sites.
     A range-k term (k >= 2) with no pair, k >= n_sites open or 2k > n_sites
     periodic, is ignored with a warning.  Edge overrides ``d_first``/``d_last``
-    replace D on the boundary sites; the 00BC variant additionally shifts both
-    edge (L^z)^2 coefficients by ``coeffs.bc_lz2_edge`` and adds the constant
-    ``coeffs.bc_const``.  The hopping is -J (U+ + U-) plus -J2 on |-1> <-> |+1>.
+    replace D on the boundary sites of an open chain; the 00BC variant
+    additionally shifts both edge (L^z)^2 coefficients by ``coeffs.bc_lz2_edge``
+    and adds the constant ``coeffs.bc_const``.  A ring has no edge: every site
+    keeps the bulk D, and the constant counts one ``const_bond`` per coupled
+    nearest-neighbour pair.  The hopping is -J (U+ + U-) plus -J2 on |-1> <-> |+1>.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
@@ -240,12 +242,18 @@ def effective_spin1_hamiltonian(
     m = digits.astype(float)
     m2 = m * m
 
+    def pairs(k):
+        if bc is BoundaryCondition.PBC:
+            return n_sites if 2 * k < n_sites else k if 2 * k == n_sites else 0
+        return n_sites - k
+
     d_site = np.full(n_sites, coeffs.D)
-    if coeffs.d_first is not None:
-        d_site[0] = coeffs.d_first
-    if coeffs.d_last is not None:
-        d_site[-1] = coeffs.d_last
-    const = coeffs.const_total(n_sites)
+    const = n_sites * coeffs.const_site + pairs(1) * coeffs.const_bond
+    if bc is not BoundaryCondition.PBC:
+        if coeffs.d_first is not None:
+            d_site[0] = coeffs.d_first
+        if coeffs.d_last is not None:
+            d_site[-1] = coeffs.d_last
     if bc is BoundaryCondition.ZERO_ZERO:
         d_site[0] += coeffs.bc_lz2_edge
         d_site[-1] += coeffs.bc_lz2_edge
@@ -253,10 +261,7 @@ def effective_spin1_hamiltonian(
 
     diag = m2 @ d_site + np.full(dim, const)
     for k, r, rp in ((1, coeffs.R, coeffs.Rp), *coeffs.longrange):
-        if bc is BoundaryCondition.PBC:
-            n_pairs = n_sites if 2 * k < n_sites else k if 2 * k == n_sites else 0
-        else:
-            n_pairs = n_sites - k
+        n_pairs = pairs(k)
         if n_pairs <= 0 and k > 1:   # a single site has no nearest-neighbour bond to miss
             warnings.warn(f"long-range term k={k} ignored for n_sites={n_sites}")
         for i in range(n_pairs):

@@ -28,12 +28,9 @@ from rydladder import (
     coeffs_three_leg,
     coeffs_two_leg,
     dense_eigs,
-    diagonal_expansion_oracle,
     effective_spin1_hamiltonian,
     enumerate_rydberg,
     ground_state,
-    ising_reduction,
-    ising_reduction_critical_delta,
     krylov_evolve,
     match_forward,
     match_inverse,
@@ -43,6 +40,8 @@ from rydladder import (
     site_profiles,
     target_coefficients,
 )
+
+from references import diagonal_expansion_oracle, ising_reduction, ising_reduction_critical_delta
 
 TP = 2.0 * math.pi
 

@@ -594,6 +594,45 @@ def test_match_inverse_and_forward(tmp_path):
     assert record["device"]["rho"] == pytest.approx(0.431, abs=5e-4)
 
 
+HARDWARE_MATCH = """
+[geometry]
+kind = three-leg
+
+[drive]
+units = two-pi-mhz
+omega = 3.0
+
+[model]
+U = -2119.880927912997
+X = 0.007304906640858162
+Y = -693.2874551677128
+Yp = 1221.2595133726222
+
+[task]
+task = match
+direction = inverse
+
+[output]
+directory = {out}
+"""
+
+
+def test_match_inverse_at_hardware_scale(tmp_path):
+    """The targets are the forward image of V0 = 2pi 2473 MHz, Delta = 0.53 V0,
+    Delta0 = -2pi 4 MHz, Omega = 2pi 3 MHz and rho = 0.87.  X is symmetric under
+    Delta -> V0 - Delta and no other target reads Delta, so the inverse returns
+    the smaller root, 0.47 V0.  An absolute residual tolerance rejected this
+    point: at couplings of 1e4 rad/us the round trip misses by about 1e-12."""
+    out = tmp_path / "hw"
+    assert main(["run", "--config", _write(tmp_path, HARDWARE_MATCH.format(out=out))]) == EXIT_OK
+    device = json.loads((out / "match.json").read_text())["device"]
+    tp = 2.0 * math.pi
+    v0 = tp * 2473.0
+    want = {"v0": v0, "delta": (1.0 - 0.53) * v0, "delta0": -tp * 4.0, "omega": tp * 3.0, "rho": 0.87}
+    for key, value in want.items():
+        assert device[key] == pytest.approx(value, rel=1e-9), key
+
+
 def test_derived_errors_are_recorded(tmp_path):
     """A chain has couplings but no effective description; the manifest says so."""
     out = tmp_path / "chain"

@@ -18,13 +18,15 @@ from rydladder import (
     coeffs_prism,
     coeffs_three_leg,
     coeffs_two_leg,
-    diagonal_expansion_oracle,
     ladder_couplings,
     match_forward,
     match_inverse,
     pairwise_couplings,
     rung_rabi_j,
 )
+from rydladder import effective
+
+from references import diagonal_expansion_oracle, ising_reduction, ising_reduction_critical_delta
 
 
 def test_two_leg_coefficients_form():
@@ -183,8 +185,6 @@ def test_oracle_requires_two_rungs():
 
 
 def test_ising_reduction_residual_root():
-    from rydladder import ising_reduction, ising_reduction_critical_delta
-
     v1, v2 = 15.625, 8.0
     root = ising_reduction_critical_delta(v1, v2)
     j_eff, transverse, resid = ising_reduction(root, v1, v2)
@@ -280,6 +280,16 @@ def test_match_inverse_reduces_drive_at_the_degenerate_point():
     params = match_inverse(t, "three-leg-00bc", omega=2.0)
     assert params["omega"] == pytest.approx(1.0, rel=1e-9)
     assert params["delta"] == pytest.approx(0.5 * params["v0"], rel=1e-12)
+
+
+def test_match_inverse_checks_its_round_trip(monkeypatch):
+    """A device point that misses the targets is refused, not returned."""
+    t, _, _ = match_forward("three-leg-00bc", 100.0, 40.0, 0.3, 1.0, 0.43)
+    assert match_inverse(t, "three-leg-00bc")["rho"] == pytest.approx(0.43, rel=1e-12)
+    solve = effective._three_leg_rho_from_ratio
+    monkeypatch.setattr(effective, "_three_leg_rho_from_ratio", lambda ratio: solve(ratio) * (1.0 + 1e-6))
+    with pytest.raises(MatchingError, match="misses the targets"):
+        match_inverse(t, "three-leg-00bc")
 
 
 def test_clock_forward_constraint():

@@ -22,6 +22,9 @@ from rydladder import (
     TargetCouplings,
     build_ladder,
     charge_kernel,
+    coeffs_in_plane,
+    coeffs_prism,
+    coeffs_three_leg,
     coeffs_two_leg,
     effective_spin1_hamiltonian,
     enumerate_rydberg,
@@ -225,32 +228,35 @@ def _brute_force_effective(coeffs, n_sites, bc):
     """Independent dense construction by explicit loops over basis states.
 
     Every pair of sites is coupled by the term of its distance: j - i on an
-    open chain, the ring distance min(j - i, n - j + i) under PBC.
+    open chain, the ring distance min(j - i, n - j + i) under PBC.  Edge D
+    overrides act on an open chain only, and each nearest-neighbour pair
+    adds ``const_bond`` to the constant.
     """
+    ring = bc is BoundaryCondition.PBC
     basis = Spin1Basis(n_sites)
     dim = basis.dim
     digits = basis.digits().astype(float)
     h = np.zeros((dim, dim))
     d_site = [coeffs.D] * n_sites
-    if coeffs.d_first is not None:
+    if coeffs.d_first is not None and not ring:
         d_site[0] = coeffs.d_first
-    if coeffs.d_last is not None:
+    if coeffs.d_last is not None and not ring:
         d_site[-1] = coeffs.d_last
-    const = coeffs.const_total(n_sites)
+    terms = {1: (coeffs.R, coeffs.Rp), **{k: (r, rp) for k, r, rp in coeffs.longrange}}
+    bonds = []
+    for i, j in itertools.combinations(range(n_sites), 2):
+        dist = min(j - i, n_sites - j + i) if ring else j - i
+        if dist in terms:
+            bonds.append((i, j, *terms[dist], dist))
+    const = n_sites * coeffs.const_site + sum(coeffs.const_bond for *_, dist in bonds if dist == 1)
     if bc is BoundaryCondition.ZERO_ZERO:
         d_site[0] += coeffs.bc_lz2_edge
         d_site[-1] += coeffs.bc_lz2_edge
         const += coeffs.bc_const
-    terms = {1: (coeffs.R, coeffs.Rp), **{k: (r, rp) for k, r, rp in coeffs.longrange}}
-    bonds = []
-    for i, j in itertools.combinations(range(n_sites), 2):
-        dist = min(j - i, n_sites - j + i) if bc is BoundaryCondition.PBC else j - i
-        if dist in terms:
-            bonds.append((i, j, *terms[dist]))
     for k in range(dim):
         m = digits[k]
         e = const + sum(d_site[s] * m[s] ** 2 for s in range(n_sites))
-        for i, j, r, rp in bonds:
+        for i, j, r, rp, _ in bonds:
             e += r * m[i] * m[j] + rp * m[i] ** 2 * m[j] ** 2
         h[k, k] = e
     for k in range(dim):
@@ -312,6 +318,41 @@ def test_periodic_range_k_chain_is_translation_invariant(n_sites):
     basis = Spin1Basis(n_sites)
     shift = np.array([basis.index_of(np.roll(m, 1)) for m in basis.digits()])
     assert np.abs(h[np.ix_(shift, shift)] - h).max() <= 1e-13 * np.abs(h).max()
+
+
+# (v0, delta, delta0, omega, rho) of a three-atom rung: V0 = 2 Delta = 40 x 2pi MHz
+RUNG_DRIVE = (40 * 2 * np.pi, 20 * 2 * np.pi, 0.2 * 2 * np.pi, 2 * 2 * np.pi, 1.0 / 3.0)
+THREE_ATOM_RUNGS = {
+    "three-leg-1": lambda: coeffs_three_leg(1, *RUNG_DRIVE),
+    "three-leg-2": lambda: coeffs_three_leg(2, *RUNG_DRIVE),
+    "prism": lambda: coeffs_prism(*RUNG_DRIVE),
+    "in-plane": lambda: coeffs_in_plane(*RUNG_DRIVE),
+}
+
+
+@pytest.mark.parametrize("n_sites", [4, 5, 6])
+@pytest.mark.parametrize("rung", list(THREE_ATOM_RUNGS))
+def test_periodic_three_atom_rung_chain_is_translation_invariant(rung, n_sites):
+    """A ring has no edge: the open chain's edge D overrides do not apply, so
+    every site keeps the bulk D and a cyclic site shift leaves H unchanged."""
+    coeffs = THREE_ATOM_RUNGS[rung]()
+    assert coeffs.d_first != coeffs.D and coeffs.d_last != coeffs.D
+    h = effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC).to_dense()
+    ref = _brute_force_effective(coeffs, n_sites, BoundaryCondition.PBC)
+    assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+    basis = Spin1Basis(n_sites)
+    shift = np.array([basis.index_of(np.roll(m, 1)) for m in basis.digits()])
+    assert np.abs(h[np.ix_(shift, shift)] - h).max() <= 1e-13 * np.abs(h).max()
+
+
+@pytest.mark.parametrize("n_sites", [3, 4, 5])
+def test_ring_constant_counts_one_bond_per_site(n_sites):
+    """A ring of n >= 3 sites couples n nearest-neighbour pairs, so its all-zero
+    state, on which only the constant acts, has energy n (const_site + const_bond)."""
+    coeffs = THREE_ATOM_RUNGS["three-leg-2"]()
+    h = effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC)
+    zero = Spin1Basis(n_sites).index_of([0] * n_sites)
+    assert h.diagonal()[zero] == pytest.approx(n_sites * (coeffs.const_site + coeffs.const_bond), rel=1e-13)
 
 
 def _target_chain(model, t, n_sites, bc=BoundaryCondition.OBC):

@@ -94,11 +94,9 @@ def test_package_functions_bound_only_under_their_own_names():
     assert aliases == []
 
 
-# Public library names that only tests call: references the tests compare the
-# program against (the brute-force oracle, the full-space propagator) and
-# diagnostics no task reports yet.
-TEST_REFERENCES = {"diagonal_expansion_oracle", "reduced_density_matrix", "susceptibility_peak",
-                   "ising_reduction_critical_delta"}
+# Public library names that only tests call: diagnostics no task reports yet.
+# References the tests compare the program against live in tests/references.py.
+TEST_REFERENCES = {"reduced_density_matrix", "susceptibility_peak"}
 
 
 def test_every_public_definition_is_used_by_the_package_or_named_as_a_test_reference():
@@ -113,8 +111,8 @@ def test_every_public_definition_is_used_by_the_package_or_named_as_a_test_refer
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize raises peak memory by about 15 MB; only the root finders of
-    matching and the Ising reduction need it, and import it when called."""
+    """scipy.optimize raises peak memory by about 15 MB; only inverse matching's
+    root finder ``_three_leg_rho_from_ratio`` needs it, and imports it when called."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
     code = "import sys, rydladder.cli; print('scipy.optimize' in sys.modules)"
