@@ -27,7 +27,6 @@ from .geometry import (
     DEFAULT_C6,
     TWO_PI,
     AtomArray,
-    CouplingMatrix,
     GeometryError,
     LadderKind,
     LadderSpec,

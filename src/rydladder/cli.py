@@ -53,7 +53,6 @@ from .geometry import (
     blockade_radius,
     build_ladder,
     ladder_couplings,
-    pairwise_couplings,
 )
 from .hamiltonians import SparseOperator, effective_spin1_hamiltonian, rydberg_hamiltonian, sqed_charge_hamiltonian
 from .observables import classify_phase, order_parameters, renyi_entropy, site_profiles
@@ -224,6 +223,11 @@ def _validate(cfg: RunConfig):
         if (model in ("rydberg", "cahm", "sqed-charge") and cfg.bc != "obc") or (
                 model == "sqed-field" and cfg.bc == "pbc"):
             raise ConfigError(f"[model] bc = {cfg.bc} is not defined for hamiltonian {model}")
+    if built and cfg.bc == "pbc" and cfg.n_rungs < 3:
+        raise ConfigError(f"[model] bc = pbc needs a ring of n_rungs >= 3, got {cfg.n_rungs}")
+    evolved = cfg.task == "evolve" or (cfg.task == "compare" and cfg.compare_task == "evolve")
+    if evolved and "sqed-charge" in built:
+        raise ConfigError("[task] evolve records site profiles, which hamiltonian sqed-charge does not have")
     if cfg.task == "match":
         if cfg.direction not in ("forward", "inverse"):
             raise ConfigError(f"[task] direction must be forward or inverse, got {cfg.direction!r}")
@@ -315,12 +319,11 @@ def build_model(cfg: RunConfig, which: str | None = None) -> Model:
     which = which or cfg.hamiltonian
     if which == "rydberg":
         atoms = build_ladder(ladder_spec(cfg), delta0=cfg.delta0)
-        couplings = pairwise_couplings(atoms, cfg.c6)
         constraint = None
         if cfg.constraint is not None:
             constraint = RungConstraint(atoms.n_legs, cfg.constraint)
         basis = enumerate_rydberg(atoms.n_atoms, constraint)
-        op = rydberg_hamiltonian(atoms, cfg.omega, cfg.delta, couplings, basis, cfg.range_cutoff)
+        op = rydberg_hamiltonian(atoms, cfg.omega, cfg.delta, cfg.c6, basis, cfg.range_cutoff)
         try:
             dictionary = StateDictionary.for_kind(cfg.kind)
         except BasisError:
@@ -571,13 +574,15 @@ TASKS = {"gs": task_gs, "spectrum": task_spectrum, "evolve": task_evolve, "sweep
 def derived_quantities(cfg: RunConfig) -> tuple[dict, list[str]]:
     """Informative values for the manifest, and the error that cut them short."""
     out, errors = {}, []
+    ladder = cfg.a_x > 0 and cfg.a_y > 0   # target-chain runs need no geometry
     try:
-        if cfg.a_x > 0 and cfg.a_y > 0:
+        if ladder:
             named = ladder_couplings(ladder_spec(cfg), cfg.c6)
             out.update({k: float(v) for k, v in named.items()})
         if cfg.omega > 0:
             out["R_b"] = blockade_radius(cfg.c6, cfg.omega)
-        out["coefficients"] = asdict(geometry_coeffs(cfg))
+        if ladder:
+            out["coefficients"] = asdict(geometry_coeffs(cfg))
     except (ConfigError, ResonanceError, ValueError, ZeroDivisionError) as exc:
         errors.append(f"{type(exc).__name__}: {exc}")
     return out, errors

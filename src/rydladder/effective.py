@@ -48,9 +48,9 @@ class EffectiveCoefficients:
     ``J`` is the amplitude of the spin-1 hopping m -> m +- 1 and ``J2`` that of
     the |-1> <-> |+1> element, equal to J for the three-state clock operator
     and 0 for the ladder operator.  ``longrange`` lists (k, R_k, R'_k), the
-    range-k counterparts of (R, R') for k >= 2.  The identity coefficient
-    of an open chain is ``n * const_site + (n - 1) * const_bond``
-    (``const_total``); a ring of n >= 3 sites has n bonds.
+    range-k counterparts of (R, R') for k >= 2.  The chain's constant, one
+    ``const_site`` per site and one ``const_bond`` per nearest-neighbour bond
+    (n - 1 open, n on a ring), is on its diagonal (``effective_spin1_hamiltonian``).
     ``bc_lz2_edge``/``bc_const`` hold the 00-boundary-condition corrections
     where they are known.
     """
@@ -68,9 +68,6 @@ class EffectiveCoefficients:
     bc_const: float = 0.0
     longrange: tuple = ()
     validity: dict = field(default_factory=dict)
-
-    def const_total(self, n_sites: int) -> float:
-        return n_sites * self.const_site + (n_sites - 1) * self.const_bond
 
 
 def _check_denominators(named: dict):

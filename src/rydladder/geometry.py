@@ -160,14 +160,6 @@ def build_ladder(spec: LadderSpec, delta0: float = 0.0) -> AtomArray:
     return AtomArray(spec, positions, rung_of, leg_of, offsets)
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Pairwise van der Waals energies v[i, j] = c6 / r_ij^6; the named
-    couplings of the ladder figures come from ``ladder_couplings``."""
-
-    v: np.ndarray
-
-
 def ladder_couplings(spec: LadderSpec, c6: float) -> dict:
     """Named couplings (V0, V0p, V1, ...) of the ladder figures for ``spec``.
 
@@ -215,18 +207,20 @@ def ladder_couplings(spec: LadderSpec, c6: float) -> dict:
     return named
 
 
-def pairwise_couplings(atoms: AtomArray, c6: float = DEFAULT_C6) -> CouplingMatrix:
-    """Full symmetric matrix of van der Waals pair energies."""
-    pos = atoms.positions
-    diff = pos[:, None, :] - pos[None, :, :]
+def pairwise_couplings(positions: np.ndarray, c6: float, range_cutoff: float | None = None) -> np.ndarray:
+    """Symmetric matrix of the pair energies c6 / r^6 of the (n, 3) ``positions``,
+    zero on the diagonal and beyond ``range_cutoff`` when it is set; the named
+    couplings of the ladder figures come from ``ladder_couplings``."""
+    diff = positions[:, None, :] - positions[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    n = len(pos)
-    off = ~np.eye(n, dtype=bool)
+    off = ~np.eye(len(positions), dtype=bool)
     if np.any(r2[off] == 0.0):
         raise GeometryError("coincident atoms have infinite coupling")
     v = np.zeros_like(r2)
     v[off] = c6 / r2[off] ** 3
-    return CouplingMatrix(v=v)
+    if range_cutoff is not None:
+        v[np.sqrt(r2) > range_cutoff] = 0.0
+    return v
 
 
 def blockade_radius(c6: float, omega: float) -> float:

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .basis import BasisError, RydbergBasis, Spin1Basis
 from .effective import BoundaryCondition, EffectiveCoefficients, TargetCouplings
-from .geometry import AtomArray, CouplingMatrix
+from .geometry import AtomArray, pairwise_couplings
 
 
 @dataclass
@@ -159,21 +159,21 @@ def rydberg_hamiltonian(
     atoms: AtomArray,
     omega: float,
     delta: float,
-    couplings: CouplingMatrix,
+    c6: float,
     basis: RydbergBasis,
     range_cutoff: float | None = None,
     frozen_sources: np.ndarray | None = None,
-    c6: float | None = None,
 ) -> Operator:
     """Driven Rydberg array: drive flips, detuning, and pair interactions.
 
-    Pairs farther apart than ``range_cutoff`` are dropped when it is set.
-    The per-atom detuning is ``delta + atoms.detuning_offset``.
+    Pair energies c6 / r^6 come from the positions (``pairwise_couplings``),
+    dropped beyond ``range_cutoff`` when it is set.  The per-atom detuning is
+    ``delta + atoms.detuning_offset``.
 
     ``frozen_sources`` lists positions of permanently excited spectator
-    atoms (e.g. the zero-field boundary rungs of the 00 boundary condition);
-    they contribute a diagonal field sum_a V(a, source) n_a, subject to the
-    same ``range_cutoff``, and require ``c6``.
+    atoms (e.g. the zero-field boundary rungs of the 00 boundary condition).
+    They share the atoms' pair table, its coincidence check and its cutoff,
+    and contribute the diagonal field sum_a V(a, source) n_a.
 
     On the complete basis (dim 2^n_atoms) this is a ``FlipOperator``, whose
     CSR is built only when read; otherwise the CSR of the basis' flip pairs.
@@ -182,24 +182,12 @@ def rydberg_hamiltonian(
         raise BasisError(
             f"basis has {basis.n_atoms} atoms but the array has {atoms.n_atoms}"
         )
-    v = couplings.v.copy()
-    if range_cutoff is not None:
-        pos = atoms.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        v[dist > range_cutoff] = 0.0
-    field = -(delta + atoms.detuning_offset)
+    n = atoms.n_atoms
+    positions = atoms.positions if frozen_sources is None else np.vstack([atoms.positions, frozen_sources])
+    table = pairwise_couplings(positions, c6, range_cutoff)
+    v, field = table[:n, :n], -(delta + atoms.detuning_offset)
     if frozen_sources is not None:
-        if c6 is None:
-            raise ValueError("frozen_sources requires the c6 coefficient")
-        for src in np.atleast_2d(np.asarray(frozen_sources, dtype=float)):
-            d = np.linalg.norm(atoms.positions - src, axis=1)
-            if np.any(d == 0.0):
-                raise ValueError("frozen source coincides with an atom")
-            vs = c6 / d**6
-            if range_cutoff is not None:
-                vs[d > range_cutoff] = 0.0
-            field += vs
+        field += table[:n, n:].sum(axis=1)   # each atom's couplings to the sources
     diag = _rydberg_diagonal(basis, field, v)
     if basis.dim == 1 << basis.n_atoms:
         return FlipOperator(basis.n_atoms, diag, 0.5 * omega)
@@ -230,13 +218,13 @@ def effective_spin1_hamiltonian(
     periodic, is ignored with a warning.  Edge overrides ``d_first``/``d_last``
     replace D on the boundary sites of an open chain; the 00BC variant
     additionally shifts both edge (L^z)^2 coefficients by ``coeffs.bc_lz2_edge``
-    and adds the constant ``coeffs.bc_const``.  A ring has no edge: every site
-    keeps the bulk D, and the constant counts one ``const_bond`` per coupled
-    nearest-neighbour pair.  The hopping is -J (U+ + U-) plus -J2 on |-1> <-> |+1>.
+    and adds the constant ``coeffs.bc_const``.  A ring needs n_sites >= 3 and has
+    no edge: every site keeps the bulk D, and the constant counts one ``const_bond``
+    per coupled nearest-neighbour pair.  The hopping is -J (U+ + U-) plus -J2 on |-1> <-> |+1>.
     """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
     bc = BoundaryCondition(bc)
+    if n_sites < (3 if bc is BoundaryCondition.PBC else 1):   # a 2-site ring has one bond, not two per site
+        raise ValueError(f"n_sites must be >= 1, and >= 3 on a ring, got {n_sites}")
     dim = 3**n_sites
     digits = Spin1Basis(n_sites).digits()
     m = digits.astype(float)

@@ -8,12 +8,13 @@ from scipy.optimize import brentq
 from rydladder import EffectiveCoefficients, MatchingError, ResonanceError, StateDictionary
 
 
-def diagonal_expansion_oracle(atoms, couplings, delta):
+def diagonal_expansion_oracle(atoms, c6, delta):
     """Brute-force fit of the diagonal effective coefficients.
 
-    Evaluates the exact interaction + detuning diagonal of the simulator on
-    the 9 spin-sector configurations of a two-rung block and least-squares
-    fits const + d1 m1^2 + d2 m2^2 + R m1 m2 + R' m1^2 m2^2.  Returns
+    Evaluates the exact interaction + detuning diagonal of the simulator, with
+    pair energies c6 / r^6 computed here from the positions, on the 9
+    spin-sector configurations of a two-rung block and least-squares fits
+    const + d1 m1^2 + d2 m2^2 + R m1 m2 + R' m1^2 m2^2.  Returns
     ``(coeffs, residual)``; the residual vanishes up to rounding when only
     nearest-rung pairs contribute.
     """
@@ -21,7 +22,9 @@ def diagonal_expansion_oracle(atoms, couplings, delta):
         raise ValueError("the oracle expects a two-rung block")
     dictionary = StateDictionary.for_kind(atoms.spec.kind)
     det = delta + atoms.detuning_offset
-    v = couplings.v
+    r2 = np.sum((atoms.positions[:, None] - atoms.positions[None]) ** 2, axis=2)
+    np.fill_diagonal(r2, np.inf)
+    v = c6 / r2**3
 
     energies = np.empty(9)
     design = np.empty((9, 5))

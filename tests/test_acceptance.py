@@ -34,7 +34,6 @@ from rydladder import (
     krylov_evolve,
     match_forward,
     match_inverse,
-    pairwise_couplings,
     rydberg_hamiltonian,
     sector_eigenstates,
     site_profiles,
@@ -160,12 +159,11 @@ def test_criterion_04_energy_density_table():
         d = StateDictionary.for_kind("three-leg")
         for n in (2, 3, 4):
             atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, n, ax, 1.0), delta0=delta0)
-            cm = pairwise_couplings(atoms, c6=v0)
             basis = enumerate_rydberg(atoms.n_atoms)
             sources = np.array([[-ax, 1.0, 0.0], [n * ax, 1.0, 0.0]])
             h = rydberg_hamiltonian(
-                atoms, omega, delta, cm, basis,
-                range_cutoff=cutoff, frozen_sources=sources, c6=v0,
+                atoms, omega, delta, v0, basis,
+                range_cutoff=cutoff, frozen_sources=sources,
             )
             res, _, band = sector_eigenstates(h, basis, d, 3**n)
             const = (
@@ -210,13 +208,11 @@ def test_criterion_05_two_leg_error_curves():
             omega = om * TP
             atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, ns, ay / rho, ay))
             h = rydberg_hamiltonian(
-                atoms, omega, delta, pairwise_couplings(atoms, c6),
-                enumerate_rydberg(atoms.n_atoms),
+                atoms, omega, delta, c6, enumerate_rydberg(atoms.n_atoms),
             )
             e_full, _ = ground_state(h)
             coeffs = coeffs_two_leg(v0, delta, omega, rho)
             e_eff, _ = ground_state(effective_spin1_hamiltonian(coeffs, ns))
-            e_eff += coeffs.const_total(ns)
             return abs(e_eff - e_full) / abs(e_full)
 
         grid = (0.2, 1.0, 2.0, 5.0)
@@ -245,7 +241,7 @@ def test_criterion_06_three_leg_time_evolution():
         for d0 in (0.0, 0.2 * TP, 0.4 * TP):
             atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 3, ax, ay), delta0=d0)
             basis = enumerate_rydberg(atoms.n_atoms)
-            h = rydberg_hamiltonian(atoms, omega, delta, pairwise_couplings(atoms, c6), basis)
+            h = rydberg_hamiltonian(atoms, omega, delta, c6, basis)
             cfg = 0
             for s in range(3):
                 cfg |= spin_to_pattern[0] << (s * 3)
@@ -279,7 +275,7 @@ def test_criterion_07_five_site_quench():
         v0 = c6 / ay**6
         atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, ns, ax, ay))
         basis = enumerate_rydberg(atoms.n_atoms)
-        h = rydberg_hamiltonian(atoms, omega, delta, pairwise_couplings(atoms, c6), basis)
+        h = rydberg_hamiltonian(atoms, omega, delta, c6, basis)
         psi0 = np.zeros(basis.dim, complex)
         psi0[basis.index_of(0)] = 1.0
         _, states, _ = krylov_evolve(h, psi0, 0.5, 0.002)
@@ -305,7 +301,7 @@ def test_criterion_08_solver_properties():
     def body():
         atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 4, 6.0, 3.0))
         basis = enumerate_rydberg(atoms.n_atoms)
-        h = rydberg_hamiltonian(atoms, 1.3, 0.8, pairwise_couplings(atoms, c6=500.0), basis)
+        h = rydberg_hamiltonian(atoms, 1.3, 0.8, 500.0, basis)
         e_dense = dense_eigs(h, k=1).eigenvalues[0]
         e_lan, _ = ground_state(h)
         assert e_lan == pytest.approx(e_dense, abs=1e-9 * max(1.0, abs(e_dense)))
@@ -322,7 +318,7 @@ def test_criterion_08_solver_properties():
         omega, delta = 1.7, 0.9
         atoms1 = build_ladder(LadderSpec(LadderKind.CHAIN, 1, 5.0, 5.0))
         h1 = rydberg_hamiltonian(
-            atoms1, omega, delta, pairwise_couplings(atoms1, c6=100.0), enumerate_rydberg(1)
+            atoms1, omega, delta, 100.0, enumerate_rydberg(1)
         )
         times, sts, _ = krylov_evolve(h1, np.array([1.0, 0.0], complex), 2.0, 0.001)
         w = math.sqrt(omega**2 + delta**2)
@@ -356,8 +352,7 @@ def test_criterion_09_oracle_equivalence():
                 rho = rng.uniform(0.3, 0.7)
                 ay = 1.0
                 atoms = build_ladder(LadderSpec(kind, 2, ay / rho, ay), delta0=delta0)
-                cm = pairwise_couplings(atoms, c6=v0 * ay**6)
-                oracle, residual = diagonal_expansion_oracle(atoms, cm, delta)
+                oracle, residual = diagonal_expansion_oracle(atoms, v0 * ay**6, delta)
                 if kind is LadderKind.TWO_LEG:
                     closed = coeffs_two_leg(v0, delta, 0.0, rho)
                 elif kind is LadderKind.THREE_LEG:

@@ -791,3 +791,57 @@ def test_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     assert main(["run", "--config", path, "--threads", threads]) == EXIT_CONFIG
     assert "threads must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+TARGET_CHAIN = """
+[geometry]
+n_rungs = {n_rungs}
+
+[model]
+hamiltonian = {model}
+U = 0.3
+X = 1.0
+Y = 0.5
+Yp = 0.5
+
+[task]
+task = {task}
+initial = index:0
+t_total = 0.1
+compare_models = sqed-field,{model}
+compare_task = evolve
+
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize("model", ["cahm", "sqed-field"])
+def test_target_chain_without_geometry_records_no_derived_error(tmp_path, model):
+    """A target chain reads no ladder, so there are no geometry coefficients to
+    record and none to fail on; they once failed on the zero spacings."""
+    out = tmp_path / model
+    text = TARGET_CHAIN.format(n_rungs=4, model=model, task="gs", out=out)
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived_errors"] == []
+    assert "coefficients" not in manifest["derived"]
+
+
+@pytest.mark.parametrize("task", ["evolve", "compare"])
+def test_evolving_the_charge_representation_is_a_config_error(tmp_path, capsys, task):
+    """Evolution records site profiles, which the charge representation has not;
+    the run once failed after the propagation with exit 3."""
+    text = TARGET_CHAIN.format(n_rungs=3, model="sqed-charge", task=task, out=tmp_path)
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert "hamiltonian sqed-charge" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("n_rungs", [1, 2])
+def test_ring_of_fewer_than_three_rungs_is_a_config_error(tmp_path, capsys, n_rungs):
+    text = BASE.format(out=tmp_path).replace("n_rungs = 3", f"n_rungs = {n_rungs}").replace("bc = obc", "bc = pbc")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert "n_rungs >= 3" in capsys.readouterr().err
+    text = text.replace("bc = pbc", "bc = obc")
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK

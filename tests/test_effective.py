@@ -21,7 +21,6 @@ from rydladder import (
     ladder_couplings,
     match_forward,
     match_inverse,
-    pairwise_couplings,
     rung_rabi_j,
 )
 from rydladder import effective
@@ -109,11 +108,6 @@ def test_staggered_flips_only_r():
     assert (cs.D, cs.Rp, cs.J) == (c.D, c.Rp, c.J)
 
 
-def test_const_total_scaling():
-    c = coeffs_three_leg(2, 100.0, 50.0, 0.2, 1.0, 0.4)
-    assert c.const_total(5) == pytest.approx(5 * c.const_site + 4 * c.const_bond)
-
-
 def _oracle_case(kind, case, v0, delta, delta0, rho, shift=None, height=None):
     """Closed-form coefficients vs brute-force two-rung fit at Omega = 0."""
     ay = 1.0
@@ -124,8 +118,7 @@ def _oracle_case(kind, case, v0, delta, delta0, rho, shift=None, height=None):
     if kind is LadderKind.PRISM and height is not None:
         spec_kw["prism_height"] = height * ay
     atoms = build_ladder(LadderSpec(kind, 2, ax, ay, **spec_kw), delta0=delta0)
-    cm = pairwise_couplings(atoms, c6=v0 * ay**6)
-    oracle, residual = diagonal_expansion_oracle(atoms, cm, delta)
+    oracle, residual = diagonal_expansion_oracle(atoms, v0 * ay**6, delta)
     if kind is LadderKind.TWO_LEG:
         closed = coeffs_two_leg(v0, delta, 0.0, rho)
     elif kind is LadderKind.THREE_LEG:
@@ -179,9 +172,8 @@ def _assert_oracle_matches(kind, case, height=None):
 
 def test_oracle_requires_two_rungs():
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 3, 4.0, 2.0))
-    cm = pairwise_couplings(atoms, c6=100.0)
     with pytest.raises(ValueError):
-        diagonal_expansion_oracle(atoms, cm, 1.0)
+        diagonal_expansion_oracle(atoms, 100.0, 1.0)
 
 
 def test_ising_reduction_residual_root():

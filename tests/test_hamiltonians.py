@@ -28,7 +28,6 @@ from rydladder import (
     coeffs_two_leg,
     effective_spin1_hamiltonian,
     enumerate_rydberg,
-    pairwise_couplings,
     rydberg_hamiltonian,
     sqed_charge_hamiltonian,
     target_coefficients,
@@ -48,10 +47,10 @@ def _random_rydberg(seed=0, kind=LadderKind.TWO_LEG, n_rungs=3):
         delta0=float(rng.uniform(-1, 1)),
     )
     basis = enumerate_rydberg(atoms.n_atoms)
-    cm = pairwise_couplings(atoms, c6=float(rng.uniform(50, 500)))
+    c6 = float(rng.uniform(50, 500))
     omega = float(rng.uniform(0.1, 3))
     delta = float(rng.uniform(-2, 2))
-    return atoms, basis, cm, omega, delta
+    return atoms, basis, c6, omega, delta
 
 
 def test_from_coo_rejects_lower_triangle():
@@ -76,15 +75,15 @@ def test_from_coo_takes_one_amplitude_per_pair():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_rydberg_hamiltonian_symmetric(seed):
-    atoms, basis, cm, omega, delta = _random_rydberg(seed)
-    h = rydberg_hamiltonian(atoms, omega, delta, cm, basis)
+    atoms, basis, c6, omega, delta = _random_rydberg(seed)
+    h = rydberg_hamiltonian(atoms, omega, delta, c6, basis)
     assert _is_symmetric(h)
 
 
 def test_rydberg_diagonal_against_direct_sum():
     """Diagonal entries recomputed independently per configuration."""
-    atoms, basis, cm, omega, delta = _random_rydberg(7)
-    h = rydberg_hamiltonian(atoms, omega, delta, cm, basis)
+    atoms, basis, c6, omega, delta = _random_rydberg(7)
+    h = rydberg_hamiltonian(atoms, omega, delta, c6, basis)
     diag = h.matrix.diagonal()
     det = delta + atoms.detuning_offset
     for i in np.random.default_rng(1).choice(basis.dim, 20, replace=False):
@@ -93,16 +92,16 @@ def test_rydberg_diagonal_against_direct_sum():
         e = -sum(o * d for o, d in zip(occ, det))
         for a in range(atoms.n_atoms):
             for b in range(a + 1, atoms.n_atoms):
-                e += occ[a] * occ[b] * cm.v[a, b]
+                e += occ[a] * occ[b] * c6 / np.sum((atoms.positions[a] - atoms.positions[b]) ** 2) ** 3
         assert diag[i] == pytest.approx(e, rel=1e-12, abs=1e-12)
 
 
 def test_rydberg_drive_connects_single_flips():
     """Drive elements Omega/2 join exactly the single flips that stay in the basis."""
-    atoms, full, cm, omega, delta = _random_rydberg(3)
+    atoms, full, c6, omega, delta = _random_rydberg(3)
     constrained = enumerate_rydberg(atoms.n_atoms, RungConstraint(atoms.n_legs, 1))
     for basis in (full, constrained):
-        m = rydberg_hamiltonian(atoms, omega, delta, cm, basis).to_dense()
+        m = rydberg_hamiltonian(atoms, omega, delta, c6, basis).to_dense()
         np.fill_diagonal(m, 0.0)
         expected = np.zeros_like(m)
         for i, s in enumerate(basis.states):
@@ -118,8 +117,7 @@ def test_rydberg_drive_connects_single_flips():
 def test_range_cutoff_drops_far_pairs():
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 3, a_x=5.0, a_y=2.0))
     basis = enumerate_rydberg(atoms.n_atoms)
-    cm = pairwise_couplings(atoms, c6=100.0)
-    h_nn = rydberg_hamiltonian(atoms, 0.0, 0.0, cm, basis, range_cutoff=5.5)
+    h_nn = rydberg_hamiltonian(atoms, 0.0, 0.0, 100.0, basis, range_cutoff=5.5)
     # configuration with atoms 0 and 4 excited (distance 10): energy 0 after cutoff
     i = basis.index_of(0b010001)
     assert h_nn.matrix.diagonal()[i] == pytest.approx(0.0)
@@ -128,23 +126,28 @@ def test_range_cutoff_drops_far_pairs():
 def test_frozen_sources_add_classical_field():
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 2, a_x=5.0, a_y=2.0))
     basis = enumerate_rydberg(atoms.n_atoms)
-    cm = pairwise_couplings(atoms, c6=64.0)
     src = np.array([[-5.0, 0.0, 0.0]])
-    h = rydberg_hamiltonian(atoms, 0.0, 0.0, cm, basis, frozen_sources=src, c6=64.0)
+    h = rydberg_hamiltonian(atoms, 0.0, 0.0, 64.0, basis, frozen_sources=src)
     i = basis.index_of(0b0001)  # atom 0 excited, 5 um from the source
     assert h.matrix.diagonal()[i] == pytest.approx(64.0 / 5.0**6)
+
+
+def test_frozen_source_on_an_atom_is_rejected():
+    atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 2, a_x=5.0, a_y=2.0))
+    basis = enumerate_rydberg(atoms.n_atoms)
     with pytest.raises(ValueError):
-        rydberg_hamiltonian(atoms, 0.0, 0.0, cm, basis, frozen_sources=src)
+        rydberg_hamiltonian(atoms, 0.0, 0.0, 64.0, basis, frozen_sources=atoms.positions[[2]])
 
 
-def _occupation_reference(atoms, omega, delta, cm, basis, range_cutoff=None, sources=None, c6=None):
+def _occupation_reference(atoms, omega, delta, c6, basis, range_cutoff=None, sources=None):
     """The Rydberg Hamiltonian from the (dim, n_atoms) occupation table and the
-    flip partners found by ``index_of``, assembled by ``from_coo``."""
+    flip partners found by ``index_of``, assembled by ``from_coo``; the pair
+    energies c6 / r^6 are computed here from the positions."""
     occ = basis.occupations().astype(float)
-    v = cm.v.copy()
+    dist = np.linalg.norm(atoms.positions[:, None] - atoms.positions[None], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    v = np.where(dist > (range_cutoff or np.inf), 0.0, c6 / dist**6)
     field = -(delta + atoms.detuning_offset)
-    if range_cutoff is not None:
-        v[np.linalg.norm(atoms.positions[:, None] - atoms.positions[None], axis=2) > range_cutoff] = 0.0
     for src in [] if sources is None else sources:
         d = np.linalg.norm(atoms.positions - src, axis=1)
         field = field + np.where(d > (range_cutoff or np.inf), 0.0, c6 / d**6)
@@ -165,9 +168,8 @@ def _flip_case(kind, n_rungs, omega=1.3, cutoff=None, zero_zero=False, max_excit
     atoms = build_ladder(LadderSpec(LadderKind(kind), n_rungs, 3.0, 1.0, shift), delta0=0.2)
     constraint = None if max_excited is None else RungConstraint(atoms.n_legs, max_excited)
     basis = enumerate_rydberg(atoms.n_atoms, constraint)
-    cm = pairwise_couplings(atoms, 40.0)
     sources = np.array([[-3.0, 1.0, 0.0], [3.0 * n_rungs, 1.0, 0.0]]) if zero_zero else None
-    return atoms, omega, 20.0, cm, basis, cutoff, sources, 40.0
+    return atoms, omega, 20.0, 40.0, basis, cutoff, sources
 
 
 FLIP_CASES = {
@@ -187,7 +189,7 @@ def test_flip_operator_equals_the_occupation_csr(case):
     its products with real and complex blocks and vectors, its 1-norm, its
     preconditioner floor and the CSR it builds on demand all equal the reference's."""
     args = FLIP_CASES[case]()
-    op = rydberg_hamiltonian(*args[:6], frozen_sources=args[6], c6=args[7])
+    op = rydberg_hamiltonian(*args)
     ref = _occupation_reference(*args)
     assert isinstance(op, FlipOperator) and "matrix" not in vars(op)
     scale = spla.norm(ref.matrix, 1)
@@ -209,7 +211,7 @@ def test_flip_operator_equals_the_occupation_csr(case):
 def test_rung_by_rung_diagonal_on_a_constrained_basis(case, max_excited):
     """A rung-capped basis keeps the CSR, whose diagonal is filled rung by rung."""
     args = FLIP_CASES[case](max_excited=max_excited)
-    op = rydberg_hamiltonian(*args[:6], frozen_sources=args[6], c6=args[7])
+    op = rydberg_hamiltonian(*args)
     ref = _occupation_reference(*args)
     assert isinstance(op, SparseOperator) and op.dim < 1 << args[4].n_atoms
     scale = spla.norm(ref.matrix, 1)
@@ -218,10 +220,10 @@ def test_rung_by_rung_diagonal_on_a_constrained_basis(case, max_excited):
 
 
 def test_rydberg_hamiltonian_rejects_a_basis_that_is_no_rung_product():
-    atoms, omega, delta, cm, *_ = FLIP_CASES["two-leg"]()
+    atoms, omega, delta, c6, *_ = FLIP_CASES["two-leg"]()
     basis = RydbergBasis(atoms.n_atoms, np.arange(5))
     with pytest.raises(BasisError, match="product"):
-        rydberg_hamiltonian(atoms, omega, delta, cm, basis)
+        rydberg_hamiltonian(atoms, omega, delta, c6, basis)
 
 
 def _brute_force_effective(coeffs, n_sites, bc):
@@ -353,6 +355,16 @@ def test_ring_constant_counts_one_bond_per_site(n_sites):
     h = effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC)
     zero = Spin1Basis(n_sites).index_of([0] * n_sites)
     assert h.diagonal()[zero] == pytest.approx(n_sites * (coeffs.const_site + coeffs.const_bond), rel=1e-13)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2])
+def test_ring_of_fewer_than_three_sites_is_rejected(n_sites):
+    """Two sites have one bond, not the two that every site's bulk D counts,
+    and one site has none: neither is a ring, while the open chain is defined."""
+    coeffs = THREE_ATOM_RUNGS["three-leg-2"]()
+    with pytest.raises(ValueError, match=">= 3 on a ring"):
+        effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC)
+    assert effective_spin1_hamiltonian(coeffs, n_sites).dim == 3**n_sites
 
 
 def _target_chain(model, t, n_sites, bc=BoundaryCondition.OBC):

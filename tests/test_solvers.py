@@ -28,7 +28,6 @@ from rydladder import (
     enumerate_rydberg,
     ground_state,
     krylov_evolve,
-    pairwise_couplings,
     project_to_spin1,
     rydberg_hamiltonian,
     sector_eigenstates,
@@ -50,8 +49,7 @@ def _physical_instances():
     out = []
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 4, 6.0, 3.0))
     basis = enumerate_rydberg(atoms.n_atoms)
-    cm = pairwise_couplings(atoms, c6=500.0)
-    out.append(rydberg_hamiltonian(atoms, 1.3, 0.8, cm, basis))
+    out.append(rydberg_hamiltonian(atoms, 1.3, 0.8, 500.0, basis))
     coeffs = EffectiveCoefficients(D=-1.0, R=0.4, Rp=1.2, J=0.6)
     out.append(effective_spin1_hamiltonian(coeffs, 5))
     return out
@@ -127,7 +125,7 @@ def _two_leg_12():
     a_y = (c6 / v0) ** (1 / 6)
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 6, 2 * a_y, a_y))
     basis = enumerate_rydberg(atoms.n_atoms)
-    return rydberg_hamiltonian(atoms, 0.2 * tp, 1.0 * tp, pairwise_couplings(atoms, c6), basis)
+    return rydberg_hamiltonian(atoms, 0.2 * tp, 1.0 * tp, c6, basis)
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +189,7 @@ def test_ground_state_strongly_driven_effective_chain():
 def test_ground_state_without_drive_is_the_lowest_configuration():
     """At Omega = 0 H is diagonal and the preconditioner has no off-diagonal floor."""
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 3, 6.0, 3.0))
-    h = rydberg_hamiltonian(atoms, 0.0, 0.8, pairwise_couplings(atoms, c6=500.0),
+    h = rydberg_hamiltonian(atoms, 0.0, 0.8, 500.0,
                             enumerate_rydberg(atoms.n_atoms))
     assert sp.triu(h.matrix, 1).nnz == 0
     e, psi = ground_state(h)
@@ -240,7 +238,7 @@ def test_threaded_solves_leave_the_warning_filters_alone():
     # weak interactions, strong drive: every eigenstate leaves the one-hot sector
     atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 2, 2.0, 2.0))
     basis = enumerate_rydberg(atoms.n_atoms)
-    h = rydberg_hamiltonian(atoms, 10.0, 0.0, pairwise_couplings(atoms, c6=40.0), basis)
+    h = rydberg_hamiltonian(atoms, 10.0, 0.0, 40.0, basis)
     with warnings.catch_warnings(record=True) as caught:   # records under the filters in force
         sector_eigenstates(h, basis, StateDictionary.for_kind(LadderKind.THREE_LEG), 9)
     assert [str(w.message) for w in caught] == ["spin-1 band is ambiguous: all sector overlaps below 0.5"]
@@ -264,7 +262,7 @@ def _nine_atom_ladder():
     tp = 2 * math.pi
     atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 3, 3.0, 1.0), delta0=0.2 * tp)
     basis = enumerate_rydberg(atoms.n_atoms)
-    h = rydberg_hamiltonian(atoms, 2 * tp, 20 * tp, pairwise_couplings(atoms, c6=40 * tp), basis)
+    h = rydberg_hamiltonian(atoms, 2 * tp, 20 * tp, 40 * tp, basis)
     pattern = StateDictionary.for_kind(atoms.spec.kind).spin_to_pattern[0]
     psi0 = np.zeros(h.dim, dtype=complex)
     psi0[basis.index_of(sum(pattern << (3 * s) for s in range(3)))] = 1.0
@@ -273,7 +271,7 @@ def _nine_atom_ladder():
 
 def _two_level_atom(omega):
     atoms = build_ladder(LadderSpec(LadderKind.CHAIN, 1, 5.0, 5.0))
-    return rydberg_hamiltonian(atoms, omega, 0.9, pairwise_couplings(atoms, c6=100.0), enumerate_rydberg(1))
+    return rydberg_hamiltonian(atoms, omega, 0.9, 100.0, enumerate_rydberg(1))
 
 
 def _random_state(dim):
@@ -317,8 +315,7 @@ def test_two_level_rabi_closed_form():
     omega, delta = 1.7, 0.9
     atoms = build_ladder(LadderSpec(LadderKind.CHAIN, 1, 5.0, 5.0))
     basis = enumerate_rydberg(1)
-    cm = pairwise_couplings(atoms, c6=100.0)
-    h = rydberg_hamiltonian(atoms, omega, delta, cm, basis)
+    h = rydberg_hamiltonian(atoms, omega, delta, 100.0, basis)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     times, states, _ = krylov_evolve(h, psi0, 2.0, 0.001)
     w = math.sqrt(omega**2 + delta**2)
@@ -396,8 +393,7 @@ def test_krylov_rejects_bad_dt():
 def test_sector_eigenstates_band():
     atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 3, 6.0, 2.5))
     basis = enumerate_rydberg(atoms.n_atoms)
-    cm = pairwise_couplings(atoms, c6=2000.0)
-    h = rydberg_hamiltonian(atoms, 0.4, 1.0, cm, basis)
+    h = rydberg_hamiltonian(atoms, 0.4, 1.0, 2000.0, basis)
     d = StateDictionary.for_kind(LadderKind.TWO_LEG)
     res, overlaps, band = sector_eigenstates(h, basis, d, 27)
     assert len(band) == 27
@@ -410,7 +406,7 @@ def _ladder_case(kind, n_rungs, delta0=0.0, shift=None, max_excited=None):
     d = StateDictionary.for_kind(kind)
     constraint = None if max_excited is None else RungConstraint(d.n_legs, max_excited)
     basis = enumerate_rydberg(atoms.n_atoms, constraint)
-    h = rydberg_hamiltonian(atoms, 2.0, 20.0, pairwise_couplings(atoms, 40.0), basis)
+    h = rydberg_hamiltonian(atoms, 2.0, 20.0, 40.0, basis)
     return h, basis, d
 
 
