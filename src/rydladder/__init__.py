@@ -49,7 +49,6 @@ from .observables import (
     SiteProfile,
     classify_phase,
     order_parameters,
-    reduced_density_matrix,
     renyi_entropy,
     site_profiles,
     susceptibility_peak,

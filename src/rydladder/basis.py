@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LadderKind
+from .geometry import LEG_SPINS, LadderKind
 
 MAX_ATOMS = 26
 
@@ -109,28 +109,23 @@ class Spin1Basis:
         return idx
 
 
-# Per-rung bit pattern (bottom leg = bit 0) -> spin label, None = outside the
-# spin-1 sector.
-_TWO_LEG_PATTERNS = {0b00: 0, 0b01: -1, 0b10: +1}
-_ONE_HOT_PATTERNS = {0b001: -1, 0b010: 0, 0b100: +1}
-
-
 @dataclass(frozen=True)
 class StateDictionary:
-    """Map between per-rung Rydberg patterns and spin-1 labels."""
+    """Map between per-rung Rydberg patterns (bottom leg = bit 0) and spin-1 labels."""
 
-    kind: LadderKind
     n_legs: int
     pattern_to_spin: dict
 
     @classmethod
     def for_kind(cls, kind: LadderKind | str) -> "StateDictionary":
+        """Spin m excites the legs labelled m in ``LEG_SPINS``; on the two-leg
+        rung, whose legs carry no 0, m = 0 leaves the rung empty."""
         kind = LadderKind(kind)
-        if kind is LadderKind.TWO_LEG:
-            return cls(kind, 2, dict(_TWO_LEG_PATTERNS))
-        if kind in (LadderKind.THREE_LEG, LadderKind.PRISM, LadderKind.IN_PLANE_TRIANGLE):
-            return cls(kind, 3, dict(_ONE_HOT_PATTERNS))
-        raise BasisError(f"no spin-1 dictionary for geometry kind {kind}")
+        legs = LEG_SPINS[kind]
+        patterns = {sum(1 << i for i, leg in enumerate(legs) if leg == m): m for m in (-1, 0, 1)}
+        if len(patterns) != 3:
+            raise BasisError(f"no spin-1 dictionary for geometry kind {kind}")
+        return cls(len(legs), patterns)
 
     @property
     def spin_to_pattern(self) -> dict:

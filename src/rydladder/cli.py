@@ -216,6 +216,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"[task] task must be one of {tuple(TASKS)}")
     if cfg.bc not in [b.value for b in BoundaryCondition]:
         raise ConfigError(f"[model] bc must be one of {[b.value for b in BoundaryCondition]}")
+    if cfg.n_rungs < 1:
+        raise ConfigError(f"[geometry] n_rungs must be >= 1, got {cfg.n_rungs}")
     built = cfg.compare_models if cfg.task == "compare" else (cfg.hamiltonian,)
     built = built if cfg.task in ("gs", "spectrum", "evolve", "sweep", "compare") else ()
     for model in built:
@@ -241,6 +243,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[geometry] a_x and a_y (or rho) must be positive")
     if (cfg.task == "coeffs" or "effective" in built) and cfg.kind == "three-leg" and cfg.case not in (1, 2):
         raise ConfigError(f"[model] case must be 1 or 2, got {cfg.case}")
+    if (cfg.task == "coeffs" or "effective" in built) and cfg.kind == "two-leg" and cfg.k_max < 1:
+        raise ConfigError(f"[model] k_max must be >= 1, got {cfg.k_max}")
+    if "rydberg" in built and cfg.constraint is not None and cfg.constraint < 0:
+        raise ConfigError(f"[model] constraint must be >= 0, got {cfg.constraint}")
     if "sqed-field" in built and cfg.flavor not in FLAVORS:
         raise ConfigError(f"[model] flavor must be one of {FLAVORS}")
     if cfg.task == "evolve" and cfg.dt <= 0:

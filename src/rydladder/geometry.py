@@ -28,13 +28,13 @@ class LadderKind(str, Enum):
     IN_PLANE_TRIANGLE = "in-plane-triangle"
 
 
-# Number of atoms per rung for each geometry.
-N_LEGS = {
-    LadderKind.CHAIN: 1,
-    LadderKind.TWO_LEG: 2,
-    LadderKind.THREE_LEG: 3,
-    LadderKind.PRISM: 3,
-    LadderKind.IN_PLANE_TRIANGLE: 3,
+# Spin label of each leg of a rung, bottom to top; its length is the rung size.
+LEG_SPINS = {
+    LadderKind.CHAIN: (0,),
+    LadderKind.TWO_LEG: (-1, +1),
+    LadderKind.THREE_LEG: (-1, 0, +1),
+    LadderKind.PRISM: (-1, 0, +1),
+    LadderKind.IN_PLANE_TRIANGLE: (-1, 0, +1),
 }
 
 
@@ -73,7 +73,7 @@ class LadderSpec:
 
     @property
     def n_legs(self) -> int:
-        return N_LEGS[self.kind]
+        return len(LEG_SPINS[self.kind])
 
     @property
     def rho(self) -> float:
@@ -113,26 +113,25 @@ class AtomArray:
         return np.flatnonzero(self.rung_of == rung)
 
 
-# Per-rung local coordinates (y, z) for each kind, ordered bottom -> top so
-# that atom index = (rung - 1) * n_legs + local index.  Spin labels follow
-# the figure conventions: bottom leg -> -1, middle -> 0, top -> +1.
-def _rung_template(spec: LadderSpec) -> tuple[list[tuple[float, float, float]], list[int]]:
+# Per-rung local coordinates (x, y, z) for each kind, ordered bottom -> top
+# as the legs of LEG_SPINS, so that atom index = (rung - 1) * n_legs + leg.
+def _rung_template(spec: LadderSpec) -> list[tuple[float, float, float]]:
     ay = spec.a_y
     if spec.kind is LadderKind.CHAIN:
-        return [(0.0, 0.0, 0.0)], [0]
+        return [(0.0, 0.0, 0.0)]
     if spec.kind is LadderKind.TWO_LEG:
-        return [(0.0, 0.0, 0.0), (0.0, ay, 0.0)], [-1, +1]
+        return [(0.0, 0.0, 0.0), (0.0, ay, 0.0)]
     if spec.kind is LadderKind.THREE_LEG:
-        return [(0.0, 0.0, 0.0), (0.0, ay, 0.0), (0.0, 2 * ay, 0.0)], [-1, 0, +1]
+        return [(0.0, 0.0, 0.0), (0.0, ay, 0.0), (0.0, 2 * ay, 0.0)]
     if spec.kind is LadderKind.PRISM:
         # Equilateral triangle of side a_y; the middle atom sits out of plane.
         h = spec.prism_height if spec.prism_height is not None else math.sqrt(3.0) / 2.0 * ay
-        return [(0.0, 0.0, 0.0), (0.0, ay / 2.0, h), (0.0, ay, 0.0)], [-1, 0, +1]
+        return [(0.0, 0.0, 0.0), (0.0, ay / 2.0, h), (0.0, ay, 0.0)]
     if spec.kind is LadderKind.IN_PLANE_TRIANGLE:
         # Same triangle flattened into the plane; the middle atom is shifted
         # to the left (negative x) by `shift`.
         s = spec.shift if spec.shift is not None else math.sqrt(3.0) / 2.0 * ay
-        return [(0.0, 0.0, 0.0), (-s, ay / 2.0, 0.0), (0.0, ay, 0.0)], [-1, 0, +1]
+        return [(0.0, 0.0, 0.0), (-s, ay / 2.0, 0.0), (0.0, ay, 0.0)]
     raise GeometryError(f"unknown kind {spec.kind}")
 
 
@@ -141,69 +140,45 @@ def build_ladder(spec: LadderSpec, delta0: float = 0.0) -> AtomArray:
 
     ``delta0`` is the middle-leg detuning offset applied uniformly.
     """
-    template, legs = _rung_template(spec)
-    positions = []
-    rung_of = []
-    leg_of = []
-    for i in range(spec.n_rungs):
-        x0 = i * spec.a_x
-        for (dx, y, z), leg in zip(template, legs):
-            positions.append((x0 + dx, y, z))
-            rung_of.append(i + 1)
-            leg_of.append(leg)
-    positions = np.array(positions, dtype=float)
-    rung_of = np.array(rung_of, dtype=int)
-    leg_of = np.array(leg_of, dtype=int)
+    template = _rung_template(spec)
+    positions = np.array([(i * spec.a_x + dx, y, z) for i in range(spec.n_rungs) for dx, y, z in template],
+                         dtype=float)
+    rung_of = np.repeat(np.arange(1, spec.n_rungs + 1), len(template))
+    leg_of = np.array(LEG_SPINS[spec.kind] * spec.n_rungs)
     if len(np.unique(positions, axis=0)) != len(positions):
         raise GeometryError("atom positions are not distinct")
     offsets = np.where((leg_of == 0) & (spec.n_legs == 3), delta0, 0.0)
     return AtomArray(spec, positions, rung_of, leg_of, offsets)
 
 
+# The two atoms of each named coupling, indexed over two adjacent rungs
+# (atom a of the second rung is n_legs + a).  The in-plane middle atom leans
+# toward the previous rung, so its coupling to the outer atoms behind it (V2)
+# is stronger than to those ahead of it (V4).
+_NAMED_PAIRS = {
+    LadderKind.CHAIN: {"V1": (0, 1)},
+    LadderKind.TWO_LEG: {"V0": (0, 1), "V1": (0, 2), "V2": (0, 3)},
+    LadderKind.THREE_LEG: {"V0": (0, 1), "V0p": (0, 2), "V1": (0, 3), "V2": (0, 4), "V3": (0, 5)},
+    LadderKind.PRISM: {"V0": (0, 2), "V0p": (0, 1), "V1": (0, 3), "V2": (1, 3), "V3": (0, 5)},
+    LadderKind.IN_PLANE_TRIANGLE: {"V0": (0, 2), "V0p": (0, 1), "V1": (0, 3), "V2": (0, 4),
+                                   "V3": (0, 5), "V4": (1, 3)},
+}
+
+
 def ladder_couplings(spec: LadderSpec, c6: float) -> dict:
-    """Named couplings (V0, V0p, V1, ...) of the ladder figures for ``spec``.
+    """Named couplings (V0, V0p, V1, ...) of the ladder figures for ``spec``:
+    c6 / r^6 between the named atoms of two template rungs a_x apart.
 
     This table is the one source of the closed-form ladder couplings; the
     effective coefficients read it in units a_y = 1, a_x = 1/rho, c6 = V0.
     """
-    ax, ay = spec.a_x, spec.a_y
-
-    def v_of(r2):
-        return c6 / r2**3
-
+    template = _rung_template(spec)
+    atoms = template + [(x + spec.a_x, y, z) for x, y, z in template]
     named = {}
-    kind = spec.kind
-    if kind is LadderKind.CHAIN:
-        named["V1"] = v_of(ax**2)
-    elif kind is LadderKind.TWO_LEG:
-        named["V0"] = v_of(ay**2)
-        named["V1"] = v_of(ax**2)
-        named["V2"] = v_of(ax**2 + ay**2)
-    elif kind is LadderKind.THREE_LEG:
-        named["V0"] = v_of(ay**2)
-        named["V0p"] = v_of((2 * ay) ** 2)
-        named["V1"] = v_of(ax**2)
-        named["V2"] = v_of(ax**2 + ay**2)
-        named["V3"] = v_of(ax**2 + (2 * ay) ** 2)
-    elif kind is LadderKind.PRISM:
-        h = spec.prism_height if spec.prism_height is not None else math.sqrt(3.0) / 2.0 * ay
-        mid2 = (ay / 2.0) ** 2 + h**2
-        named["V0"] = v_of(ay**2)
-        named["V0p"] = v_of(mid2)
-        named["V1"] = v_of(ax**2)
-        named["V2"] = v_of(ax**2 + mid2)       # middle <-> outer, adjacent rung
-        named["V3"] = v_of(ax**2 + ay**2)      # outer <-> opposite outer
-    elif kind is LadderKind.IN_PLANE_TRIANGLE:
-        s = spec.shift if spec.shift is not None else math.sqrt(3.0) / 2.0 * ay
-        mid2 = s**2 + (ay / 2.0) ** 2
-        named["V0"] = v_of(ay**2)
-        named["V0p"] = v_of(mid2)
-        named["V1"] = v_of(ax**2)
-        # The middle atom leans toward the previous rung, so the coupling to
-        # the outer atoms behind it (V2) is stronger than ahead of it (V4).
-        named["V2"] = v_of((ax - s) ** 2 + (ay / 2.0) ** 2)
-        named["V3"] = v_of(ax**2 + ay**2)
-        named["V4"] = v_of((ax + s) ** 2 + (ay / 2.0) ** 2)
+    for name, (a, b) in _NAMED_PAIRS[spec.kind].items():
+        (xa, ya, za), (xb, yb, zb) = atoms[a], atoms[b]
+        # the in-rung offsets add up first, then the spacing along the ladder
+        named[name] = c6 / ((zb - za) ** 2 + (yb - ya) ** 2 + (xb - xa) ** 2) ** 3
     return named
 
 

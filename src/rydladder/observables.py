@@ -104,13 +104,6 @@ def order_parameters(psi: np.ndarray, basis: Spin1Basis) -> OrderParameters:
     )
 
 
-def reduced_density_matrix(psi: np.ndarray, n_sites: int, cut: int) -> np.ndarray:
-    if not 1 <= cut < n_sites:
-        raise ValueError(f"cut must lie strictly inside the chain, got {cut}")
-    a = np.asarray(psi).reshape(3**cut, 3 ** (n_sites - cut))
-    return a @ a.conj().T
-
-
 def renyi_entropy(psi: np.ndarray, n_sites: int, cut: int, order: int = 2) -> float:
     """Entanglement entropy of sites 1..cut, in nats.
 

@@ -1,6 +1,7 @@
 """Independent references that only the tests compare the library against:
-a brute-force fit of the diagonal effective coefficients and the small-drive
-Ising reduction of the two-leg density-wave phase."""
+a brute-force fit of the diagonal effective coefficients, the small-drive
+Ising reduction of the two-leg density-wave phase and the reduced density
+matrix of a spin-1 chain."""
 
 import numpy as np
 from scipy.optimize import brentq
@@ -102,3 +103,11 @@ def ising_reduction_critical_delta(v1, v2):
     if f(lo) * f(hi) > 0:
         raise MatchingError(f"no sign change of the residual on ({lo}, {hi})")
     return float(brentq(f, lo, hi, xtol=1e-12))
+
+
+def reduced_density_matrix(psi, n_sites, cut):
+    """Reduced density matrix of sites 1..cut of a spin-1 chain state."""
+    if not 1 <= cut < n_sites:
+        raise ValueError(f"cut must lie strictly inside the chain, got {cut}")
+    a = np.asarray(psi).reshape(3**cut, 3 ** (n_sites - cut))
+    return a @ a.conj().T

@@ -125,6 +125,17 @@ def test_dictionary_one_hot():
         assert d.pattern_to_spin == {0b001: -1, 0b010: 0, 0b100: +1}
 
 
+@pytest.mark.parametrize("kind", [LadderKind.TWO_LEG, LadderKind.THREE_LEG, LadderKind.PRISM,
+                                  LadderKind.IN_PLANE_TRIANGLE])
+def test_dictionary_excites_the_legs_labelled_by_the_spin(kind):
+    """Spin m sets bit i of a rung exactly where the atoms' leg label is m."""
+    d = StateDictionary.for_kind(kind)
+    legs = build_ladder(LadderSpec(kind, 1, a_x=6.0, a_y=3.0)).leg_of
+    assert d.n_legs == len(legs)
+    for m in (-1, 0, 1):
+        assert [(int(d.configs([m])) >> i) & 1 for i in range(len(legs))] == [int(leg == m) for leg in legs]
+
+
 def test_dictionary_rejects_chain():
     with pytest.raises(BasisError):
         StateDictionary.for_kind(LadderKind.CHAIN)

@@ -768,6 +768,24 @@ def test_unknown_model_and_match_values_are_config_errors(tmp_path, capsys, comm
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, hamiltonian, kind, old, new, message", [
+    ("gs", "rydberg", "two-leg", "n_rungs = 3", "n_rungs = 0", "n_rungs must be >= 1"),
+    ("gs", "effective", "three-leg", "n_rungs = 3", "n_rungs = 0", "n_rungs must be >= 1"),
+    ("geom", "rydberg", "prism", "n_rungs = 3", "n_rungs = 0", "n_rungs must be >= 1"),
+    ("coeffs", "effective", "in-plane-triangle", "n_rungs = 3", "n_rungs = 0", "n_rungs must be >= 1"),
+    ("gs", "effective", "two-leg", "case = 2", "k_max = 0", "k_max must be >= 1"),
+    ("coeffs", "effective", "two-leg", "case = 2", "k_max = 0", "k_max must be >= 1"),
+    ("gs", "rydberg", "two-leg", "case = 2", "constraint = -1", "constraint must be >= 0"),
+])
+def test_out_of_range_integers_are_config_errors(tmp_path, capsys, command, hamiltonian, kind, old, new, message):
+    """Integer keys below their range are config errors (exit 2), not numeric failures."""
+    text = BASE.format(out=tmp_path).replace(old, new).replace("kind = three-leg", f"kind = {kind}")
+    text = text.replace("hamiltonian = effective", f"hamiltonian = {hamiltonian}")
+    assert main([command, "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_effective_chain_without_spacings_is_a_config_error(tmp_path, capsys):
     """The effective chain reads its couplings off the ladder, as the Rydberg model does."""
     text = BASE.format(out=tmp_path).replace("a_y = 4.0\n", "").replace("rho = 0.3333333333333333\n", "")

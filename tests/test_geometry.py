@@ -142,6 +142,42 @@ def test_three_leg_named_couplings():
     assert named["V3"] == pytest.approx(c6 / (36.0 + 16.0) ** 3)
 
 
+_S3 = math.sqrt(3.0) / 2.0   # the equilateral default of the prism height and the in-plane shift
+
+
+@pytest.mark.parametrize("kind,shape,squared", [
+    (LadderKind.CHAIN, {}, lambda ax, ay: {"V1": ax**2}),
+    (LadderKind.TWO_LEG, {}, lambda ax, ay: {
+        "V0": ay**2, "V1": ax**2, "V2": ax**2 + ay**2}),
+    (LadderKind.THREE_LEG, {}, lambda ax, ay: {
+        "V0": ay**2, "V0p": (2 * ay) ** 2, "V1": ax**2, "V2": ax**2 + ay**2,
+        "V3": ax**2 + (2 * ay) ** 2}),
+    (LadderKind.PRISM, {}, lambda ax, ay: {
+        "V0": ay**2, "V0p": (ay / 2) ** 2 + (_S3 * ay) ** 2, "V1": ax**2,
+        "V2": ax**2 + (ay / 2) ** 2 + (_S3 * ay) ** 2, "V3": ax**2 + ay**2}),
+    (LadderKind.PRISM, {"prism_height": 1.3}, lambda ax, ay: {
+        "V0": ay**2, "V0p": (ay / 2) ** 2 + 1.3**2, "V1": ax**2,
+        "V2": ax**2 + (ay / 2) ** 2 + 1.3**2, "V3": ax**2 + ay**2}),
+    (LadderKind.IN_PLANE_TRIANGLE, {}, lambda ax, ay: {
+        "V0": ay**2, "V0p": (_S3 * ay) ** 2 + (ay / 2) ** 2, "V1": ax**2,
+        "V2": (ax - _S3 * ay) ** 2 + (ay / 2) ** 2, "V3": ax**2 + ay**2,
+        "V4": (ax + _S3 * ay) ** 2 + (ay / 2) ** 2}),
+    (LadderKind.IN_PLANE_TRIANGLE, {"shift": 0.9}, lambda ax, ay: {
+        "V0": ay**2, "V0p": 0.9**2 + (ay / 2) ** 2, "V1": ax**2,
+        "V2": (ax - 0.9) ** 2 + (ay / 2) ** 2, "V3": ax**2 + ay**2,
+        "V4": (ax + 0.9) ** 2 + (ay / 2) ** 2}),
+])
+@pytest.mark.parametrize("a_x,a_y", [(6.0, 2.5), (4.1, 3.7)])
+def test_named_couplings_pinned_to_distances(kind, shape, squared, a_x, a_y):
+    """Each named coupling is c6 / r^6 at the squared distance written out by hand."""
+    c6 = 858386.0
+    named = ladder_couplings(LadderSpec(kind, 2, a_x, a_y, **shape), c6)
+    expect = {name: c6 / r2**3 for name, r2 in squared(a_x, a_y).items()}
+    assert named.keys() == expect.keys()
+    for name, val in expect.items():
+        assert named[name] == pytest.approx(val, rel=1e-15, abs=0.0), name
+
+
 def test_named_couplings_appear_in_matrix():
     """Every named coupling equals an actual pair entry of the matrix."""
     for kind in (LadderKind.TWO_LEG, LadderKind.THREE_LEG, LadderKind.PRISM,

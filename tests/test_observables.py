@@ -18,11 +18,12 @@ from rydladder import (
     enumerate_rydberg,
     order_parameters,
     project_to_spin1,
-    reduced_density_matrix,
     renyi_entropy,
     site_profiles,
     susceptibility_peak,
 )
+
+from references import reduced_density_matrix
 
 
 def _basis_state(basis: Spin1Basis, ms):
