@@ -247,6 +247,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"[model] k_max must be >= 1, got {cfg.k_max}")
     if "rydberg" in built and cfg.constraint is not None and cfg.constraint < 0:
         raise ConfigError(f"[model] constraint must be >= 0, got {cfg.constraint}")
+    if "rydberg" in built and cfg.range_cutoff is not None and cfg.range_cutoff <= 0:
+        raise ConfigError(f"[model] range_cutoff must be positive, got {cfg.range_cutoff}")
     if "sqed-field" in built and cfg.flavor not in FLAVORS:
         raise ConfigError(f"[model] flavor must be one of {FLAVORS}")
     if cfg.task == "evolve" and cfg.dt <= 0:

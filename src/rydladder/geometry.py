@@ -186,6 +186,8 @@ def pairwise_couplings(positions: np.ndarray, c6: float, range_cutoff: float | N
     """Symmetric matrix of the pair energies c6 / r^6 of the (n, 3) ``positions``,
     zero on the diagonal and beyond ``range_cutoff`` when it is set; the named
     couplings of the ladder figures come from ``ladder_couplings``."""
+    if range_cutoff is not None and range_cutoff <= 0:
+        raise GeometryError(f"range_cutoff must be positive, got {range_cutoff}")
     diff = positions[:, None, :] - positions[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
     off = ~np.eye(len(positions), dtype=bool)
@@ -200,6 +202,6 @@ def pairwise_couplings(positions: np.ndarray, c6: float, range_cutoff: float | N
 
 def blockade_radius(c6: float, omega: float) -> float:
     """Distance at which the pair energy equals the Rabi frequency."""
-    if omega <= 0:
-        raise GeometryError(f"omega must be positive, got {omega}")
+    if omega <= 0 or c6 <= 0:
+        raise GeometryError(f"c6 and omega must be positive, got c6={c6}, omega={omega}")
     return (c6 / omega) ** (1.0 / 6.0)

@@ -114,10 +114,8 @@ class FlipOperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        index = np.arange(self.dim)
-        rows = np.concatenate([np.flatnonzero(~index & (1 << a)) for a in range(self.n_atoms)])
-        cols = rows ^ np.repeat(1 << np.arange(self.n_atoms), self.dim // 2)
-        return SparseOperator.from_coo(self.diag, rows, cols, self.amplitude).matrix
+        a = self.amplitude
+        return SparseOperator.from_coo(self.diag, *_flip_pairs(np.array([[0.0, a], [a, 0.0]]), self.n_atoms)).matrix
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -126,33 +124,45 @@ class FlipOperator:
 Operator = SparseOperator | FlipOperator   # either: the solvers read both the same way
 
 
-def _rydberg_diagonal(basis: RydbergBasis, field: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_a field_a n_a + sum_{a<b} V_ab n_a n_b for every state, in basis order.
+def _product_diagonal(features: np.ndarray, field: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i field_i f_i + sum_{i<j} v_ij f_i f_j for every state of a product of sites.
 
-    The basis is a product over groups of atoms: the rungs of a constrained
-    basis, the single atoms of a complete one.  The diagonal is filled group by
-    group: each of the group's patterns extends every state of the atoms placed
-    before it, adding the field and the couplings of its own atoms, and their
-    couplings to the placed ones.  No (dim, n_atoms) occupation table is built.
+    Local state p of a site carries the k features ``features[p]``; feature j of
+    site s is entry s*k + j of ``field`` and of ``v`` (upper triangle read), and
+    site 0 is the least significant digit.  Sites are placed one at a time, each
+    placed state carrying the field that every feature not yet placed feels, so a
+    site costs O(1) numpy calls (einsum, not BLAS) and no (dim, n) table is built.
     """
-    size, patterns = (1, np.arange(2)) if basis.constraint is None else (
-        basis.constraint.n_legs, basis.constraint.patterns())
-    groups = [np.arange(g, g + size) for g in range(0, basis.n_atoms, size)]
-    if basis.n_atoms % size or len(patterns) ** len(groups) != basis.dim:
-        raise BasisError("the basis is not the product of its rung patterns")
-    bits = ((patterns[:, None] >> np.arange(size)) & 1).astype(float)   # (pattern, atom of the group)
-    diag = np.zeros(1)
-    for g, atoms in enumerate(groups):
-        own = bits @ field[atoms] + 0.5 * np.einsum("pi,ij,pj->p", bits, v[np.ix_(atoms, atoms)], bits)
-        new = own[:, None] + diag   # row p: the placed states extended by pattern p
-        for j, a in enumerate(atoms):
-            placed = np.zeros(1)   # sum_b V_ab n_b over the placed atoms, per placed state
-            for prev in groups[:g]:
-                placed = ((bits @ v[a, prev])[:, None] + placed).ravel()
-            for p in np.flatnonzero(bits[:, j]):
-                new[p] += placed
+    k = features.shape[1]
+    v = np.triu(v, 1)
+    diag, felt = np.zeros(1), field[:, None]   # felt: (features not yet placed, placed states)
+    for s in range(0, len(field), k):
+        new = np.einsum("pj,jx->px", features, felt[:k])   # in place below: one fresh array per site
+        new += np.einsum("pj,jl,pl->p", features, v[s:s + k, s:s + k], features)[:, None]
+        new += diag
         diag = new.ravel()
+        felt = (np.einsum("pj,jl->lp", features, v[s:s + k, s + k:])[:, :, None] + felt[k:, None]).reshape(-1, len(diag))
     return diag
+
+
+def _flip_pairs(hop: np.ndarray, n_sites: int):
+    """(rows, cols, amplitudes) of sum_s hop_s, the symmetric d x d ``hop`` on each
+    of ``n_sites`` sites, site 0 the least significant digit: each pair once with
+    row < col, one amplitude when the hop's nonzero elements are equal, else one
+    per pair.  The states with site s in local state p are the strided view
+    [:, p] of the index viewed as (d^(n-s-1), d, d^s): no index lookup."""
+    d = len(hop)
+    ps, qs = np.nonzero(np.triu(hop, 1))   # the local flips p < q, the same on every site
+    index = np.arange(d**n_sites)
+    rows, cols = np.empty((2, n_sites, len(ps), d ** (n_sites - 1)), dtype=np.int64)
+    for s in range(n_sites):
+        view = index.reshape(-1, d, d**s)
+        for i, (p, q) in enumerate(zip(ps, qs)):
+            rows[s, i].reshape(-1, d**s)[...] = view[:, p]
+            cols[s, i].reshape(-1, d**s)[...] = view[:, q]
+    amp = hop[ps, qs]
+    amp = amp[0] if len(set(amp)) == 1 else np.broadcast_to(amp[:, None], rows.shape).ravel()
+    return rows.ravel(), cols.ravel(), amp
 
 
 def rydberg_hamiltonian(
@@ -179,28 +189,24 @@ def rydberg_hamiltonian(
     CSR is built only when read; otherwise the CSR of the basis' flip pairs.
     """
     if basis.n_atoms != atoms.n_atoms:
-        raise BasisError(
-            f"basis has {basis.n_atoms} atoms but the array has {atoms.n_atoms}"
-        )
+        raise BasisError(f"basis has {basis.n_atoms} atoms but the array has {atoms.n_atoms}")
     n = atoms.n_atoms
     positions = atoms.positions if frozen_sources is None else np.vstack([atoms.positions, frozen_sources])
     table = pairwise_couplings(positions, c6, range_cutoff)
     v, field = table[:n, :n], -(delta + atoms.detuning_offset)
     if frozen_sources is not None:
         field += table[:n, n:].sum(axis=1)   # each atom's couplings to the sources
-    diag = _rydberg_diagonal(basis, field, v)
-    if basis.dim == 1 << basis.n_atoms:
-        return FlipOperator(basis.n_atoms, diag, 0.5 * omega)
-
-    rows, cols = [], []
-    index = np.arange(basis.dim)
-    for a in range(atoms.n_atoms):
-        partner = basis.index_of(basis.states ^ (1 << a))
-        src = np.flatnonzero(index < partner)   # absent partners are -1
-        rows.append(src)
-        cols.append(partner[src])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)   # frees the pieces first
-    return SparseOperator.from_coo(diag, rows, cols, 0.5 * omega)
+    # a product of rung patterns, or of single atoms on the complete basis
+    size, patterns = (1, np.arange(2)) if basis.constraint is None else (
+        basis.constraint.n_legs, basis.constraint.patterns())
+    if n % size or len(patterns) ** (n // size) != basis.dim:
+        raise BasisError("the basis is not the product of its rung patterns")
+    bits = ((patterns[:, None] >> np.arange(size)) & 1).astype(float)   # (pattern, atom of the rung)
+    diag = _product_diagonal(bits, field, v)
+    if basis.dim == 1 << n:
+        return FlipOperator(n, diag, 0.5 * omega)
+    one_flip = np.abs(bits[:, None] - bits[None]).sum(axis=2) == 1
+    return SparseOperator.from_coo(diag, *_flip_pairs(0.5 * omega * one_flip, n // size))
 
 
 def effective_spin1_hamiltonian(
@@ -225,10 +231,6 @@ def effective_spin1_hamiltonian(
     bc = BoundaryCondition(bc)
     if n_sites < (3 if bc is BoundaryCondition.PBC else 1):   # a 2-site ring has one bond, not two per site
         raise ValueError(f"n_sites must be >= 1, and >= 3 on a ring, got {n_sites}")
-    dim = 3**n_sites
-    digits = Spin1Basis(n_sites).digits()
-    m = digits.astype(float)
-    m2 = m * m
 
     def pairs(k):
         if bc is BoundaryCondition.PBC:
@@ -247,29 +249,21 @@ def effective_spin1_hamiltonian(
         d_site[-1] += coeffs.bc_lz2_edge
         const += coeffs.bc_const
 
-    diag = m2 @ d_site + np.full(dim, const)
+    v = np.zeros((n_sites, 2, n_sites, 2))   # between the features (m, m^2) of two sites
     for k, r, rp in ((1, coeffs.R, coeffs.Rp), *coeffs.longrange):
         n_pairs = pairs(k)
         if n_pairs <= 0 and k > 1:   # a single site has no nearest-neighbour bond to miss
             warnings.warn(f"long-range term k={k} ignored for n_sites={n_sites}")
-        for i in range(n_pairs):
-            j = (i + k) % n_sites
-            diag += r * m[:, i] * m[:, j] + rp * m2[:, i] * m2[:, j]
-
-    # Raising site s by dm moves index i to i + dm * stride: dm = 1 is the hop
-    # at -J, dm = 2 the clock pair -1 -> +1 at -J2, emitted only when J2 != 0.
-    rows, cols = [], []
-    for dm in (1, 2) if coeffs.J2 else (1,):
-        for s in range(n_sites):
-            stride = 3 ** (n_sites - 1 - s)
-            src = np.flatnonzero(digits[:, s] <= 1 - dm)
-            rows.append(src)
-            cols.append(src + dm * stride)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    amplitude = -coeffs.J
-    if coeffs.J2:   # a site can step by one in two thirds of the states, and by two in one third
-        amplitude = np.repeat([-coeffs.J, -coeffs.J2], [2 * len(rows) // 3, len(rows) // 3])
-    return SparseOperator.from_coo(diag, rows, cols, amplitude)
+        i = np.arange(n_pairs)
+        v[i, :, (i + k) % n_sites] += np.diag([r, rp])
+    v = v.reshape(2 * n_sites, -1)
+    # Site 1 is the most significant digit, so the sites are placed last to
+    # first; the couplings are unchanged by the reversal, the edge fields are not.
+    field = np.outer(d_site[::-1], [0.0, 1.0]).ravel()
+    features = np.array([[-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])   # (m, m^2) of digit m + 1
+    diag = _product_diagonal(features, field, v + v.T) + const
+    j, j2 = coeffs.J, coeffs.J2
+    return SparseOperator.from_coo(diag, *_flip_pairs(-np.array([[0, j, j2], [j, 0, j], [j2, j, 0]]), n_sites))
 
 
 def charge_kernel(n_sites: int) -> np.ndarray:

@@ -786,6 +786,32 @@ def test_out_of_range_integers_are_config_errors(tmp_path, capsys, command, hami
     assert not (tmp_path / "manifest.json").exists()
 
 
+TWO_LEG_RYDBERG = BASE.replace("kind = three-leg", "kind = two-leg").replace(
+    "hamiltonian = effective", "hamiltonian = rydberg")
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+def test_nonpositive_range_cutoff_is_a_config_error(tmp_path, capsys, cutoff):
+    """A cutoff <= 0 would drop every pair and still exit 0 with the energy of
+    free atoms."""
+    text = TWO_LEG_RYDBERG.format(out=tmp_path).replace("case = 2", f"case = 2\nrange_cutoff = {cutoff}")
+    assert main(["gs", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert "range_cutoff must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_nonpositive_c6_leaves_no_blockade_radius(tmp_path):
+    """An attractive c6 still runs, but it has no blockade radius: the manifest
+    records the error instead of a complex R_b."""
+    out = tmp_path / "attractive"
+    text = TWO_LEG_RYDBERG.format(out=out).replace("delta0 = 0.2", "delta0 = 0.2\nc6 = -1000")
+    assert main(["gs", "--config", _write(tmp_path, text)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "R_b" not in manifest["derived"] and manifest["derived"]["V0"] < 0
+    assert manifest["derived_errors"] == [f"GeometryError: c6 and omega must be positive, got "
+                                          f"c6={manifest['config']['c6']}, omega={manifest['config']['omega']}"]
+
+
 def test_effective_chain_without_spacings_is_a_config_error(tmp_path, capsys):
     """The effective chain reads its couplings off the ladder, as the Rydberg model does."""
     text = BASE.format(out=tmp_path).replace("a_y = 4.0\n", "").replace("rho = 0.3333333333333333\n", "")

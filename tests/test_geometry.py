@@ -33,6 +33,22 @@ def test_blockade_radius_rejects_nonpositive_omega():
         blockade_radius(DEFAULT_C6, 0.0)
 
 
+@pytest.mark.parametrize("c6", [0.0, -1000.0])
+def test_blockade_radius_rejects_nonpositive_c6(c6):
+    """A negative c6 would give a complex radius, not an error."""
+    with pytest.raises(GeometryError, match="c6"):
+        blockade_radius(c6, 2.0)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0])
+def test_nonpositive_range_cutoff_is_rejected(cutoff):
+    """A cutoff <= 0 would drop every pair; the positive one keeps the close pair."""
+    positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(GeometryError, match="range_cutoff"):
+        pairwise_couplings(positions, 1.0, cutoff)
+    assert pairwise_couplings(positions, 1.0, 1.5)[0, 1] == 1.0
+
+
 @pytest.mark.parametrize("kind,n_legs", [
     (LadderKind.CHAIN, 1),
     (LadderKind.TWO_LEG, 2),

@@ -207,9 +207,11 @@ def test_flip_operator_equals_the_occupation_csr(case):
 
 
 @pytest.mark.parametrize("case, max_excited", [("two-leg", 1), ("three-leg", 1), ("prism", 2),
-                                               ("in-plane", 1), ("three-leg-00bc", 1)])
+                                               ("in-plane", 1), ("three-leg-00bc", 1),
+                                               ("two-leg-no-drive", 1)])
 def test_rung_by_rung_diagonal_on_a_constrained_basis(case, max_excited):
-    """A rung-capped basis keeps the CSR, whose diagonal is filled rung by rung."""
+    """A rung-capped basis keeps the CSR, whose diagonal is filled rung by rung;
+    without a drive it has no flip pair at all."""
     args = FLIP_CASES[case](max_excited=max_excited)
     op = rydberg_hamiltonian(*args)
     ref = _occupation_reference(*args)
@@ -283,15 +285,18 @@ def _brute_force_effective(coeffs, n_sites, bc):
                                 pytest.param(-0.35, id="J2")])
 def test_effective_chain_matches_brute_force(bc, j2):
     """J2 = 0 is the ladder operator, J2 = J the clock, and any other J2 a free
-    |-1> <-> |+1> amplitude."""
+    |-1> <-> |+1> amplitude; five sites add a range-2 term, whose open-chain
+    pairs (i, i + 2) meet the unequal edge D of both ends."""
     coeffs = EffectiveCoefficients(
         D=0.7, R=-0.3, Rp=0.45, J=0.2, J2=j2,
         const_site=0.1, const_bond=-0.05, d_first=0.6, d_last=0.8,
         bc_lz2_edge=0.15, bc_const=0.25,
     )
-    h = effective_spin1_hamiltonian(coeffs, 4, bc)
-    ref = _brute_force_effective(coeffs, 4, bc)
-    assert np.allclose(h.to_dense(), ref, atol=1e-13)
+    for n_sites, longrange in ((4, ()), (5, ((2, 0.03, 0.07),))):
+        chain = replace(coeffs, longrange=longrange)
+        h = effective_spin1_hamiltonian(chain, n_sites, bc)
+        ref = _brute_force_effective(chain, n_sites, bc)
+        assert np.allclose(h.to_dense(), ref, atol=1e-13)
 
 
 def test_longrange_terms_and_warning():
@@ -302,6 +307,9 @@ def test_longrange_terms_and_warning():
     digits = basis.digits().astype(float)
     extra = 0.03 * digits[:, 0] * digits[:, 2] + 0.07 * digits[:, 0] ** 2 * digits[:, 2] ** 2
     assert np.allclose(h2.matrix.diagonal() - base.matrix.diagonal(), extra)
+    # a range given twice adds up: a range-1 entry shifts R and R'
+    again = effective_spin1_hamiltonian(replace(coeffs, longrange=((1, 0.03, 0.07),)), 3)
+    assert np.allclose(again.to_dense(), effective_spin1_hamiltonian(replace(coeffs, R=0.13, Rp=0.27), 3).to_dense())
     with pytest.warns(UserWarning):
         effective_spin1_hamiltonian(replace(coeffs, longrange=((3, 0.1, 0.1),)), 3)
     # on a ring of 5 sites range 3 is ring distance 2, already the range-2 term's
