@@ -54,7 +54,8 @@ from .geometry import (
     build_ladder,
     ladder_couplings,
 )
-from .hamiltonians import SparseOperator, effective_spin1_hamiltonian, rydberg_hamiltonian, sqed_charge_hamiltonian
+from .hamiltonians import (Operator, SparseOperator, effective_spin1_hamiltonian, rydberg_hamiltonian,
+                           sqed_charge_hamiltonian)
 from .observables import classify_phase, order_parameters, renyi_entropy, site_profiles
 from .solvers import (SolverError, dense_eigs, ground_state, krylov_evolve, sector_eigenstates,
                       symmetry_sectors)
@@ -251,9 +252,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"[model] range_cutoff must be positive, got {cfg.range_cutoff}")
     if "sqed-field" in built and cfg.flavor not in FLAVORS:
         raise ConfigError(f"[model] flavor must be one of {FLAVORS}")
-    if cfg.task == "evolve" and cfg.dt <= 0:
+    if evolved and cfg.dt <= 0:
         raise ConfigError("[task] dt must be positive")
-    if cfg.task == "evolve" and cfg.t_total < 0:
+    if evolved and cfg.t_total < 0:
         raise ConfigError("[task] t_total must be >= 0")
     if cfg.task == "spectrum" and cfg.k < 1:
         raise ConfigError("[task] k must be >= 1")
@@ -317,7 +318,7 @@ def _target_couplings(cfg: RunConfig) -> TargetCouplings:
 
 @dataclass
 class Model:
-    op: "SparseOperator"
+    op: Operator
     basis: object          # RydbergBasis or Spin1Basis
     atoms: object = None   # AtomArray for rydberg models
     dictionary: object = None

@@ -319,36 +319,33 @@ def match_forward(
 ):
     """Device parameters -> target couplings (U, X, Y, Y') and constant.
 
-    Returns ``(targets, const_site, const_offset)`` with the identity
-    coefficient of the matched model given by
-    ``n_sites * const_site + const_offset``.
+    Returns ``(targets, const_site, const_offset)``; the identity coefficient
+    of the matched model is ``n_sites * const_site + const_offset``.
 
     ``case`` selects the matching route:
 
     * ``"three-leg-00bc"`` -- three-leg ladder, two-rung matching, 00BC;
     * ``"two-leg"``        -- two-leg ladder (reaches only Y < 0);
-    * ``"clock-00bc"``     -- clock variant (Y' = -3Y/2) on the prism at ``height``.
+    * ``"clock-00bc"``     -- clock variant on the prism at ``height`` (equilateral: Y' = -3Y/2).
+
+    The targets invert ``target_coefficients("sqed-field")`` on the route's staggered chain:
+    Y' = R', Y = -(R + R'), U = 2 (D - Y), X = 2 J (two-leg: X = -2 J = Omega, the bare drive).
     """
     if case not in MATCH_CASES:
         raise MatchingError(f"unknown matching case {case!r}")
     if case == "two-leg":
-        v = _ladder_v(LadderKind.TWO_LEG, v0, rho)
-        v1, v2 = v["V1"], v["V2"]
-        t = TargetCouplings(U=-2.0 * delta + 2.0 * v2, X=omega, Y=-v2, Yp=(v1 + v2) / 2.0)
-        return t, 0.0, 0.0
-    # both 00BC routes hop by twice the rung's Rabi coupling and share its drive constant
-    x = 2.0 * rung_rabi_j(v0, delta, omega)
-    drive = omega**2 / 4.0 * (2.0 / (delta - v0) - 1.0 / delta)
-    if case == "three-leg-00bc":
-        v = _ladder_v(LadderKind.THREE_LEG, v0, rho)
-        v1, v3 = v["V1"], v["V3"]
-        y, s = _three_leg_y(v)
-        t = TargetCouplings(U=2.0 * delta0 + 2.0 * v3 - 2.0 * v1 + x, X=x, Y=y, Yp=s - y)
+        c = coeffs_two_leg(v0, delta, omega, rho, staggered=True)
+    elif case == "three-leg-00bc":
+        c = coeffs_three_leg(2, v0, delta, delta0, omega, rho, staggered=True)
     else:
-        v = _ladder_v(LadderKind.PRISM, v0, rho, prism_height=height)
-        v1, y = v["V1"], v["V2"] - v["V1"]
-        t = TargetCouplings(U=2.0 * delta0 + 2.0 * y, X=x, Y=y, Yp=-1.5 * y)
-    return t, -(delta + delta0) + v1 + drive, v1
+        c = coeffs_prism(v0, delta, delta0, omega, rho, height, staggered=True)
+    y = -(c.R + c.Rp)
+    t = TargetCouplings(U=2.0 * (c.D - y), X=(-2.0 if case == "two-leg" else 2.0) * c.J, Y=y, Yp=c.Rp)
+    if case == "two-leg":
+        return t, 0.0, 0.0
+    # the paper's drive constant keeps 1/Delta where the chain's const_site has 1/(Delta + Delta_0)
+    drive = omega**2 / 4.0 * (2.0 / (delta - v0) - 1.0 / delta)
+    return t, -(delta + delta0) + c.const_bond + drive, c.const_bond
 
 
 def _three_leg_rho_from_ratio(ratio: float) -> float:
@@ -409,7 +406,7 @@ def match_inverse(target, case: str = "three-leg-00bc", omega: float = 1.0):
         params = {"v0": v1 / rho**6, "delta": v2 - u / 2.0, "delta0": 0.0, "omega": x, "rho": rho}
     elif case == "clock-00bc":
         if abs(yp + 1.5 * y) > 1e-12 * max(1.0, abs(y)):
-            raise MatchingError("the clock variant is constrained to Y' = -3Y/2")
+            raise MatchingError("the equilateral clock variant is constrained to Y' = -3Y/2")
         if y >= 0:
             raise MatchingError("the clock variant can only simulate negative Y")
         raise MatchingError(

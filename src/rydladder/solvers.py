@@ -150,8 +150,8 @@ def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
     beta_j = 0 makes the subspace exact.  Beyond the samples, memory is the
     (m + 1) dim complex numbers of the Lanczos vectors and the residual.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if dt <= 0 or t_total < 0:
+        raise ValueError(f"dt must be positive and t_total >= 0, got dt = {dt}, t_total = {t_total}")
     n_steps = int(round(t_total / dt))
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, h.dim), dtype=complex)

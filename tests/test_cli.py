@@ -148,8 +148,12 @@ def test_spectrum_k_above_dim_writes_dim_levels(tmp_path):
 @pytest.mark.parametrize("task, line", [
     ("spectrum", "k = 0"),
     ("evolve", "t_total = -0.5"),
+    ("compare", "compare_task = evolve\nt_total = -1"),
+    ("compare", "compare_task = evolve\ndt = 0"),
 ])
 def test_exit_code_config_error_for_bad_task_values(tmp_path, capsys, task, line):
+    """A compare run that evolves checks dt and t_total as evolve does: it once
+    exited 3 on "negative dimensions are not allowed" or "dt must be positive"."""
     text = BASE.format(out=tmp_path).replace("task = gs", f"task = {task}\n{line}")
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -685,6 +689,9 @@ def test_in_plane_validity_flags_rung_asymmetry(tmp_path):
 
 
 def test_clock_match_follows_prism_height(tmp_path):
+    """The tall prism's targets are its own staggered chain read through the
+    field map: U = 2 Delta_0 + 2 (V3 - V1) and X do not see the middle leg, Y
+    and Y' do.  The clock route once kept the equilateral V2 = V3 at every height."""
     records = {}
     for name, extra in [("default", ""), ("equilateral", f"prism_height = {2.5 * math.sqrt(3)!r}"),
                         ("tall", "prism_height = 2.0")]:
@@ -703,9 +710,31 @@ def test_clock_match_follows_prism_height(tmp_path):
     }
     for key, value in records["default"]["targets"].items():
         assert records["equilateral"]["targets"][key] == pytest.approx(value, rel=1e-12, abs=1e-12)
-        # X = Omega^2 V0 / [2 Delta (V0 - Delta)] does not see the middle leg
-        if key != "X":
-            assert records["tall"]["targets"][key] != pytest.approx(value, rel=1e-3)
+    out = tmp_path / "coeffs"
+    text = TRIANGLE.format(kind="prism", extra="prism_height = 2.0", out=out)
+    text = text.replace("hamiltonian = effective", "hamiltonian = effective\nstaggered = true")
+    assert main(["coeffs", "--config", _write(tmp_path, text, "coeffs.ini")]) == EXIT_OK
+    c = json.loads((out / "coeffs.json").read_text())
+    y = -(c["R"] + c["Rp"])
+    tall = records["tall"]["targets"]
+    assert tall == pytest.approx({"U": 2 * (c["D"] - y), "X": 2 * c["J"], "Y": y, "Yp": c["Rp"]}, rel=1e-12)
+    default = records["default"]["targets"]
+    for key in ("U", "X"):
+        assert tall[key] == pytest.approx(default[key], rel=1e-12)
+    for key in ("Y", "Yp"):
+        assert tall[key] != pytest.approx(default[key], rel=1e-3)
+
+
+def test_resonant_match_is_a_numeric_failure(tmp_path, capsys):
+    """At Delta_0 = -Delta the 00BC routes' chains diverge: match exits 3, as
+    coeffs does; the match once printed finite targets there."""
+    for kind, match_case in (("three-leg", "three-leg-00bc"), ("prism", "clock-00bc")):
+        text = TRIANGLE.format(kind=kind, extra="", out=tmp_path / kind).replace(
+            "delta0 = 0.3", "delta0 = -20.0").replace("match_case = clock-00bc", f"match_case = {match_case}")
+        path = _write(tmp_path, text, f"{kind}.ini")
+        for command in ("match", "coeffs"):
+            assert main([command, "--config", path]) == EXIT_NUMERIC
+            assert "vanishing denominator: Delta+Delta_0 = 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("match_case", ["two-leg", "three-leg-00bc", "clock-00bc"])

@@ -22,6 +22,7 @@ from rydladder import (
     match_forward,
     match_inverse,
     rung_rabi_j,
+    target_coefficients,
 )
 from rydladder import effective
 
@@ -282,6 +283,34 @@ def test_match_inverse_checks_its_round_trip(monkeypatch):
     monkeypatch.setattr(effective, "_three_leg_rho_from_ratio", lambda ratio: solve(ratio) * (1.0 + 1e-6))
     with pytest.raises(MatchingError, match="misses the targets"):
         match_inverse(t, "three-leg-00bc")
+
+
+@pytest.mark.parametrize("case, height", [
+    ("two-leg", None), ("three-leg-00bc", None), ("clock-00bc", None), ("clock-00bc", 0.5), ("clock-00bc", 2.0),
+])
+@settings(deadline=None, max_examples=25)
+@given(
+    v0=st.floats(50.0, 500.0),
+    frac=st.floats(0.05, 0.95),
+    delta0=st.floats(-0.5, 0.5),
+    omega=st.floats(0.2, 2.0),
+    rho=st.floats(0.1, 0.9),
+)
+def test_match_forward_targets_rebuild_the_route_chain(case, height, v0, frac, delta0, omega, rho):
+    """The field map of the matched targets is the route's own staggered chain,
+    at every prism height; the two-leg J = -Omega/2 is the bare drive, X = Omega."""
+    delta = frac * v0
+    t, _, _ = match_forward(case, v0, delta, delta0, omega, rho, height)
+    field_chain = target_coefficients("sqed-field", t, "00bc")
+    chain = {
+        "two-leg": lambda: coeffs_two_leg(v0, delta, omega, rho, staggered=True),
+        "three-leg-00bc": lambda: coeffs_three_leg(2, v0, delta, delta0, omega, rho, staggered=True),
+        "clock-00bc": lambda: coeffs_prism(v0, delta, delta0, omega, rho, height, staggered=True),
+    }[case]()
+    names = ("D", "R", "Rp") if case == "two-leg" else ("D", "R", "Rp", "J")
+    scale = max(abs(getattr(chain, k)) for k in names)
+    for k in names:
+        assert abs(getattr(field_chain, k) - getattr(chain, k)) <= 1e-12 * scale, k
 
 
 def test_clock_forward_constraint():

@@ -388,6 +388,8 @@ def test_krylov_rejects_bad_dt():
     h = _random_operator(10, 0)
     with pytest.raises(ValueError):
         krylov_evolve(h, np.ones(10, dtype=complex), 1.0, 0.0)
+    with pytest.raises(ValueError, match="t_total >= 0"):
+        krylov_evolve(h, np.ones(10, dtype=complex), -1.0, 0.1)
 
 
 def test_sector_eigenstates_band():
