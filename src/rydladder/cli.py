@@ -403,8 +403,8 @@ def _write_csv(path: Path, header: list[str], rows):
 
 
 def _gs_row(model: Model, seed: int) -> dict:
-    e0, psi = ground_state(model.op, seed=seed)
-    row = {"E0": e0}
+    e0, psi, report = ground_state(model.op, seed=seed)
+    row = {"E0": e0, "matvecs": report["products"], "residual": report["residual"]}
     if isinstance(model.basis, Spin1Basis):
         op = order_parameters(psi, model.basis)
         n = model.basis.n_sites
@@ -532,7 +532,7 @@ def task_sweep(cfg: RunConfig, outdir: Path) -> dict:
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         results = list(pool.map(lambda v: _sweep_point(cfg, float(v), cfg.seed), values))
     keys = ["omega", "delta", "delta0", "m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm",
-            "chi_rdw", "S1", "S2", "E0", "phase_label", "error"]
+            "chi_rdw", "S1", "S2", "E0", "matvecs", "residual", "phase_label", "error"]
     _write_csv(outdir / "scan.csv", keys, [tuple(r.get(k, "") for k in keys) for r in results])
     return {"points": len(results), "failed": sum(1 for r in results if r["error"])}
 
@@ -542,8 +542,8 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
     model_a = build_model(cfg, name_a)
     model_b = build_model(cfg, name_b)
     if cfg.compare_task == "gs":
-        e_a, _ = ground_state(model_a.op, seed=cfg.seed)
-        e_b, _ = ground_state(model_b.op, seed=cfg.seed)
+        e_a = ground_state(model_a.op, seed=cfg.seed)[0]
+        e_b = ground_state(model_b.op, seed=cfg.seed)[0]
         rel = abs(e_a - e_b) / max(abs(e_a), 1e-300)
         _write_csv(
             outdir / "compare_gs.csv",

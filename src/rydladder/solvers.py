@@ -18,11 +18,7 @@ SYMMETRY_TOL = 1e-12   # ||Pi H Pi^T - H||_1 / ||H||_1 below which a permutation
 RESIDUAL_TOL = 1e-10   # ||H psi - E psi|| / ||H||_1 up to which a ground state is certified
 KRYLOV_DIM = 60        # Lanczos steps per window of krylov_evolve
 KRYLOV_TOL = 1e-13     # the defect bound on the error one window of krylov_evolve adds
-
-# lobpcg warns when it stops short of its tol; ground_state's exact residual check decides instead.
-# Set once: catch_warnings per call is not thread-safe.
-LOBPCG_WARNINGS = "Exited at iteration|Exited postprocessing|Failed at iteration"
-warnings.filterwarnings("ignore", LOBPCG_WARNINGS, UserWarning, __name__)
+GRAM_TOL = 1e-8        # squared Cholesky pivot of the unit p below which ground_state's LOPCG drops p
 
 
 class SolverError(RuntimeError):
@@ -76,23 +72,92 @@ def dense_eigs(h: Operator, k: int | None = None) -> SpectrumResult:
     return SpectrumResult(vals, vecs, _residuals(h.matrix, vals, vecs), sectors=(h.dim,))
 
 
+def _cholesky(gram: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``gram``, or None if it is not positive definite."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _lopcg(h: Operator, x: np.ndarray, precond: np.ndarray, target: float, max_iter: int):
+    """LOPCG iterate for the lowest eigenpair of H from x, until ||Hx - (x.Hx) x|| <= target.
+
+    Returns ``(x, products, iterations)``, x of unit norm.  The rows x, w, p and
+    their H-images H x, H w, H p are updated in place; H x and H p by linearity,
+    so each step takes the one product H w.
+    """
+    v = np.zeros((2, 3, len(x)))   # x, w = precond * (Hx - rho x), p = x_new - c_0 x; then their images
+    s, hs = v
+    s[0] = x / np.linalg.norm(x)
+    hs[0] = h @ s[0]
+    products, iterations, k, best = 1, 0, 2, np.inf   # k: rows in the basis, 2 until there is a p
+    while True:
+        rho = s[0] @ hs[0]
+        best = min(best, rho)
+        np.multiply(s[0], rho, out=s[1])
+        np.subtract(hs[0], s[1], out=s[1])
+        if np.linalg.norm(s[1]) <= target:
+            break
+        if products >= max_iter:
+            raise ConvergenceError(f"LOPCG did not converge in {max_iter} products with H", best)
+        s[1] *= precond
+        hs[1] = h @ s[1]
+        products += 1
+        iterations += 1
+        # Rayleigh-Ritz in the Cholesky-QR basis of the unit rows.  One (6, dim) x (dim, 3)
+        # product gives S S^T and (HS) S^T, in half the time of two 3-row products.
+        dots = v.reshape(6, -1) @ s.T
+        gram, proj = dots[:k, :k], dots[3:3 + k, :k]
+        d = 1 / np.sqrt(np.diag(gram))
+        unit = gram * np.outer(d, d)
+        chol = _cholesky(unit)
+        if k == 3 and (chol is None or chol[2, 2] ** 2 < GRAM_TOL):   # p (nearly) in span{x, w}
+            k = 2
+            chol = _cholesky(unit[:2, :2])
+        if chol is None:   # w in span{x}: no direction left to search
+            break
+        inv, d = np.linalg.inv(chol), d[:k]
+        _, u = np.linalg.eigh(inv @ ((proj[:k, :k] + proj[:k, :k].T) / 2 * np.outer(d, d)) @ inv.T)
+        c = np.zeros(3)   # c_2 = 0 without p
+        c[:k] = inv.T @ u[:, 0] * d
+        c /= np.sqrt(c[:k] @ gram[:k, :k] @ c[:k])
+        x, w, p = v[:, 0], v[:, 1], v[:, 2]   # each row with its image
+        w *= c[1]   # p = c_1 w + c_2 p, then x = c_0 x + p; the w row is spent
+        p *= c[2]
+        p += w
+        x *= c[0]
+        x += p
+        k = 3
+    return s[0].copy(), products, iterations   # a copy, so that the other five rows are freed
+
+
 def ground_state(
     h: Operator,
     max_iter: int = 20000,
     seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Certified ground-state pair by preconditioned LOBPCG with block size 1
-    (below 5 rows, by dense ``eigh``).
+) -> tuple[float, np.ndarray, dict]:
+    """Certified ground-state pair by preconditioned LOPCG.
 
-    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) is preconditioned by
-    the clipped Jacobi inverse 1 / max(|H_ii - min H_jj|, floor), the floor
-    being the largest off-diagonal |H_ij|.  Returns only when the true
-    residual ||H psi - E psi|| <= RESIDUAL_TOL ||H||_1 (exact 1-norm, E the
-    Rayleigh quotient); otherwise raises :class:`ConvergenceError` carrying
-    the lowest Rayleigh quotient seen.  H is read only through its diagonal,
-    its products, ``norm1`` and ``max_off_diagonal``.  Memory is a few vectors
-    of length dim; ``max_iter`` caps the products with H.  Deterministic for a
-    given seed.
+    Returns ``(energy, psi, report)`` with ``report`` the ``products`` with H
+    (the certificate's included), the LOPCG ``iterations``, the true
+    ``residual`` ||H psi - E psi|| and its ``bound``.
+
+    LOPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) with block size 1 runs
+    in this module, on numpy alone (``_lopcg``).  Each step takes one product
+    H w with the preconditioned residual w, keeps H x and H p by linearity, and
+    takes the next x and p from the Rayleigh-Ritz pair of span{x, w, p}: a 3x3
+    ``eigh`` in the Cholesky-QR basis of the unit rows.  p is dropped for that
+    step when its squared Cholesky pivot, its share of unit norm outside
+    span{x, w}, is below GRAM_TOL.  The preconditioner is the clipped Jacobi
+    inverse 1 / max(|H_ii - min H_jj|, floor), the floor being the largest
+    off-diagonal |H_ij|.  The loop stops at a residual of a quarter of the
+    bound; ``ground_state`` returns only when the true residual ||H psi - E psi||
+    <= RESIDUAL_TOL ||H||_1 (exact 1-norm, E the Rayleigh quotient), otherwise
+    raises :class:`ConvergenceError` carrying the lowest Rayleigh quotient seen.
+    H is read only through its diagonal, its products, ``norm1`` and
+    ``max_off_diagonal``.  Memory is six vectors of length dim and one product;
+    ``max_iter`` caps the products with H.  Deterministic for a given seed.
     """
     n = h.dim
     diag = h.diagonal()
@@ -100,35 +165,19 @@ def ground_state(
     start = np.zeros(n)
     start[int(np.argmin(diag))] = 1.0
     floor = h.max_off_diagonal()
+    bound = float(RESIDUAL_TOL * h.norm1())
     if floor == 0:   # diagonal H (dim 1 included): that basis state alone is exact
-        return float(diag.min()), start
-    bound = RESIDUAL_TOL * h.norm1()
+        return float(diag.min()), start, {"products": 0, "iterations": 0, "residual": 0.0, "bound": bound}
     start += 1e-3 * np.random.default_rng(seed).standard_normal(n) / np.sqrt(n)
-    precond = 1.0 / np.maximum(np.abs(diag - diag.min()), floor)[:, None]
-    used, best = 0, np.inf
-
-    def apply_h(x):
-        nonlocal used, best
-        used += x.shape[1]
-        if used > max_iter:
-            raise ConvergenceError(f"LOBPCG did not converge in {max_iter} products with H", best)
-        hx = h @ x
-        # einsum, not numpy's BLAS, whose thread pool stalls scipy's (10x on 2 CPUs)
-        best = min(best, (np.einsum("ij,ij->j", x, hx) / np.einsum("ij,ij->j", x, x)).min())
-        return hx
-
-    if n < 5:   # too few rows for LOBPCG iterations: the lowest pair of the dense H
-        x = sla.eigh(h @ np.eye(n), subset_by_index=(0, 0))[1][:, 0]
-    else:   # lobpcg's tol is a quarter of the bound: its residuals land at 0.8-1 of its tol
-        x = spla.lobpcg(apply_h, start[:, None], M=lambda r: precond * r, tol=bound / 4,
-                        maxiter=max_iter, largest=False)[1][:, 0]
+    precond = 1.0 / np.maximum(np.abs(diag - diag.min()), floor)
+    x, products, iterations = _lopcg(h, start, precond, bound / 4, max_iter)
     psi = normalize(x)
     h_psi = h @ psi
     energy = float(psi @ h_psi)
-    residual = np.linalg.norm(h_psi - energy * psi)
+    residual = float(np.linalg.norm(h_psi - energy * psi))
     if residual > bound:
         raise ConvergenceError(f"true residual {residual:.3g} > {bound:.3g}", energy)
-    return energy, psi
+    return energy, psi, {"products": products + 1, "iterations": iterations, "residual": residual, "bound": bound}
 
 
 def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):

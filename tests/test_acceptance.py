@@ -210,9 +210,9 @@ def test_criterion_05_two_leg_error_curves():
             h = rydberg_hamiltonian(
                 atoms, omega, delta, c6, enumerate_rydberg(atoms.n_atoms),
             )
-            e_full, _ = ground_state(h)
+            e_full, _, _ = ground_state(h)
             coeffs = coeffs_two_leg(v0, delta, omega, rho)
-            e_eff, _ = ground_state(effective_spin1_hamiltonian(coeffs, ns))
+            e_eff, _, _ = ground_state(effective_spin1_hamiltonian(coeffs, ns))
             return abs(e_eff - e_full) / abs(e_full)
 
         grid = (0.2, 1.0, 2.0, 5.0)
@@ -303,7 +303,7 @@ def test_criterion_08_solver_properties():
         basis = enumerate_rydberg(atoms.n_atoms)
         h = rydberg_hamiltonian(atoms, 1.3, 0.8, 500.0, basis)
         e_dense = dense_eigs(h, k=1).eigenvalues[0]
-        e_lan, _ = ground_state(h)
+        e_lan, _, _ = ground_state(h)
         assert e_lan == pytest.approx(e_dense, abs=1e-9 * max(1.0, abs(e_dense)))
 
         psi0 = np.zeros(h.dim, complex)

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from rydladder import krylov_evolve, match_forward
 from rydladder.cli import (
@@ -24,7 +25,7 @@ from rydladder.cli import (
     parse_config,
     run,
 )
-from rydladder.solvers import KRYLOV_DIM, KRYLOV_TOL
+from rydladder.solvers import KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL
 
 BASE = """
 [geometry]
@@ -177,13 +178,18 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
 
 def test_gs_task_outputs(tmp_path):
     out = tmp_path / "out"
-    assert main(["run", "--config", _write(tmp_path, BASE.format(out=out))]) == EXIT_OK
+    path = _write(tmp_path, BASE.format(out=out))
+    assert main(["run", "--config", path]) == EXIT_OK
     rows = (out / "gs.csv").read_text().strip().split("\n")
     header = rows[0].split(",")
-    assert header[:1] == ["E0"]
+    assert header[:3] == ["E0", "matvecs", "residual"]
     for col in ("m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm", "chi_rdw",
                 "S1", "S2", "phase_label"):
         assert col in header
+    row = dict(zip(header, rows[1].split(",")))
+    assert int(row["matvecs"]) >= 2   # the start's product and the certificate's
+    h = build_model(parse_config(path)).op
+    assert 0 <= float(row["residual"]) <= RESIDUAL_TOL * spla.norm(h.matrix, 1)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "rydladder"
     assert "V0" in manifest["derived"]
@@ -460,7 +466,7 @@ def test_sweep_schema_and_thread_determinism(tmp_path):
     lines = body1.strip().split("\n")
     assert lines[0].split(",") == [
         "omega", "delta", "delta0", "m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm",
-        "chi_rdw", "S1", "S2", "E0", "phase_label", "error",
+        "chi_rdw", "S1", "S2", "E0", "matvecs", "residual", "phase_label", "error",
     ]
     assert len(lines) == 5
 

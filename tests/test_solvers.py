@@ -1,10 +1,14 @@
 """Eigensolvers and Krylov propagation."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from rydladder import (
     rydberg_hamiltonian,
     sector_eigenstates,
 )
+from rydladder import solvers
 from rydladder.basis import rung_permutations
 from rydladder.solvers import (DENSE_DIM_LIMIT, KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL, SYMMETRY_TOL, normalize,
                                symmetry_sectors)
@@ -90,7 +95,7 @@ def test_dense_eigs_subset_matches_full_eigh(k):
 def test_lanczos_matches_dense_random(seed):
     h = _random_operator(300, seed)
     e_dense = dense_eigs(h, k=1).eigenvalues[0]
-    e_lan, psi = ground_state(h, seed=seed)
+    e_lan, psi, _ = ground_state(h, seed=seed)
     assert e_lan == pytest.approx(e_dense, abs=1e-9)
     # the certified bound: true residual <= RESIDUAL_TOL * ||H||_1 = 1e-10 ||H||_1
     assert np.linalg.norm(h.matrix @ psi - e_lan * psi) <= 1e-10 * spla.norm(h.matrix, 1)
@@ -99,7 +104,7 @@ def test_lanczos_matches_dense_random(seed):
 def test_lanczos_matches_dense_physical():
     for h in _physical_instances():
         e_dense = dense_eigs(h, k=1).eigenvalues[0]
-        e_lan, _ = ground_state(h)
+        e_lan, _, _ = ground_state(h)
         assert e_lan == pytest.approx(e_dense, abs=1e-9 * max(1.0, abs(e_dense)))
 
 
@@ -112,26 +117,27 @@ def test_lanczos_convergence_error_carries_estimate():
 
 def test_ground_state_dispatch():
     h = _random_operator(50, 1)
-    e, psi = ground_state(h)
+    e, psi, _ = ground_state(h)
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     assert e == pytest.approx(dense_eigs(h, k=1).eigenvalues[0], abs=1e-10)
 
 
-def _two_leg_12():
-    """Twelve-atom two-leg ladder at criterion 05's hard point (rho = 0.5,
-    Omega = 0.2 * 2pi), dim 4096."""
+def _two_leg(n_rungs=6, omega=0.2):
+    """Two-leg ladder with criterion 05's couplings (rho = 0.5, Delta = 2pi), by default
+    at its hard point Omega = 0.2 * 2pi: 12 atoms and dim 4096, or 14 atoms and dim
+    16384 at 7 rungs."""
     tp = 2 * math.pi
     c6, v0 = 858386.0 * tp, 1000.0 * tp
     a_y = (c6 / v0) ** (1 / 6)
-    atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, 6, 2 * a_y, a_y))
+    atoms = build_ladder(LadderSpec(LadderKind.TWO_LEG, n_rungs, 2 * a_y, a_y))
     basis = enumerate_rydberg(atoms.n_atoms)
-    return rydberg_hamiltonian(atoms, 0.2 * tp, 1.0 * tp, c6, basis)
+    return rydberg_hamiltonian(atoms, omega * tp, 1.0 * tp, c6, basis)
 
 
 @pytest.fixture(scope="module")
 def two_leg_4096():
-    """``_two_leg_12`` and its dense ground-state energy."""
-    h = _two_leg_12()
+    """``_two_leg()`` and its dense ground-state energy."""
+    h = _two_leg()
     assert h.dim == DENSE_DIM_LIMIT
     return h, dense_eigs(h, k=1).eigenvalues[0]
 
@@ -139,7 +145,7 @@ def two_leg_4096():
 @pytest.mark.parametrize("seed", range(5))
 def test_ground_state_certified_at_dense_limit(two_leg_4096, seed):
     h, e_dense = two_leg_4096
-    e, psi = ground_state(h, seed=seed)
+    e, psi, _ = ground_state(h, seed=seed)
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
     assert e == pytest.approx(e_dense, rel=1e-9)
@@ -150,7 +156,7 @@ def test_ground_state_within_small_product_budget(two_leg_4096, seed):
     """The Jacobi preconditioner removes the blockade scale: 200 products with H
     suffice where unpreconditioned ARPACK needed more than 1000."""
     h, e_dense = two_leg_4096
-    e, psi = ground_state(h, max_iter=200, seed=seed)
+    e, psi, _ = ground_state(h, max_iter=200, seed=seed)
     assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
     assert e == pytest.approx(e_dense, rel=1e-9)
 
@@ -161,8 +167,8 @@ def test_complete_basis_solves_leave_the_csr_unbuilt(two_leg_4096):
     assembled.  The energy equals dense eigh of that CSR, assembled afterwards,
     within the certified residual."""
     _, e_dense = two_leg_4096
-    h = _two_leg_12()
-    e, psi = ground_state(h)
+    h = _two_leg()
+    e, psi, _ = ground_state(h)
     _, states, report = krylov_evolve(h, psi, 0.1, 0.05)
     assert "matrix" not in vars(h)
     residual = np.linalg.norm(h.matrix @ psi - e * psi)
@@ -179,7 +185,7 @@ def test_ground_state_strongly_driven_effective_chain():
     tp = 2 * math.pi
     coeffs = coeffs_two_leg(1000.0 * tp, 1.0 * tp, 5.0 * tp, 0.5)
     h = effective_spin1_hamiltonian(coeffs, 8)
-    e, psi = ground_state(h)
+    e, psi, _ = ground_state(h)
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     assert np.linalg.norm(h.matrix @ psi - e * psi) <= 1e-10 * spla.norm(h.matrix, 1)
     e_ref = spla.eigsh(h.matrix, k=1, which="SA", tol=1e-14)[0][0]
@@ -192,26 +198,70 @@ def test_ground_state_without_drive_is_the_lowest_configuration():
     h = rydberg_hamiltonian(atoms, 0.0, 0.8, 500.0,
                             enumerate_rydberg(atoms.n_atoms))
     assert sp.triu(h.matrix, 1).nnz == 0
-    e, psi = ground_state(h)
+    e, psi, _ = ground_state(h)
     assert e == h.matrix.diagonal().min()
     assert np.linalg.norm(h.matrix @ psi - e * psi) == 0.0
 
 
 def test_ground_state_rejects_an_uncertified_vector(monkeypatch):
-    """The exact residual check, not LOBPCG's own stop, decides what is returned."""
+    """The exact residual check, not the LOPCG loop's own stop, decides what is returned."""
     h = _random_operator(300, 0)
     e_dense = dense_eigs(h, k=1).eigenvalues[0]
-    lobpcg = spla.lobpcg
+    lopcg = solvers._lopcg
 
     def perturbed(*args, **kwargs):
-        vals, vecs = lobpcg(*args, **kwargs)
-        return vals, vecs + 1e-4 * np.random.default_rng(0).standard_normal(vecs.shape)
+        x, products, iterations = lopcg(*args, **kwargs)
+        return x + 1e-4 * np.random.default_rng(0).standard_normal(x.shape), products, iterations
 
-    monkeypatch.setattr(spla, "lobpcg", perturbed)
+    monkeypatch.setattr(solvers, "_lopcg", perturbed)
     with pytest.raises(ConvergenceError, match="true residual") as exc:
         ground_state(h)
     assert exc.value.best_estimate >= e_dense - 1e-12
     assert exc.value.best_estimate == pytest.approx(e_dense, abs=1e-3)
+
+
+def test_ground_state_is_bitwise_deterministic_for_a_seed(two_leg_4096):
+    h, _ = two_leg_4096
+    e1, psi1, report1 = ground_state(h, seed=3)
+    e2, psi2, report2 = ground_state(h, seed=3)
+    assert e1 == e2
+    assert psi1.tobytes() == psi2.tobytes()
+    assert report1 == report2
+
+
+def test_ground_state_report_and_product_count(two_leg_4096):
+    """At most 46 products with H (the certificate's included) on the two-leg ladder
+    at 12 and 14 atoms; the report's residual and bound are those of the assembled CSR."""
+    for h in (two_leg_4096[0], _two_leg(7)):
+        e, psi, report = ground_state(h)
+        assert set(report) == {"products", "iterations", "residual", "bound"}
+        assert report["products"] <= 46
+        assert report["iterations"] == report["products"] - 2   # the start's and the certificate's products
+        residual = np.linalg.norm(h.matrix @ psi - e * psi)
+        assert report["residual"] == pytest.approx(residual, rel=1e-6, abs=1e-3 * report["bound"])
+        assert report["bound"] == pytest.approx(RESIDUAL_TOL * spla.norm(h.matrix, 1), rel=1e-14)
+        assert residual <= report["bound"]
+
+
+def test_ground_state_drops_p_from_a_degenerate_basis(monkeypatch):
+    """At Omega = 1e-7 x 2pi the blockade spread is about 1e10 |Omega|: the Jacobi
+    preconditioner is nearly exact and p falls into span{x, w}.  The loop drops p, its
+    Rayleigh-Ritz runs on 2 rows after the first step, and the certificate still holds."""
+    h = _two_leg(5, omega=1e-7)
+    ref = dense_eigs(h, k=1)
+    eigh, sizes = np.linalg.eigh, []
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    e, psi, report = ground_state(h)
+    monkeypatch.undo()
+    assert report["iterations"] == len(sizes) >= 2
+    assert sizes[0] == 2 and 2 in sizes[1:]
+    assert np.linalg.norm(h.matrix @ psi - e * psi) <= RESIDUAL_TOL * spla.norm(h.matrix, 1)
+    assert e == pytest.approx(ref.eigenvalues[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -220,7 +270,7 @@ def test_ground_state_tiny(n):
     m = rng.standard_normal((n, n))
     h = SparseOperator(n, sp.csr_matrix(m + m.T))
     ref = dense_eigs(h, k=1)
-    e, psi = ground_state(h)
+    e, psi, _ = ground_state(h)
     assert e == pytest.approx(ref.eigenvalues[0], abs=1e-12)
     assert abs(psi @ ref.eigenvectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -242,6 +292,22 @@ def test_threaded_solves_leave_the_warning_filters_alone():
     with warnings.catch_warnings(record=True) as caught:   # records under the filters in force
         sector_eigenstates(h, basis, StateDictionary.for_kind(LadderKind.THREE_LEG), 9)
     assert [str(w.message) for w in caught] == ["spin-1 band is ambiguous: all sector overlaps below 0.5"]
+
+
+def test_importing_rydladder_leaves_the_warning_filters_alone():
+    """In a fresh interpreter, with numpy and scipy (which add filters of their own)
+    imported first, importing rydladder adds no warning filter."""
+    code = """
+import warnings
+import numpy, scipy.linalg, scipy.sparse, scipy.sparse.linalg
+before = list(warnings.filters)
+import rydladder
+print(warnings.filters == before)
+"""
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True"]
 
 
 def test_normalize_zero_vector():
