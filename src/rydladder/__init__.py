@@ -51,6 +51,7 @@ from .observables import (
     order_parameters,
     renyi_entropy,
     site_profiles,
+    site_tables,
     susceptibility_peak,
 )
 from .solvers import (

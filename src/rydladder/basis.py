@@ -57,11 +57,6 @@ class RydbergBasis:
             out = np.where(ok, idx, -1)
         return out if np.ndim(config) else int(out[0])
 
-    def occupations(self) -> np.ndarray:
-        """(dim, n_atoms) 0/1 matrix of Rydberg occupations n_a per state."""
-        bits = (self.states[:, None] >> np.arange(self.n_atoms)[None, :]) & 1
-        return bits.astype(np.int8)
-
 
 def enumerate_rydberg(n_atoms: int, constraint: RungConstraint | None = None) -> RydbergBasis:
     if n_atoms > MAX_ATOMS:

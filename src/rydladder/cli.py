@@ -56,7 +56,8 @@ from .geometry import (
 )
 from .hamiltonians import (Operator, SparseOperator, effective_spin1_hamiltonian, rydberg_hamiltonian,
                            sqed_charge_hamiltonian)
-from .observables import classify_phase, order_parameters, renyi_entropy, site_profiles
+from .observables import (classify_phase, order_parameters, renyi_entropy, site_profiles, site_tables,
+                          susceptibility_peak)
 from .solvers import (SolverError, dense_eigs, ground_state, krylov_evolve, sector_eigenstates,
                       symmetry_sectors)
 
@@ -490,10 +491,12 @@ def _evolve(cfg: RunConfig, model: Model):
 
     On a Rydberg ladder the sector is that of the verified rung symmetries
     under which psi is an exact eigenvector (``symmetry_sectors``).  When none
-    fixes psi, or the model has no rungs, the sector is the whole space,
-    U = I is never applied, and the trajectory is the full-space one.
-    Returns the sample times, the samples in the full basis (each embedded
-    as U phi when it is read) and the run summary with the propagator's report.
+    fixes psi, or the model has no rungs, the sector is the whole space and
+    U = I is never applied.  Each basis state lies in one orbit, so each row of
+    U holds at most one nonzero and |U phi|^2 = (U o U)|phi|^2: the site tables
+    T are folded into the sector once, as (U o U)^T T, and no sample is embedded.
+    Returns the sample times, their site profiles and the run summary with the
+    propagator's report.
     """
     psi = initial_state(cfg, model)
     names, u, h = [], None, model.op
@@ -503,15 +506,17 @@ def _evolve(cfg: RunConfig, model: Model):
             u, psi = block, block.T @ psi
             h = SparseOperator(u.shape[1], (u.T @ h.matrix @ u).tocsr())
     times, states, report = krylov_evolve(h, psi, cfg.t_total, cfg.dt)
-    samples = states if u is None else (u @ phi for phi in states)
-    return times, samples, {"n_steps": len(times) - 1, "symmetries": names, "sector": h.dim, **report}
+    tables = site_tables(model.basis, model.atoms)
+    if u is not None:
+        tables = tuple(u.multiply(u).T @ t for t in tables)
+    profiles = site_profiles(states, tables)
+    return times, profiles, {"n_steps": len(times) - 1, "symmetries": names, "sector": h.dim, **report}
 
 
 def task_evolve(cfg: RunConfig, outdir: Path) -> dict:
-    model = build_model(cfg)
-    times, samples, summary = _evolve(cfg, model)
+    times, profiles, summary = _evolve(cfg, build_model(cfg))
     rows = []
-    for t, prof in zip(times, site_profiles(samples, model.basis, model.atoms)):
+    for t, prof in zip(times, profiles):
         for s in range(len(prof.lz)):
             rows.append((float(t), s + 1, float(prof.lz[s]), float(prof.lz2[s])))
     _write_csv(outdir / "timeseries.csv", ["t", "site", "lz", "lz2"], rows)
@@ -534,7 +539,13 @@ def task_sweep(cfg: RunConfig, outdir: Path) -> dict:
     keys = ["omega", "delta", "delta0", "m_fm", "m_afm", "m_rdw", "chi_fm", "chi_afm",
             "chi_rdw", "S1", "S2", "E0", "matvecs", "residual", "phase_label", "error"]
     _write_csv(outdir / "scan.csv", keys, [tuple(r.get(k, "") for k in keys) for r in results])
-    return {"points": len(results), "failed": sum(1 for r in results if r["error"])}
+    summary = {"points": len(results), "failed": sum(1 for r in results if r["error"])}
+    chain = [r for r in results if not r["error"] and "chi_fm" in r]   # error-free spin-1 chain points
+    if len(chain) >= 3:
+        xs = [r[cfg.axis] for r in chain]
+        summary["peaks"] = {k: list(susceptibility_peak(xs, [r[k] for r in chain]))
+                            for k in ("chi_fm", "chi_afm", "chi_rdw")}
+    return summary
 
 
 def task_compare(cfg: RunConfig, outdir: Path) -> dict:
@@ -552,10 +563,8 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
         )
         return {"E0_a": e_a, "E0_b": e_b, "max_deviation": abs(e_a - e_b)}
     # compare evolve: paired per-site traces, and each propagation's report
-    times, samples_a, report_a = _evolve(cfg, model_a)
-    _, samples_b, report_b = _evolve(cfg, model_b)
-    profs_a = site_profiles(samples_a, model_a.basis, model_a.atoms)
-    profs_b = site_profiles(samples_b, model_b.basis, model_b.atoms)
+    times, profs_a, report_a = _evolve(cfg, model_a)
+    _, profs_b, report_b = _evolve(cfg, model_b)
     rows = []
     max_dev = 0.0
     for t, prof_a, prof_b in zip(times, profs_a, profs_b):

@@ -109,9 +109,6 @@ class AtomArray:
     def n_legs(self) -> int:
         return self.spec.n_legs
 
-    def atoms_of_rung(self, rung: int) -> np.ndarray:
-        return np.flatnonzero(self.rung_of == rung)
-
 
 # Per-rung local coordinates (x, y, z) for each kind, ordered bottom -> top
 # as the legs of LEG_SPINS, so that atom index = (rung - 1) * n_legs + leg.

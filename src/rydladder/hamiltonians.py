@@ -24,9 +24,9 @@ from .geometry import AtomArray, pairwise_couplings
 class SparseOperator:
     """Hermitian (real symmetric) operator over an enumerated basis, as CSR.
 
-    The solvers read it through ``diagonal``, ``@`` (a vector or a (dim, k)
-    block), ``norm1`` and ``max_off_diagonal``, which ``FlipOperator`` provides
-    without a matrix; ``matrix`` is for the symmetry and dense paths.
+    The solvers read it through ``diagonal``, ``@`` (a vector), ``norm1`` and
+    ``max_off_diagonal``, which ``FlipOperator`` provides without a matrix;
+    ``matrix`` is for the symmetry and dense paths.
     """
 
     dim: int
@@ -93,17 +93,16 @@ class FlipOperator:
         return self.diag
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """H x for a vector or a (dim, k) block.  The flip partner of state s under
-        atom a is s ^ (1 << a), so X_a x is x viewed as (2^(n-a-1), 2, 2^a, k)
-        reversed along its second axis: a strided copy, with no index array."""
-        xk = x.reshape(self.dim, -1)
-        out = np.zeros(xk.shape, np.result_type(xk, self.diag))
+        """H x for a vector x.  The flip partner of state s under atom a is
+        s ^ (1 << a), so X_a x is x viewed as (2^(n-a-1), 2, 2^a) reversed along
+        its second axis: a strided copy, with no index array."""
+        out = np.zeros(x.shape, np.result_type(x, self.diag))
         for a in range(self.n_atoms):
-            view = (-1, 2, 1 << a, xk.shape[1])
-            out.reshape(view)[...] += xk.reshape(view)[:, ::-1]
+            view = (-1, 2, 1 << a)
+            out.reshape(view)[...] += x.reshape(view)[:, ::-1]
         out *= self.amplitude
-        out += self.diag[:, None] * xk
-        return out.reshape(x.shape)
+        out += self.diag * x
+        return out
 
     def norm1(self) -> float:
         """||H||_1 in closed form: every column holds H_ii and n_atoms flips."""
@@ -222,7 +221,8 @@ def effective_spin1_hamiltonian(
     pairs when 2k < n_sites, the n_sites/2 antipodal pairs when 2k = n_sites.
     A range-k term (k >= 2) with no pair, k >= n_sites open or 2k > n_sites
     periodic, is ignored with a warning.  Edge overrides ``d_first``/``d_last``
-    replace D on the boundary sites of an open chain; the 00BC variant
+    replace D on the boundary sites of an open chain, as shifts from D, so a
+    one-site chain takes d_first + d_last - D; the 00BC variant
     additionally shifts both edge (L^z)^2 coefficients by ``coeffs.bc_lz2_edge``
     and adds the constant ``coeffs.bc_const``.  A ring needs n_sites >= 3 and has
     no edge: every site keeps the bulk D, and the constant counts one ``const_bond``
@@ -240,10 +240,11 @@ def effective_spin1_hamiltonian(
     d_site = np.full(n_sites, coeffs.D)
     const = n_sites * coeffs.const_site + pairs(1) * coeffs.const_bond
     if bc is not BoundaryCondition.PBC:
-        if coeffs.d_first is not None:
-            d_site[0] = coeffs.d_first
-        if coeffs.d_last is not None:
-            d_site[-1] = coeffs.d_last
+        # edge values are shifts from D, so a lone site takes both; on a longer
+        # chain d_site[i] - D is an exact 0.0 and each edge is d_first/d_last to the bit
+        for i, d_edge in ((0, coeffs.d_first), (-1, coeffs.d_last)):
+            if d_edge is not None:
+                d_site[i] = d_edge + (d_site[i] - coeffs.D)
     if bc is BoundaryCondition.ZERO_ZERO:
         d_site[0] += coeffs.bc_lz2_edge
         d_site[-1] += coeffs.bc_lz2_edge

@@ -42,33 +42,32 @@ class OrderParameters:
     m_rdw_abs: float
 
 
-def site_profiles(states, basis, atoms: AtomArray | None = None) -> list[SiteProfile]:
-    """Per-site <L^z_i> and <(L^z_i)^2> of each state of ``states``.
+def site_tables(basis, atoms: AtomArray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The (dim, n_sites) tables of L^z_i and (L^z_i)^2 over the states of ``basis``.
 
-    The basis tables (spin-1 digits, or Rydberg occupations and each rung's
-    outer legs) are built once for the whole sequence, which may be a
-    generator: states are read one at a time.  On a Rydberg basis the profile
-    is occupation-based, on the full state (no sector projection):
-    L^z_i = n_{i,+1} - n_{i,-1} and (L^z_i)^2 = n_{i,+1} + n_{i,-1}.
+    On a spin-1 basis they are m and m^2.  On a Rydberg basis they are read off
+    each state's bits: L^z_i = n_{i,+1} - n_{i,-1} and (L^z_i)^2 = n_{i,+1} + n_{i,-1}
+    over the outer legs of rung i, so a rung without outer legs has zero columns.
     """
     if isinstance(basis, Spin1Basis):
         m = basis.digits().astype(float)
-        m2 = m * m
-        return [SiteProfile(lz=w @ m, lz2=w @ m2) for w in (np.abs(psi) ** 2 for psi in states)]
+        return m, m * m
     if atoms is None:
         raise BasisError("Rydberg-state profiles need the atom array")
     if basis.n_atoms != atoms.n_atoms:
         raise BasisError("basis does not match the atom array")
-    occ = basis.occupations().astype(float)
-    rungs = [atoms.atoms_of_rung(i) for i in range(1, atoms.n_rungs + 1)]
-    legs = [(rung[atoms.leg_of[rung] == +1], rung[atoms.leg_of[rung] == -1]) for rung in rungs]
-    profiles = []
-    for psi in states:
-        occ_mean = (np.abs(psi) ** 2) @ occ
-        up = np.array([occ_mean[u].sum() for u, _ in legs])
-        down = np.array([occ_mean[d].sum() for _, d in legs])
-        profiles.append(SiteProfile(lz=up - down, lz2=up + down))
-    return profiles
+    tables = np.zeros((2, basis.dim, atoms.n_rungs))
+    for a in np.flatnonzero(atoms.leg_of):   # the outer legs, +1 and -1
+        tables[:, :, atoms.rung_of[a] - 1] += np.outer([atoms.leg_of[a], 1], (basis.states >> a) & 1)
+    return tables[0], tables[1]
+
+
+def site_profiles(states, tables) -> list[SiteProfile]:
+    """Per-site <L^z_i> and <(L^z_i)^2> of each state of ``states``: |psi|^2 @ the
+    ``site_tables`` pair ``tables``.  ``states`` may be a generator, read one
+    state at a time; on a Rydberg basis the profile is that of the full state."""
+    lz, lz2 = tables
+    return [SiteProfile(lz=w @ lz, lz2=w @ lz2) for w in (np.abs(psi) ** 2 for psi in states)]
 
 
 def order_parameters(psi: np.ndarray, basis: Spin1Basis) -> OrderParameters:

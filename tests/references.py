@@ -63,7 +63,7 @@ def diagonal_expansion_oracle(atoms, c6, delta):
 
 def _single_rung_energies(atoms, delta, spin_to_pattern):
     """Detuning energy of each spin state of one isolated rung (no inter-rung pairs)."""
-    rung = atoms.atoms_of_rung(1)
+    rung = np.flatnonzero(atoms.rung_of == 1)
     det = delta + atoms.detuning_offset
     return {
         m: -sum(det[rung[b]] for b in range(len(rung)) if (pat >> b) & 1)

@@ -37,6 +37,7 @@ from rydladder import (
     rydberg_hamiltonian,
     sector_eigenstates,
     site_profiles,
+    site_tables,
     target_coefficients,
 )
 
@@ -254,7 +255,8 @@ def test_criterion_06_three_leg_time_evolution():
             psie[sb.index_of([0, 0, 0])] = 1.0
             _, se, _ = krylov_evolve(heff, psie, 1.0, 0.002)
             for pf, pe in zip(states, se):
-                dev = site_profiles([pf], basis, atoms)[0].lz2 - site_profiles([pe], sb)[0].lz2
+                dev = (site_profiles([pf], site_tables(basis, atoms))[0].lz2
+                       - site_profiles([pe], site_tables(sb))[0].lz2)
                 assert np.max(np.abs(dev)) < 0.1
 
     _check(6, "three-leg time evolution", body)
@@ -286,10 +288,10 @@ def test_criterion_07_five_site_quench():
         psie[sb.index_of([0] * ns)] = 1.0
         _, se, _ = krylov_evolve(heff, psie, 0.5, 0.002)
         for pf, pe in zip(states, se):
-            pr = site_profiles([pf], basis, atoms)[0]
+            pr = site_profiles([pf], site_tables(basis, atoms))[0]
             assert np.max(np.abs(pr.lz)) < 1e-6
             assert np.max(np.abs(pr.lz2 - pr.lz2[::-1])) < 1e-6
-            assert np.max(np.abs(pr.lz2 - site_profiles([pe], sb)[0].lz2)) < 0.1
+            assert np.max(np.abs(pr.lz2 - site_profiles([pe], site_tables(sb))[0].lz2)) < 0.1
 
     _check(7, "five-site quench symmetries", body)
 

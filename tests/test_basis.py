@@ -78,13 +78,6 @@ def test_constrained_enumeration_counts(n_legs, max_exc, per_rung):
             assert bin((int(s) >> (r * n_legs)) & mask).count("1") <= max_exc
 
 
-def test_occupations_match_bits():
-    basis = enumerate_rydberg(4)
-    occ = basis.occupations()
-    for i, s in enumerate(basis.states):
-        assert all(occ[i, a] == ((int(s) >> a) & 1) for a in range(4))
-
-
 def test_enumeration_limit():
     with pytest.raises(BasisError):
         enumerate_rydberg(27)

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from rydladder import krylov_evolve, match_forward
+from rydladder import SparseOperator, krylov_evolve, match_forward, site_profiles, site_tables, susceptibility_peak
 from rydladder.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -25,7 +25,7 @@ from rydladder.cli import (
     parse_config,
     run,
 )
-from rydladder.solvers import KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL
+from rydladder.solvers import KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL, symmetry_sectors
 
 BASE = """
 [geometry]
@@ -362,24 +362,35 @@ def test_evolve_timeseries_schema(tmp_path):
     ("in-plane-triangle", ["leg"]),
 ])
 def test_sector_evolution_matches_full_space_and_expm(tmp_path, kind, symmetries):
-    """The embedded sector trajectory against full-space krylov_evolve and dense expm."""
+    """The sector trajectory, embedded here as U phi, against full-space krylov_evolve
+    and dense expm; the profiles ``_evolve`` folds from the sector against those of
+    the embedded samples."""
     text = BASE.format(out=tmp_path).replace("kind = three-leg", f"kind = {kind}").replace(
         "hamiltonian = effective", "hamiltonian = rydberg").replace("task = gs", "\n".join([
             "task = evolve", "initial = spin:000", "t_total = 0.1", "dt = 0.01"]))
     cfg = parse_config(_write(tmp_path, text))
     model = build_model(cfg)
-    sector_times, samples, summary = _evolve(cfg, model)
+    sector_times, profiles, summary = _evolve(cfg, model)
     assert summary["symmetries"] == symmetries
-    assert summary["sector"] < model.op.dim
     psi0 = initial_state(cfg, model)
+    names, (u,) = symmetry_sectors(model.op, model.basis, model.dictionary.n_legs, psi0)
+    assert names == symmetries and u.shape == (model.op.dim, summary["sector"])
+    assert summary["sector"] < model.op.dim
+    sector = SparseOperator(u.shape[1], (u.T @ model.op.matrix @ u).tocsr())
+    _, states, _ = krylov_evolve(sector, u.T @ psi0, cfg.t_total, cfg.dt)
+    samples = [u @ phi for phi in states]
     times, full, _ = krylov_evolve(model.op, psi0, cfg.t_total, cfg.dt)
     np.testing.assert_array_equal(sector_times, times)
     step = sla.expm(-1j * cfg.dt * model.op.to_dense())
     exact = psi0
-    for psi, ref in zip(samples, full):
+    for psi, ref in zip(samples, full, strict=True):
         assert np.linalg.norm(psi - ref) <= 1e-12
         assert np.linalg.norm(psi - exact) <= 1e-12
         exact = step @ exact
+    embedded = site_profiles(samples, site_tables(model.basis, model.atoms))
+    for folded, prof in zip(profiles, embedded, strict=True):
+        assert np.abs(folded.lz - prof.lz).max() <= 1e-12
+        assert np.abs(folded.lz2 - prof.lz2).max() <= 1e-12
 
 
 def test_state_fixed_by_no_symmetry_evolves_in_full_space_bitwise(tmp_path):
@@ -396,16 +407,17 @@ def test_state_fixed_by_no_symmetry_evolves_in_full_space_bitwise(tmp_path):
     assert (summary["symmetries"], summary["sector"]) == ([], model.op.dim)
     times, states, report = krylov_evolve(model.op, initial_state(cfg, model), cfg.t_total, cfg.dt)
     assert {key: summary[key] for key in report} == report
-    # the profile arithmetic of site_profiles, one sample at a time, written out
-    occ = model.basis.occupations().astype(float)
-    rungs = [model.atoms.atoms_of_rung(i) for i in range(1, model.atoms.n_rungs + 1)]
+    # the table arithmetic of site_profiles, one sample at a time, written out:
+    # each rung's outer-leg occupations, read off the bits of each state
+    atoms, states_int = model.atoms, model.basis.states
+    up, down = (np.stack([(states_int >> a) & 1 for a in np.flatnonzero(atoms.leg_of == leg)], axis=1)
+                for leg in (+1, -1))
+    lz, lz2 = (up - down).astype(float), (up + down).astype(float)
     lines = ["t,site,lz,lz2"]
     for t, psi in zip(times, states):
-        occ_mean = np.abs(psi) ** 2 @ occ
-        for s, rung in enumerate(rungs):
-            up = occ_mean[rung[model.atoms.leg_of[rung] == +1]].sum()
-            down = occ_mean[rung[model.atoms.leg_of[rung] == -1]].sum()
-            lines.append(",".join(fmt(x) for x in (float(t), s + 1, float(up - down), float(up + down))))
+        w = np.abs(psi) ** 2
+        for s, (m, m2) in enumerate(zip(w @ lz, w @ lz2)):
+            lines.append(",".join(fmt(x) for x in (float(t), s + 1, float(m), float(m2))))
     assert (out / "timeseries.csv").read_text() == "\n".join(lines) + "\n"
 
 
@@ -519,6 +531,31 @@ def test_sweep_records_per_point_failures(tmp_path):
     first = lines[1].split(",")
     assert "ResonanceError" in first[-1]
     assert lines[2].split(",")[-1] == ""
+
+
+def test_chain_sweep_summary_locates_each_susceptibility_peak(tmp_path):
+    """The sweep summary holds susceptibility_peak of each chi column over the
+    error-free rows of its own scan.csv (the resonant Delta = 0 point is left
+    out); with fewer than three such rows it reports no peaks."""
+    out = tmp_path / "peaks"
+    text = BASE.format(out=out).replace("task = gs", "\n".join([
+        "task = sweep", "axis = delta", "start = 0.0", "stop = 30.0", "steps = 7",
+    ]))
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    lines = (out / "scan.csv").read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert "ResonanceError" in rows[0]["error"]
+    rows = [r for r in rows if not r["error"]]
+    assert len(rows) == 6
+    xs = [float(r["delta"]) for r in rows]
+    expected = {k: list(susceptibility_peak(xs, [float(r[k]) for r in rows]))
+                for k in ("chi_fm", "chi_afm", "chi_rdw")}
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["peaks"] == expected
+    text = text.replace("steps = 7", "steps = 3")   # Delta = 0, 15, 30: two error-free rows
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert (summary["failed"], "peaks" in summary) == (1, False)
 
 
 def test_compare_evolve_outputs(tmp_path):

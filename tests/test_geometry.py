@@ -65,7 +65,7 @@ def test_atom_counts_and_rung_labels(kind, n_legs):
     assert np.array_equal(atoms.rung_of, np.arange(atoms.n_atoms) // n_legs + 1)
     # rung spacing along x
     for r in range(1, 5):
-        assert np.allclose(atoms.positions[atoms.atoms_of_rung(r), 0].min(),
+        assert np.allclose(atoms.positions[atoms.rung_of == r, 0].min(),
                            (r - 1) * 6.0, atol=3.0)
 
 

@@ -19,6 +19,7 @@ from rydladder import (
     RydbergBasis,
     SparseOperator,
     Spin1Basis,
+    StateDictionary,
     TargetCouplings,
     build_ladder,
     charge_kernel,
@@ -140,10 +141,10 @@ def test_frozen_source_on_an_atom_is_rejected():
 
 
 def _occupation_reference(atoms, omega, delta, c6, basis, range_cutoff=None, sources=None):
-    """The Rydberg Hamiltonian from the (dim, n_atoms) occupation table and the
-    flip partners found by ``index_of``, assembled by ``from_coo``; the pair
-    energies c6 / r^6 are computed here from the positions."""
-    occ = basis.occupations().astype(float)
+    """The Rydberg Hamiltonian from the (dim, n_atoms) occupation table, read off
+    each state's bits, and the flip partners found by ``index_of``, assembled by
+    ``from_coo``; the pair energies c6 / r^6 are computed here from the positions."""
+    occ = ((basis.states[:, None] >> np.arange(atoms.n_atoms)) & 1).astype(float)
     dist = np.linalg.norm(atoms.positions[:, None] - atoms.positions[None], axis=2)
     np.fill_diagonal(dist, np.inf)
     v = np.where(dist > (range_cutoff or np.inf), 0.0, c6 / dist**6)
@@ -168,7 +169,8 @@ def _flip_case(kind, n_rungs, omega=1.3, cutoff=None, zero_zero=False, max_excit
     atoms = build_ladder(LadderSpec(LadderKind(kind), n_rungs, 3.0, 1.0, shift), delta0=0.2)
     constraint = None if max_excited is None else RungConstraint(atoms.n_legs, max_excited)
     basis = enumerate_rydberg(atoms.n_atoms, constraint)
-    sources = np.array([[-3.0, 1.0, 0.0], [3.0 * n_rungs, 1.0, 0.0]]) if zero_zero else None
+    middle = atoms.positions[atoms.leg_of == 0]
+    sources = np.array([middle[0] - [3.0, 0, 0], middle[-1] + [3.0, 0, 0]]) if zero_zero else None
     return atoms, omega, 20.0, 40.0, basis, cutoff, sources
 
 
@@ -186,7 +188,7 @@ FLIP_CASES = {
 @pytest.mark.parametrize("case", FLIP_CASES)
 def test_flip_operator_equals_the_occupation_csr(case):
     """On the complete basis the operator stores the diagonal only; its diagonal,
-    its products with real and complex blocks and vectors, its 1-norm, its
+    its products with a real and a complex vector, its 1-norm, its
     preconditioner floor and the CSR it builds on demand all equal the reference's."""
     args = FLIP_CASES[case]()
     op = rydberg_hamiltonian(*args)
@@ -195,8 +197,8 @@ def test_flip_operator_equals_the_occupation_csr(case):
     scale = spla.norm(ref.matrix, 1)
     np.testing.assert_allclose(op.diagonal(), ref.matrix.diagonal(), rtol=1e-12, atol=1e-12 * scale)
     rng = np.random.default_rng(0)
-    real = rng.standard_normal((op.dim, 3))
-    for x in (real, real + 1j * rng.standard_normal(real.shape), real[:, 0]):
+    real = rng.standard_normal(op.dim)
+    for x in (real, real + 1j * rng.standard_normal(op.dim)):
         np.testing.assert_allclose(op @ x, ref.matrix @ x, rtol=0, atol=1e-12 * scale * np.abs(x).max())
     assert op.norm1() == pytest.approx(scale, rel=1e-12)
     assert op.max_off_diagonal() == ref.max_off_diagonal() == 0.5 * abs(args[1])
@@ -233,8 +235,8 @@ def _brute_force_effective(coeffs, n_sites, bc):
 
     Every pair of sites is coupled by the term of its distance: j - i on an
     open chain, the ring distance min(j - i, n - j + i) under PBC.  Edge D
-    overrides act on an open chain only, and each nearest-neighbour pair
-    adds ``const_bond`` to the constant.
+    overrides act on an open chain only, each as its shift from D, so a lone
+    site takes both; each nearest-neighbour pair adds ``const_bond`` to the constant.
     """
     ring = bc is BoundaryCondition.PBC
     basis = Spin1Basis(n_sites)
@@ -243,9 +245,9 @@ def _brute_force_effective(coeffs, n_sites, bc):
     h = np.zeros((dim, dim))
     d_site = [coeffs.D] * n_sites
     if coeffs.d_first is not None and not ring:
-        d_site[0] = coeffs.d_first
+        d_site[0] += coeffs.d_first - coeffs.D
     if coeffs.d_last is not None and not ring:
-        d_site[-1] = coeffs.d_last
+        d_site[-1] += coeffs.d_last - coeffs.D
     terms = {1: (coeffs.R, coeffs.Rp), **{k: (r, rp) for k, r, rp in coeffs.longrange}}
     bonds = []
     for i, j in itertools.combinations(range(n_sites), 2):
@@ -286,17 +288,37 @@ def _brute_force_effective(coeffs, n_sites, bc):
 def test_effective_chain_matches_brute_force(bc, j2):
     """J2 = 0 is the ladder operator, J2 = J the clock, and any other J2 a free
     |-1> <-> |+1> amplitude; five sites add a range-2 term, whose open-chain
-    pairs (i, i + 2) meet the unequal edge D of both ends."""
+    pairs (i, i + 2) meet the unequal edge D of both ends, and one open site
+    takes both edge shifts."""
     coeffs = EffectiveCoefficients(
         D=0.7, R=-0.3, Rp=0.45, J=0.2, J2=j2,
         const_site=0.1, const_bond=-0.05, d_first=0.6, d_last=0.8,
         bc_lz2_edge=0.15, bc_const=0.25,
     )
-    for n_sites, longrange in ((4, ()), (5, ((2, 0.03, 0.07),))):
+    lone = () if bc is BoundaryCondition.PBC else ((1, ()),)
+    for n_sites, longrange in ((4, ()), (5, ((2, 0.03, 0.07),)), *lone):
         chain = replace(coeffs, longrange=longrange)
         h = effective_spin1_hamiltonian(chain, n_sites, bc)
         ref = _brute_force_effective(chain, n_sites, bc)
         assert np.allclose(h.to_dense(), ref, atol=1e-13)
+
+
+@pytest.mark.parametrize("zero_zero", [False, True], ids=["obc", "00bc"])
+@pytest.mark.parametrize("kind", ["three-leg", "prism"])
+def test_one_rung_chain_has_the_ladder_diagonal(kind, zero_zero):
+    """Without drive the spin-1 sector of one rung is diagonal, and the one-site
+    chain must reproduce it: its D takes both edge shifts, d_first + d_last - D,
+    and under 00BC both frozen sources' corrections.  With d_last alone it was
+    off by V2 - V1 between m = 0 and m = +-1."""
+    atoms, omega, delta, c6, basis, cutoff, sources = _flip_case(kind, 1, omega=0.0, zero_zero=zero_zero)
+    ladder = rydberg_hamiltonian(atoms, omega, delta, c6, basis, cutoff, sources).diagonal()
+    sector = basis.index_of(StateDictionary.for_kind(kind).configs([[-1], [0], [1]]))
+    drive = (c6, delta, atoms.detuning_offset.max(), omega, 1.0 / 3.0)   # V0 = c6 at a_y = 1
+    coeffs = coeffs_three_leg(2, *drive) if kind == "three-leg" else coeffs_prism(*drive)
+    assert coeffs.d_first + coeffs.d_last - coeffs.D != coeffs.d_last
+    bc = BoundaryCondition.ZERO_ZERO if zero_zero else BoundaryCondition.OBC
+    chain = effective_spin1_hamiltonian(coeffs, 1, bc).diagonal()
+    np.testing.assert_allclose(chain, ladder[sector], rtol=0, atol=1e-12 * np.abs(ladder[sector]).max())
 
 
 def test_longrange_terms_and_warning():

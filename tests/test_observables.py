@@ -11,6 +11,7 @@ from rydladder import (
     LadderKind,
     LadderSpec,
     Phase,
+    RungConstraint,
     Spin1Basis,
     StateDictionary,
     build_ladder,
@@ -20,8 +21,11 @@ from rydladder import (
     project_to_spin1,
     renyi_entropy,
     site_profiles,
+    site_tables,
     susceptibility_peak,
 )
+from rydladder.basis import BasisError
+from rydladder.geometry import LEG_SPINS
 
 from references import reduced_density_matrix
 
@@ -83,7 +87,7 @@ def test_susceptibility_is_scaled_variance():
 def test_site_profile_spin_basis():
     basis = Spin1Basis(3)
     psi = (_basis_state(basis, [1, 0, 0]) + _basis_state(basis, [0, 0, -1])) / math.sqrt(2)
-    prof = site_profiles([psi], basis)[0]
+    prof = site_profiles([psi], site_tables(basis))[0]
     assert np.allclose(prof.lz, [0.5, 0.0, -0.5])
     assert np.allclose(prof.lz2, [0.5, 0.0, 0.5])
 
@@ -99,10 +103,35 @@ def test_site_profile_rydberg_matches_spin_on_sector_states():
     amps /= np.linalg.norm(amps)
     psi_full = np.zeros(basis.dim, dtype=complex)
     psi_full[sector] = amps
-    full = site_profiles([psi_full], basis, atoms)[0]
-    spin = site_profiles([amps], sb)[0]
+    full = site_profiles([psi_full], site_tables(basis, atoms))[0]
+    spin = site_profiles([amps], site_tables(sb))[0]
     assert np.allclose(full.lz, spin.lz, atol=1e-12)
     assert np.allclose(full.lz2, spin.lz2, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, max_excited", [("chain", None), ("two-leg", None), ("three-leg", None),
+                                               ("prism", 2), ("in-plane-triangle", 1)])
+def test_site_tables_match_the_bits_of_each_state(kind, max_excited):
+    """Each Rydberg state's L^z_i and (L^z_i)^2 are the occupations of rung i's
+    +1 leg minus and plus those of its -1 leg, read here bit by bit; the chain
+    has no outer legs, so both of its tables are zero."""
+    atoms = build_ladder(LadderSpec(LadderKind(kind), 3, 6.0, 3.0))
+    constraint = None if max_excited is None else RungConstraint(atoms.n_legs, max_excited)
+    basis = enumerate_rydberg(atoms.n_atoms, constraint)
+    lz, lz2 = site_tables(basis, atoms)
+    assert lz.shape == lz2.shape == (basis.dim, 3)
+    legs = LEG_SPINS[atoms.spec.kind]
+    for i, state in enumerate(basis.states):
+        for r in range(3):
+            bits = {leg: (int(state) >> (r * len(legs) + b)) & 1 for b, leg in enumerate(legs)}
+            up, down = bits.get(+1, 0), bits.get(-1, 0)
+            assert (lz[i, r], lz2[i, r]) == (up - down, up + down)
+    if kind == "chain":
+        assert not lz.any() and not lz2.any()
+    with pytest.raises(BasisError, match="need the atom array"):
+        site_tables(basis)
+    with pytest.raises(BasisError, match="does not match"):
+        site_tables(enumerate_rydberg(atoms.n_atoms - 1), atoms)
 
 
 def test_entropy_product_state_zero():

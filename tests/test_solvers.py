@@ -554,6 +554,22 @@ def test_sector_eigenstates_memory_is_below_a_dense_eigenvector_matrix():
     assert peak < 0.5 * h.dim**2 * 8
 
 
+@pytest.mark.parametrize("case", ["three-leg-delta0", "prism", "in-plane-shift", "rung-constrained"])
+def test_symmetry_isometries_hold_at_most_one_nonzero_per_row(case):
+    """Each basis state lies in one orbit, so each row of every sector isometry U
+    holds at most one nonzero, and |U phi|^2 = (U o U)|phi|^2: the fold that the
+    evolve task's site profiles take instead of embedding U phi."""
+    make, symmetries = SECTOR_CASES[case]
+    h, basis, d = make()
+    names, blocks = symmetry_sectors(h, basis, d.n_legs)
+    assert tuple(names) == symmetries and len(blocks) == 2 ** len(symmetries)
+    rng = np.random.default_rng(3)
+    for u in blocks:
+        assert np.bincount(u.nonzero()[0], minlength=h.dim).max() <= 1
+        phi = rng.standard_normal(u.shape[1]) + 1j * rng.standard_normal(u.shape[1])
+        np.testing.assert_allclose(u.multiply(u) @ np.abs(phi) ** 2, np.abs(u @ phi) ** 2, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_symmetry_sectors_select_the_character_of_the_state(sign):
     """A state even or odd under the leg reflection, and moved by the mirror,

@@ -96,7 +96,7 @@ def test_package_functions_bound_only_under_their_own_names():
 
 # Public library names that only tests call: diagnostics no task reports yet.
 # References the tests compare the program against live in tests/references.py.
-TEST_REFERENCES = {"susceptibility_peak"}
+TEST_REFERENCES = set()
 
 
 def test_every_public_definition_is_used_by_the_package_or_named_as_a_test_reference():
