@@ -1,8 +1,9 @@
-"""Sparse Hamiltonian builders.
+"""Hamiltonian builders.
 
 Every Hamiltonian here is real symmetric in its computational basis (the
-drive phase can be chosen real), so operators are stored as real
-``scipy.sparse`` matrices; only states need complex amplitudes.
+drive phase can be chosen real), so operators are real; only states need
+complex amplitudes.  Product-basis Hamiltonians are ``FlipOperator``s, which
+store a diagonal and one on-site hop; the rest are ``scipy.sparse`` CSR.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import scipy.sparse.linalg as spla
 from .basis import BasisError, RydbergBasis, Spin1Basis
 from .effective import BoundaryCondition, EffectiveCoefficients, TargetCouplings
 from .geometry import AtomArray, pairwise_couplings
+
+GROUP_DIM = 32   # FlipOperator applies its hop to d^q <= GROUP_DIM states of q sites at a time
 
 
 @dataclass
@@ -73,17 +76,21 @@ class SparseOperator:
 
 @dataclass(eq=False)
 class FlipOperator:
-    """diag + amplitude * sum_a X_a on the complete basis of ``n_atoms`` atoms.
+    """diag + sum_s hop_s on ``n_sites`` sites of local dimension d = len(hop).
 
-    X_a flips atom a, so every off-diagonal element is ``amplitude``, between
-    configurations one bit apart, and only the diagonal is stored.  Products
-    with H run on it directly; the CSR is assembled by
-    ``SparseOperator.from_coo`` the first time ``matrix`` is read, and kept.
+    hop_s is the real symmetric d x d ``hop``, with zero diagonal, acting on
+    site s, and site 0 is the least significant digit of the state index: the
+    complete Rydberg basis (d = 2, hop Omega/2 between 0 and 1), a rung-capped
+    one (d rung patterns) and the spin-1 chain (d = 3).  Only the diagonal and
+    the hop are stored.  Products run q sites at a time, d^q <= GROUP_DIM, as small
+    dense matmuls (the shuffle algorithm for a Kronecker sum); the CSR is
+    assembled by ``SparseOperator.from_coo`` the first time ``matrix`` is read,
+    and kept.
     """
 
-    n_atoms: int
+    n_sites: int
     diag: np.ndarray
-    amplitude: float
+    hop: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -92,29 +99,56 @@ class FlipOperator:
     def diagonal(self) -> np.ndarray:
         return self.diag
 
+    @cached_property
+    def _groups(self) -> list[tuple[int, np.ndarray]]:
+        """(lo, K) per group of q sites from site lo, d^q <= GROUP_DIM: K is the hop
+        summed over those sites, a d^q x d^q matrix.  Built on the first product."""
+        d = len(self.hop)
+        q = 1
+        while q < self.n_sites and d ** (q + 1) <= GROUP_DIM:
+            q += 1
+
+        def kron(a, b):   # by broadcasting
+            return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+        sums = [self.hop]   # sums[g - 1]: the hop summed over g sites
+        while len(sums) < q:
+            sums.append(kron(self.hop, np.eye(len(sums[-1]))) + kron(np.eye(d), sums[-1]))
+        return [(lo, sums[min(q, self.n_sites - lo) - 1]) for lo in range(0, self.n_sites, q)]
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """H x for a vector x.  The flip partner of state s under atom a is
-        s ^ (1 << a), so X_a x is x viewed as (2^(n-a-1), 2, 2^a) reversed along
-        its second axis: a strided copy, with no index array."""
-        out = np.zeros(x.shape, np.result_type(x, self.diag))
-        for a in range(self.n_atoms):
-            view = (-1, 2, 1 << a)
-            out.reshape(view)[...] += x.reshape(view)[:, ::-1]
-        out *= self.amplitude
-        out += self.diag * x
+        """H x for a vector x: diag * x plus, per group, K along that group's
+        digits of x viewed as (d^(n-lo-q), d^q, d^lo).  The lowest group is x K
+        (K is symmetric) on x viewed as a stack of d^q x d^q blocks: as one
+        (dim / d^q) x d^q product it ran on two BLAS threads, whose packing
+        buffers raised a 20-atom solve's peak RSS by 7 MB.  Beyond the output
+        the product holds one scratch vector, into which every matmul writes."""
+        d = len(self.hop)
+        out = self.diag * x
+        scratch = np.empty_like(out)
+        for lo, k in self._groups:
+            if lo == 0:
+                view = (-1, min(len(k), self.dim // len(k)), len(k))
+                np.matmul(x.reshape(view), k, out=scratch.reshape(view))
+            else:
+                view = (-1, len(k), d**lo)
+                np.matmul(k, x.reshape(view), out=scratch.reshape(view))
+            out += scratch
         return out
 
     def norm1(self) -> float:
-        """||H||_1 in closed form: every column holds H_ii and n_atoms flips."""
-        return float(np.abs(self.diag).max() + self.n_atoms * abs(self.amplitude))
+        """||H||_1 = max |H_ii| + sum_s c(p_s), c the hop's absolute column sums,
+        from ``_product_diagonal``: no matrix is built."""
+        c = np.abs(self.hop).sum(axis=0)[:, None]
+        n = self.n_sites
+        return float((np.abs(self.diag) + _product_diagonal(c, np.ones(n), np.zeros((n, n)))).max())
 
     def max_off_diagonal(self) -> float:
-        return abs(self.amplitude)
+        return float(np.abs(self.hop).max())
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        a = self.amplitude
-        return SparseOperator.from_coo(self.diag, *_flip_pairs(np.array([[0.0, a], [a, 0.0]]), self.n_atoms)).matrix
+        return SparseOperator.from_coo(self.diag, *_flip_pairs(self.hop, self.n_sites)).matrix
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -172,7 +206,7 @@ def rydberg_hamiltonian(
     basis: RydbergBasis,
     range_cutoff: float | None = None,
     frozen_sources: np.ndarray | None = None,
-) -> Operator:
+) -> FlipOperator:
     """Driven Rydberg array: drive flips, detuning, and pair interactions.
 
     Pair energies c6 / r^6 come from the positions (``pairwise_couplings``),
@@ -184,8 +218,8 @@ def rydberg_hamiltonian(
     They share the atoms' pair table, its coincidence check and its cutoff,
     and contribute the diagonal field sum_a V(a, source) n_a.
 
-    On the complete basis (dim 2^n_atoms) this is a ``FlipOperator``, whose
-    CSR is built only when read; otherwise the CSR of the basis' flip pairs.
+    The result is a ``FlipOperator`` over the rungs' patterns (over single
+    atoms on the complete basis), whose CSR is built only when read.
     """
     if basis.n_atoms != atoms.n_atoms:
         raise BasisError(f"basis has {basis.n_atoms} atoms but the array has {atoms.n_atoms}")
@@ -201,18 +235,15 @@ def rydberg_hamiltonian(
     if n % size or len(patterns) ** (n // size) != basis.dim:
         raise BasisError("the basis is not the product of its rung patterns")
     bits = ((patterns[:, None] >> np.arange(size)) & 1).astype(float)   # (pattern, atom of the rung)
-    diag = _product_diagonal(bits, field, v)
-    if basis.dim == 1 << n:
-        return FlipOperator(n, diag, 0.5 * omega)
     one_flip = np.abs(bits[:, None] - bits[None]).sum(axis=2) == 1
-    return SparseOperator.from_coo(diag, *_flip_pairs(0.5 * omega * one_flip, n // size))
+    return FlipOperator(n // size, _product_diagonal(bits, field, v), 0.5 * omega * one_flip)
 
 
 def effective_spin1_hamiltonian(
     coeffs: EffectiveCoefficients,
     n_sites: int,
     bc: BoundaryCondition = BoundaryCondition.OBC,
-) -> SparseOperator:
+) -> FlipOperator:
     """Generic effective spin-1 chain of ``coeffs``.
 
     Sites at distance k interact through R_k m_i m_j + R'_k m_i^2 m_j^2, with
@@ -264,7 +295,7 @@ def effective_spin1_hamiltonian(
     features = np.array([[-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])   # (m, m^2) of digit m + 1
     diag = _product_diagonal(features, field, v + v.T) + const
     j, j2 = coeffs.J, coeffs.J2
-    return SparseOperator.from_coo(diag, *_flip_pairs(-np.array([[0, j, j2], [j, 0, j], [j2, j, 0]]), n_sites))
+    return FlipOperator(n_sites, diag, -np.array([[0.0, j, j2], [j, 0.0, j], [j2, j, 0.0]]))
 
 
 def charge_kernel(n_sites: int) -> np.ndarray:

@@ -78,14 +78,17 @@ def order_parameters(psi: np.ndarray, basis: Spin1Basis) -> OrderParameters:
     (-1)^i with i = 1..L.
     """
     L = basis.n_sites
-    m = basis.digits().astype(float)
     w = np.abs(psi) ** 2
-    sign = (-1.0) ** np.arange(1, L + 1)
-    diag = {
-        "fm": m.sum(axis=1) / L,
-        "afm": (m * sign).sum(axis=1) / L,
-        "rdw": (m * m * sign).sum(axis=1) / L,
-    }
+    sums = np.zeros((3, basis.dim))   # the fm, afm and rdw site sums, digit by digit: no (dim, L) table
+    idx = np.arange(basis.dim)
+    for i in range(L, 0, -1):   # site L is the least significant digit
+        m = idx % 3 - 1
+        idx //= 3
+        sums[0] += m
+        sums[1] += (-1) ** i * m
+        sums[2] += (-1) ** i * m * m
+    sums /= L
+    diag = dict(zip(("fm", "afm", "rdw"), sums))
     means = {k: float(w @ v) for k, v in diag.items()}
     seconds = {k: float(w @ (v * v)) for k, v in diag.items()}
     abs_means = {k: float(w @ np.abs(v)) for k, v in diag.items()}

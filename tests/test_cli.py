@@ -421,6 +421,23 @@ def test_state_fixed_by_no_symmetry_evolves_in_full_space_bitwise(tmp_path):
     assert (out / "timeseries.csv").read_text() == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("model", ["hamiltonian = rydberg", "hamiltonian = rydberg\nconstraint = 1",
+                                   "hamiltonian = effective"], ids=["complete", "rung-capped", "chain"])
+def test_build_model_assembles_no_csr(tmp_path, monkeypatch, model):
+    """Product-basis models are set up from a diagonal and a hop alone: with the one
+    CSR constructor disabled, ``build_model`` still succeeds, and only reading
+    ``matrix`` reaches the constructor."""
+    def no_csr(cls, *args):
+        raise AssertionError("a CSR was assembled")
+
+    monkeypatch.setattr(SparseOperator, "from_coo", classmethod(no_csr))
+    cfg = parse_config(_write(tmp_path, BASE.format(out=tmp_path).replace("hamiltonian = effective", model)))
+    op = build_model(cfg).op
+    assert "matrix" not in vars(op)
+    with pytest.raises(AssertionError, match="CSR"):
+        op.matrix
+
+
 def test_initial_state_labels(tmp_path):
     out = tmp_path / "lbl"
     for label in ("all-ground", "spin:0+-", "index:5"):

@@ -187,7 +187,7 @@ FLIP_CASES = {
 
 @pytest.mark.parametrize("case", FLIP_CASES)
 def test_flip_operator_equals_the_occupation_csr(case):
-    """On the complete basis the operator stores the diagonal only; its diagonal,
+    """On the complete basis the operator stores the diagonal and the 2 x 2 hop; its diagonal,
     its products with a real and a complex vector, its 1-norm, its
     preconditioner floor and the CSR it builds on demand all equal the reference's."""
     args = FLIP_CASES[case]()
@@ -212,15 +212,62 @@ def test_flip_operator_equals_the_occupation_csr(case):
                                                ("in-plane", 1), ("three-leg-00bc", 1),
                                                ("two-leg-no-drive", 1)])
 def test_rung_by_rung_diagonal_on_a_constrained_basis(case, max_excited):
-    """A rung-capped basis keeps the CSR, whose diagonal is filled rung by rung;
-    without a drive it has no flip pair at all."""
+    """A rung-capped basis is a product of rung patterns, whose diagonal is filled
+    rung by rung; without a drive it has no flip pair at all."""
     args = FLIP_CASES[case](max_excited=max_excited)
     op = rydberg_hamiltonian(*args)
     ref = _occupation_reference(*args)
-    assert isinstance(op, SparseOperator) and op.dim < 1 << args[4].n_atoms
+    assert isinstance(op, FlipOperator) and op.dim < 1 << args[4].n_atoms
     scale = spla.norm(ref.matrix, 1)
     np.testing.assert_allclose(op.diagonal(), ref.matrix.diagonal(), rtol=1e-12, atol=1e-12 * scale)
     assert abs(op.matrix - ref.matrix).max() <= 1e-12 * scale
+
+
+def _atom_chain(n_atoms):
+    """A chain of single atoms on the complete basis: d = 2 on every site."""
+    atoms = build_ladder(LadderSpec(LadderKind.CHAIN, n_atoms, 5.0, 5.0), delta0=0.3)
+    return rydberg_hamiltonian(atoms, 1.7, 0.9, 2000.0, enumerate_rydberg(n_atoms))
+
+
+def _spin1_chain(n_sites, bc):
+    coeffs = EffectiveCoefficients(
+        D=0.7, R=-0.3, Rp=0.45, J=0.2, J2=-0.35, const_site=0.1, const_bond=-0.05,
+        d_first=0.6, d_last=0.8, bc_lz2_edge=0.15, bc_const=0.25, longrange=((2, 0.03, 0.07),),
+    )
+    return effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition(bc))
+
+
+PRODUCT_CASES = {   # (local dimension d, builder); no chain's site count is a multiple of its group
+    "atoms-1": (2, lambda: _atom_chain(1)),
+    "atoms-5": (2, lambda: _atom_chain(5)),
+    "atoms-14": (2, lambda: _atom_chain(14)),
+    "chain-obc-4": (3, lambda: _spin1_chain(4, "obc")),
+    "chain-pbc-5": (3, lambda: _spin1_chain(5, "pbc")),
+    "chain-00bc-7": (3, lambda: _spin1_chain(7, "00bc")),
+    "two-leg-capped": (3, lambda: rydberg_hamiltonian(*FLIP_CASES["two-leg"](max_excited=1))),
+    "three-leg-capped": (4, lambda: rydberg_hamiltonian(*FLIP_CASES["three-leg"](max_excited=1))),
+    "three-leg-00bc-capped": (7, lambda: rydberg_hamiltonian(*FLIP_CASES["three-leg-00bc"](max_excited=2))),
+    "prism-capped": (7, lambda: rydberg_hamiltonian(*FLIP_CASES["prism"](max_excited=2))),
+    "two-leg-capped-no-drive": (3, lambda: rydberg_hamiltonian(*FLIP_CASES["two-leg-no-drive"](max_excited=1))),
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_grouped_product_equals_the_csr(case):
+    """The grouped-matmul product equals the product with the CSR that ``matrix``
+    assembles, for a real and a complex vector, and the 1-norm and the
+    preconditioner floor, taken from the diagonal and the hop alone, equal the CSR's."""
+    d, build = PRODUCT_CASES[case]
+    op = build()
+    assert isinstance(op, FlipOperator) and len(op.hop) == d and op.dim == d**op.n_sites
+    csr = SparseOperator(op.dim, op.matrix)
+    rng = np.random.default_rng(1)
+    real = rng.standard_normal(op.dim)
+    for x in (real, real + 1j * rng.standard_normal(op.dim)):
+        ref = csr @ x
+        assert np.linalg.norm(op @ x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert op.norm1() == pytest.approx(csr.norm1(), rel=1e-12)
+    assert op.max_off_diagonal() == csr.max_off_diagonal()
 
 
 def test_rydberg_hamiltonian_rejects_a_basis_that_is_no_rung_product():

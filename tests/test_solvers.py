@@ -26,6 +26,7 @@ from rydladder import (
     SparseOperator,
     StateDictionary,
     build_ladder,
+    coeffs_three_leg,
     coeffs_two_leg,
     dense_eigs,
     effective_spin1_hamiltonian,
@@ -176,6 +177,58 @@ def test_complete_basis_solves_leave_the_csr_unbuilt(two_leg_4096):
     assert -1e-12 * abs(e_dense) <= e - e_dense <= residual
     # an eigenstate only turns its phase
     assert abs(np.vdot(psi, states[-1])) == pytest.approx(1.0, abs=1e-9 + report["error_bound"])
+
+
+TP = 2 * math.pi
+SWEEP_DRIVE = (40 * TP, 20 * TP, 0.2 * TP, 0.5 * TP, 1 / 3)   # V0, Delta, delta0, Omega, rho
+
+
+def _sweep_chain(n_sites):
+    """The ``sweep-dense`` benchmark's effective three-leg chain (case 2) at its
+    first drive point, ``SWEEP_DRIVE``."""
+    return effective_spin1_hamiltonian(coeffs_three_leg(2, *SWEEP_DRIVE), n_sites)
+
+
+def _capped_three_leg():
+    """A four-rung three-leg ladder on the one-excitation-per-rung basis: d = 4 patterns."""
+    atoms = build_ladder(LadderSpec(LadderKind.THREE_LEG, 4, 3.0, 1.0), delta0=0.2)
+    return rydberg_hamiltonian(atoms, 1.3, 20.0, 40.0, enumerate_rydberg(atoms.n_atoms, RungConstraint(3, 1)))
+
+
+@pytest.mark.parametrize("model", [_capped_three_leg, lambda: _sweep_chain(8)], ids=["rung-capped", "spin-1-chain"])
+def test_product_basis_solves_leave_the_csr_unbuilt(model):
+    """Rung patterns and spin-1 sites, like the atoms of the complete basis above,
+    are solved without their CSR; assembled afterwards, the CSR certifies the result."""
+    h = model()
+    e, psi, _ = ground_state(h)
+    assert "matrix" not in vars(h)
+    assert np.linalg.norm(h.matrix @ psi - e * psi) <= RESIDUAL_TOL * spla.norm(h.matrix, 1)
+
+
+@pytest.mark.parametrize("n_sites", [1, 4, 7, 10])
+def test_chain_energy_equals_the_csr_path(n_sites):
+    """The matrix-free chain gives the ground energy of the same chain's CSR to 1e-12."""
+    h = _sweep_chain(n_sites)
+    e, _, _ = ground_state(h)
+    e_csr, _, _ = ground_state(SparseOperator(h.dim, h.matrix))
+    assert e == pytest.approx(e_csr, rel=1e-12, abs=0)
+
+
+def test_fourteen_site_chain_is_certified_under_a_gigabyte():
+    """The N_s = 14 chain (dim 3^14 = 4782969), whose CSR would take several GB, is
+    certified in a fresh process whose peak RSS stays below 1 GB."""
+    code = f"""
+import resource
+from rydladder import coeffs_three_leg, effective_spin1_hamiltonian, ground_state
+e, psi, report = ground_state(effective_spin1_hamiltonian(coeffs_three_leg(2, *{SWEEP_DRIVE!r}), 14))
+print(report["residual"] <= report["bound"], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    certified, peak_kb = out.stdout.split()
+    assert certified == "True"
+    assert int(peak_kb) < 1024**2   # ru_maxrss is in kB on Linux
 
 
 def test_ground_state_strongly_driven_effective_chain():
