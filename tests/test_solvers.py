@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 from rydladder import (
     ConvergenceError,
     EffectiveCoefficients,
+    FlipOperator,
     LadderKind,
     LadderSpec,
     RungConstraint,
@@ -326,6 +327,56 @@ def test_ground_state_tiny(n):
     e, psi, _ = ground_state(h)
     assert e == pytest.approx(ref.eigenvalues[0], abs=1e-12)
     assert abs(psi @ ref.eigenvectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2187, 10000, 10001, 16384])
+def test_dot_matches_blas_on_contiguous_and_strided_rows(n):
+    """``_dot`` gives np.dot and, as the root of a self-product, np.linalg.norm to
+    1e-13 relative, on the contiguous rows of a (2, 3, n) array and on strided rows.
+    A dot product of signed entries is relative to ||a|| ||b||, the scale of its rounding."""
+    rng = np.random.default_rng(n)
+    for v in (rng.standard_normal((2, 3, n)), rng.standard_normal((2, 3, 2 * n))[..., ::2]):
+        for a, b in ((v[0, 0], v[1, 0]), (v[0, 2], v[1, 1])):
+            assert abs(solvers._dot(a, b) - np.dot(a, b)) <= 1e-13 * np.linalg.norm(a) * np.linalg.norm(b)
+            assert math.sqrt(solvers._dot(a, a)) == pytest.approx(np.linalg.norm(a), rel=1e-13, abs=0)
+
+
+def test_ground_state_takes_no_blas_level_one_reduction(monkeypatch):
+    """numpy's OpenBLAS runs ddot on two threads past 10000 entries, and waking them
+    between the loop's matmuls cost more than the sums.  With np.linalg.norm, np.dot
+    and np.vdot raising on 1-D inputs longer than 10000, the 14-atom two-leg solve
+    (dim 16384) still certifies its ground state."""
+    h = _two_leg(7)
+    assert isinstance(h, FlipOperator) and h.dim == 16384
+
+    def guarded(f):
+        def call(*args, **kwargs):
+            if any(np.ndim(a) == 1 and np.size(a) > 10000 for a in args):
+                raise AssertionError(f"{f.__name__} on a 1-D input of length > 10000")
+            return f(*args, **kwargs)
+        return call
+
+    for module, name in ((np.linalg, "norm"), (np, "dot"), (np, "vdot")):
+        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    e, psi, report = ground_state(h)
+    monkeypatch.undo()
+    assert report["residual"] <= report["bound"]
+    assert np.linalg.norm(h.matrix @ psi - e * psi) <= RESIDUAL_TOL * spla.norm(h.matrix, 1)
+
+
+def test_ground_state_peak_is_nine_vectors_beyond_the_operator():
+    """At dim 2^16 the solve allocates at most the loop's six rows, the preconditioner
+    and one product's output and scratch: nine vectors of length dim, ten with the
+    diagonal the operator holds.  The start vector is built in the loop's first row."""
+    h = _two_leg(8)
+    assert h.dim == 2**16
+    tracemalloc.start()
+    try:
+        ground_state(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * h.diagonal().nbytes
 
 
 def test_threaded_solves_leave_the_warning_filters_alone():
