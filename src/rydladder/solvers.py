@@ -20,8 +20,7 @@ RESIDUAL_TOL = 1e-10   # ||H psi - E psi|| / ||H||_1 up to which a ground state 
 KRYLOV_DIM = 60        # Lanczos steps per window of krylov_evolve
 KRYLOV_TOL = 1e-13     # the defect bound on the error one window of krylov_evolve adds
 GRAM_TOL = 1e-8        # squared Cholesky pivot of the unit p below which ground_state's LOPCG drops p
-BLAS_DOT_MAX = 10000   # length up to which OpenBLAS's x86-64 ddot runs on one thread
-GRAM_SLAB = 8192       # columns per product of the LOPCG Gram: one product of all columns took twice as long from dim 2^16
+GRAM_SLAB = 16384      # columns per product of the LOPCG Gram: one product of all columns took twice as long from dim 2^16
 
 
 class SolverError(RuntimeError):
@@ -37,15 +36,14 @@ class ConvergenceError(SolverError):
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b of two real 1-D arrays, off OpenBLAS's threads.  numpy's OpenBLAS runs
     ``ddot`` (behind ``@``, ``np.dot``, ``np.vdot`` and ``np.linalg.norm``) on two
-    threads past BLAS_DOT_MAX entries; between the single-threaded matmuls of the
+    threads past about 10^4 entries; between the single-threaded matmuls of the
     LOPCG loop at dim 16384 waking them took 0.7 ms a call, and up to 36 ms in a
-    fresh process, where einsum's own SIMD loop takes 0.01 ms.  Up to BLAS_DOT_MAX
-    the single-threaded ``ddot`` is the faster of the two (2.5 against 5 us at 2187)."""
-    return float(a @ b) if len(a) <= BLAS_DOT_MAX else float(np.einsum("i,i", a, b))
+    fresh process, where einsum's own SIMD loop takes 0.01 ms."""
+    return float(np.einsum("i,i", a, b))
 
 
 def normalize(psi: np.ndarray) -> np.ndarray:
-    nrm = math.sqrt(_dot(psi, psi)) if np.isrealobj(psi) else np.linalg.norm(psi)
+    nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("cannot normalize the zero vector")
     return psi / nrm
@@ -127,8 +125,8 @@ def _lopcg(h: Operator, lowest: int, seed: int, precond: np.ndarray, target: flo
         iterations += 1
         # Rayleigh-Ritz in the Cholesky-QR basis of the unit rows.  (6, c) x (c, 3) products
         # over column slabs give S S^T and (HS) S^T, in half the time of two 3-row products.
-        dots = v[:, :, :GRAM_SLAB].reshape(6, -1) @ s[:, :GRAM_SLAB].T
-        for lo in range(GRAM_SLAB, n, GRAM_SLAB):
+        dots = np.zeros((6, 3))
+        for lo in range(0, n, GRAM_SLAB):
             dots += v[:, :, lo:lo + GRAM_SLAB].reshape(6, -1) @ s[:, lo:lo + GRAM_SLAB].T
         gram, proj = dots[:k, :k], dots[3:3 + k, :k]
         d = 1 / np.sqrt(np.diag(gram))
@@ -194,8 +192,8 @@ def ground_state(
         psi[lowest] = 1.0
         return float(diag.min()), psi, {"products": 0, "iterations": 0, "residual": 0.0, "bound": bound}
     precond = 1.0 / np.maximum(np.abs(diag - diag.min()), floor)
-    x, products, iterations = _lopcg(h, lowest, seed, precond, bound / 4, max_iter)
-    psi = normalize(x)
+    psi, products, iterations = _lopcg(h, lowest, seed, precond, bound / 4, max_iter)
+    psi /= math.sqrt(_dot(psi, psi))
     h_psi = h @ psi
     energy = _dot(psi, h_psi)
     h_psi -= energy * psi
