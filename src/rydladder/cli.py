@@ -504,7 +504,7 @@ def _evolve(cfg: RunConfig, model: Model):
         names, (block,) = symmetry_sectors(h, model.basis, model.dictionary.n_legs, psi)
         if names:
             u, psi = block, block.T @ psi
-            h = SparseOperator(u.shape[1], (u.T @ h.matrix @ u).tocsr())
+            h = SparseOperator((u.T @ h.matrix @ u).tocsr())
     times, states, report = krylov_evolve(h, psi, cfg.t_total, cfg.dt)
     tables = site_tables(model.basis, model.atoms)
     if u is not None:

@@ -164,25 +164,20 @@ _NAMED_PAIRS = {
 
 def ladder_couplings(spec: LadderSpec, c6: float) -> dict:
     """Named couplings (V0, V0p, V1, ...) of the ladder figures for ``spec``:
-    c6 / r^6 between the named atoms of two template rungs a_x apart.
+    the ``pairwise_couplings`` of the named atoms of two template rungs a_x apart.
 
     This table is the one source of the closed-form ladder couplings; the
     effective coefficients read it in units a_y = 1, a_x = 1/rho, c6 = V0.
     """
-    template = _rung_template(spec)
-    atoms = template + [(x + spec.a_x, y, z) for x, y, z in template]
-    named = {}
-    for name, (a, b) in _NAMED_PAIRS[spec.kind].items():
-        (xa, ya, za), (xb, yb, zb) = atoms[a], atoms[b]
-        # the in-rung offsets add up first, then the spacing along the ladder
-        named[name] = c6 / ((zb - za) ** 2 + (yb - ya) ** 2 + (xb - xa) ** 2) ** 3
-    return named
+    template = np.array(_rung_template(spec))
+    table = pairwise_couplings(np.vstack([template, template + [spec.a_x, 0.0, 0.0]]), c6)
+    return {name: float(table[a, b]) for name, (a, b) in _NAMED_PAIRS[spec.kind].items()}
 
 
 def pairwise_couplings(positions: np.ndarray, c6: float, range_cutoff: float | None = None) -> np.ndarray:
     """Symmetric matrix of the pair energies c6 / r^6 of the (n, 3) ``positions``,
     zero on the diagonal and beyond ``range_cutoff`` when it is set; the named
-    couplings of the ladder figures come from ``ladder_couplings``."""
+    couplings of the ladder figures are read off it by ``ladder_couplings``."""
     if range_cutoff is not None and range_cutoff <= 0:
         raise GeometryError(f"range_cutoff must be positive, got {range_cutoff}")
     diff = positions[:, None, :] - positions[None, :, :]

@@ -32,8 +32,11 @@ class SparseOperator:
     ``matrix`` is for the symmetry and dense paths.
     """
 
-    dim: int
     matrix: sp.csr_matrix
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @classmethod
     def from_coo(cls, diag, rows, cols, amplitude) -> "SparseOperator":
@@ -53,7 +56,7 @@ class SparseOperator:
         m = sp.coo_matrix((vals, (np.concatenate([index, rows, cols], dtype=idx),
                                   np.concatenate([index, cols, rows], dtype=idx))), shape=(dim, dim)).tocsr()
         m.eliminate_zeros()
-        return cls(dim, m)
+        return cls(m)
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()
@@ -66,12 +69,8 @@ class SparseOperator:
         return spla.norm(self.matrix, 1)
 
     def max_off_diagonal(self) -> float:
-        """The largest off-diagonal |H_ij| (0 for a diagonal H)."""
-        m = self.matrix
-        return np.abs(m.data[m.indices != np.repeat(np.arange(self.dim), np.diff(m.indptr))]).max(initial=0.0)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        """The largest off-diagonal |H_ij| (0 for a diagonal H), from the symmetric H's upper triangle."""
+        return np.abs(sp.triu(self.matrix, 1).data).max(initial=0.0)
 
 
 @dataclass(eq=False)
@@ -84,8 +83,7 @@ class FlipOperator:
     one (d rung patterns) and the spin-1 chain (d = 3).  Only the diagonal and
     the hop are stored.  Products run q sites at a time, d^q <= GROUP_DIM, as small
     dense matmuls (the shuffle algorithm for a Kronecker sum); the CSR is
-    assembled by ``SparseOperator.from_coo`` the first time ``matrix`` is read,
-    and kept.
+    assembled from the same groups the first time ``matrix`` is read, and kept.
     """
 
     n_sites: int
@@ -102,18 +100,14 @@ class FlipOperator:
     @cached_property
     def _groups(self) -> list[tuple[int, np.ndarray]]:
         """(lo, K) per group of q sites from site lo, d^q <= GROUP_DIM: K is the hop
-        summed over those sites, a d^q x d^q matrix.  Built on the first product."""
+        summed over those sites, a d^q x d^q matrix.  Built on first use."""
         d = len(self.hop)
         q = 1
         while q < self.n_sites and d ** (q + 1) <= GROUP_DIM:
             q += 1
-
-        def kron(a, b):   # by broadcasting
-            return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
         sums = [self.hop]   # sums[g - 1]: the hop summed over g sites
         while len(sums) < q:
-            sums.append(kron(self.hop, np.eye(len(sums[-1]))) + kron(np.eye(d), sums[-1]))
+            sums.append(np.kron(self.hop, np.eye(len(sums[-1]))) + np.kron(np.eye(d), sums[-1]))
         return [(lo, sums[min(q, self.n_sites - lo) - 1]) for lo in range(0, self.n_sites, q)]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -148,10 +142,18 @@ class FlipOperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return SparseOperator.from_coo(self.diag, *_flip_pairs(self.hop, self.n_sites)).matrix
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        """The CSR, by ``SparseOperator.from_coo``: diag and, per group, the pairs
+        p < q of K along that group's digits, the index viewed as (d^(n-lo-q), d^q,
+        d^lo) as in ``@``; one amplitude when K's nonzero elements are all equal,
+        as a Rydberg hop's are, so that no amplitude array is built."""
+        d, index = len(self.hop), np.arange(self.dim)
+        flips = [(index.reshape(-1, len(k), d**lo), k, *np.nonzero(np.triu(k, 1))) for lo, k in self._groups]
+        values = np.concatenate([k[p, q] for _, k, p, q in flips])
+        amp = values[0] if len(set(values)) == 1 else np.concatenate([np.broadcast_to(
+            k[p, q][:, None], (len(view), len(p), view.shape[2])) for view, k, p, q in flips], axis=None)
+        rows = np.concatenate([view[:, p] for view, _, p, _ in flips], axis=None)
+        cols = np.concatenate([view[:, q] for view, _, _, q in flips], axis=None)
+        return SparseOperator.from_coo(self.diag, rows, cols, amp).matrix
 
 
 Operator = SparseOperator | FlipOperator   # either: the solvers read both the same way
@@ -176,26 +178,6 @@ def _product_diagonal(features: np.ndarray, field: np.ndarray, v: np.ndarray) ->
         diag = new.ravel()
         felt = (np.einsum("pj,jl->lp", features, v[s:s + k, s + k:])[:, :, None] + felt[k:, None]).reshape(-1, len(diag))
     return diag
-
-
-def _flip_pairs(hop: np.ndarray, n_sites: int):
-    """(rows, cols, amplitudes) of sum_s hop_s, the symmetric d x d ``hop`` on each
-    of ``n_sites`` sites, site 0 the least significant digit: each pair once with
-    row < col, one amplitude when the hop's nonzero elements are equal, else one
-    per pair.  The states with site s in local state p are the strided view
-    [:, p] of the index viewed as (d^(n-s-1), d, d^s): no index lookup."""
-    d = len(hop)
-    ps, qs = np.nonzero(np.triu(hop, 1))   # the local flips p < q, the same on every site
-    index = np.arange(d**n_sites)
-    rows, cols = np.empty((2, n_sites, len(ps), d ** (n_sites - 1)), dtype=np.int64)
-    for s in range(n_sites):
-        view = index.reshape(-1, d, d**s)
-        for i, (p, q) in enumerate(zip(ps, qs)):
-            rows[s, i].reshape(-1, d**s)[...] = view[:, p]
-            cols[s, i].reshape(-1, d**s)[...] = view[:, q]
-    amp = hop[ps, qs]
-    amp = amp[0] if len(set(amp)) == 1 else np.broadcast_to(amp[:, None], rows.shape).ravel()
-    return rows.ravel(), cols.ravel(), amp
 
 
 def rydberg_hamiltonian(

@@ -58,13 +58,6 @@ class SpectrumResult:
     sectors: tuple[int, ...] = ()      # dimension of each diagonalised block
 
 
-def _residuals(m: sp.spmatrix, vals, vecs) -> np.ndarray:
-    """Column norms of M X - X diag(vals), one sparse-dense product."""
-    r = m @ vecs
-    r -= vecs * vals
-    return np.linalg.norm(r, axis=0)
-
-
 def _check_dense_limit(h: Operator):
     if h.dim > DENSE_DIM_LIMIT:
         raise SolverError(f"dimension {h.dim} exceeds the dense limit {DENSE_DIM_LIMIT}")
@@ -74,13 +67,16 @@ def dense_eigs(h: Operator, k: int | None = None) -> SpectrumResult:
     """Lowest-k eigenpairs by dense diagonalization (oracle backend).
 
     Only k eigenpairs are computed when k < dim (LAPACK ``syevr`` on the index
-    subset); the whole spectrum uses ``syevd``, which cannot take a subset.
+    subset); the whole spectrum uses ``syevd``, which cannot take a subset.  The
+    residuals are the column norms of H X - X diag(vals), one sparse-dense product.
     """
     _check_dense_limit(h)
     k = h.dim if k is None else min(k, h.dim)
     subset = {"driver": "evd"} if k == h.dim else {"subset_by_index": (0, k - 1)}
-    vals, vecs = sla.eigh(h.to_dense(), **subset)
-    return SpectrumResult(vals, vecs, _residuals(h.matrix, vals, vecs), sectors=(h.dim,))
+    vals, vecs = sla.eigh(h.matrix.toarray(), **subset)
+    r = h.matrix @ vecs
+    r -= vecs * vals
+    return SpectrumResult(vals, vecs, np.linalg.norm(r, axis=0), sectors=(h.dim,))
 
 
 def _cholesky(gram: np.ndarray) -> np.ndarray | None:
@@ -316,7 +312,7 @@ def symmetry_sectors(h: Operator, basis: RydbergBasis, n_legs: int, psi: np.ndar
     character read off those signs, which holds psi and whose U^T H U evolves
     U^T psi exactly.  With no symmetry kept that block is the identity.
     """
-    norm1 = spla.norm(h.matrix, 1)
+    norm1 = h.norm1()
     names, perms = [], []
     for name, perm in rung_permutations(basis, n_legs).items():
         if np.any(perm < 0) or np.array_equal(perm, np.arange(h.dim)):

@@ -9,7 +9,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from rydladder import SparseOperator, krylov_evolve, match_forward, site_profiles, site_tables, susceptibility_peak
+from rydladder import (SparseOperator, TargetCouplings, krylov_evolve, match_forward, site_profiles, site_tables,
+                       sqed_charge_hamiltonian, susceptibility_peak)
 from rydladder.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -74,7 +75,7 @@ def _even_sector(model):
     for j, orbit in enumerate(orbits):
         members = np.unique(orbit)
         u[members, j] = 1.0 / np.sqrt(len(members))
-    return u.T @ model.op.to_dense() @ u
+    return u.T @ model.op.matrix.toarray() @ u
 
 
 def test_float_formatting_is_lossless():
@@ -285,7 +286,7 @@ def test_spectrum_summary_records_symmetry_blocks(tmp_path, kind, hamiltonian, s
     rows = (out / "spectrum.csv").read_text().strip().split("\n")
     column = rows[0].split(",").index("residual")
     written = max(float(r.split(",")[column]) for r in rows[1:])
-    assert written <= summary["max_residual"] <= 1e-10 * np.abs(h.to_dense()).sum(axis=0).max()
+    assert written <= summary["max_residual"] <= 1e-10 * np.abs(h.matrix.toarray()).sum(axis=0).max()
 
 
 def test_geom_subcommand(tmp_path):
@@ -376,12 +377,12 @@ def test_sector_evolution_matches_full_space_and_expm(tmp_path, kind, symmetries
     names, (u,) = symmetry_sectors(model.op, model.basis, model.dictionary.n_legs, psi0)
     assert names == symmetries and u.shape == (model.op.dim, summary["sector"])
     assert summary["sector"] < model.op.dim
-    sector = SparseOperator(u.shape[1], (u.T @ model.op.matrix @ u).tocsr())
+    sector = SparseOperator((u.T @ model.op.matrix @ u).tocsr())
     _, states, _ = krylov_evolve(sector, u.T @ psi0, cfg.t_total, cfg.dt)
     samples = [u @ phi for phi in states]
     times, full, _ = krylov_evolve(model.op, psi0, cfg.t_total, cfg.dt)
     np.testing.assert_array_equal(sector_times, times)
-    step = sla.expm(-1j * cfg.dt * model.op.to_dense())
+    step = sla.expm(-1j * cfg.dt * model.op.matrix.toarray())
     exact = psi0
     for psi, ref in zip(samples, full, strict=True):
         assert np.linalg.norm(psi - ref) <= 1e-12
@@ -449,6 +450,32 @@ def test_initial_state_labels(tmp_path):
         "task = evolve", "initial = spin:9", "t_total = 0.01", "dt = 0.01",
     ]))
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+
+
+def test_default_all_ground_evolves_the_rydberg_vacuum(tmp_path):
+    """``initial`` left at its default, all-ground, starts a Rydberg ladder in |0...0>:
+    no atom excited, so every site reads lz = lz2 = 0 at t = 0, and the time series
+    is that of expm(-i H t) applied to that basis state."""
+    out = tmp_path / "ev"
+    text = BASE.format(out=out).replace("hamiltonian = effective", "hamiltonian = rydberg").replace(
+        "task = gs", "\n".join(["task = evolve", "t_total = 0.05", "dt = 0.01"]))
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+    model = build_model(parse_config(str(out / "manifest.json")))
+    assert model.basis.states[0] == 0
+    psi = np.zeros(model.op.dim, complex)
+    psi[0] = 1.0
+    step = sla.expm(-1j * 0.01 * model.op.matrix.toarray())
+    rows = [line.split(",") for line in (out / "timeseries.csv").read_text().strip().split("\n")[1:]]
+    assert len(rows) == 6 * 3   # six samples of three rungs
+    tables = site_tables(model.basis, model.atoms)
+    for k in range(6):
+        (prof,) = site_profiles([psi], tables)
+        sample = np.array([[float(x) for x in row[2:]] for row in rows[3 * k:3 * k + 3]])
+        assert all(float(row[0]) == pytest.approx(0.01 * k, abs=1e-15) for row in rows[3 * k:3 * k + 3])
+        if k == 0:
+            assert not sample.any()
+        np.testing.assert_allclose(sample, np.stack([prof.lz, prof.lz2], axis=1), rtol=0, atol=1e-12)
+        psi = step @ psi
 
 
 def test_non_integer_index_label_is_a_config_error(tmp_path, capsys):
@@ -969,6 +996,30 @@ def test_evolving_the_charge_representation_is_a_config_error(tmp_path, capsys, 
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
     assert "hamiltonian sqed-charge" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_charge_representation_gs_and_spectrum_match_its_dense_eigenvalues(tmp_path):
+    """The charge representation built through the command line, solved by ``gs``
+    and by ``spectrum``, against numpy's ``eigh`` of the same model built directly."""
+    h, _ = sqed_charge_hamiltonian(TargetCouplings(U=0.3, X=1.0, Y=0.5, Yp=0.5), 3)
+    dense = h.matrix.toarray()
+    w = np.linalg.eigvalsh(dense)
+    norm1 = np.abs(dense).sum(axis=0).max()
+    out = {task: tmp_path / task for task in ("gs", "spectrum")}
+    for task, directory in out.items():
+        text = TARGET_CHAIN.format(n_rungs=3, model="sqed-charge", task=task, out=directory)
+        assert main(["run", "--config", _write(tmp_path, text, f"{task}.ini")]) == EXIT_OK
+    header, row = (line.split(",") for line in (out["gs"] / "gs.csv").read_text().strip().split("\n"))
+    assert header == ["E0", "matvecs", "residual"]
+    assert float(row[2]) <= RESIDUAL_TOL * norm1
+    assert abs(float(row[0]) - w[0]) <= RESIDUAL_TOL * norm1   # within the residual of an eigenvalue
+    lines = (out["spectrum"] / "spectrum.csv").read_text().strip().split("\n")
+    assert lines[0] == "level,energy,residual"
+    levels = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert len(levels) == RunConfig().k
+    np.testing.assert_array_equal(levels[:, 0], np.arange(len(levels)))
+    np.testing.assert_allclose(levels[:, 1], w[:len(levels)], rtol=0, atol=1e-12 * norm1)
+    assert levels[:, 2].max() <= 1e-12 * norm1
 
 
 @pytest.mark.parametrize("n_rungs", [1, 2])

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ from rydladder.basis import BasisError
 
 
 def _is_symmetric(op: SparseOperator) -> bool:
-    m = op.to_dense()
+    m = op.matrix.toarray()
     return np.allclose(m, m.T, atol=0.0)
 
 
@@ -59,7 +60,7 @@ def test_from_coo_rejects_lower_triangle():
         with pytest.raises(ValueError):
             SparseOperator.from_coo([0.0, 0.0], [row], [col], 1.0)
     op = SparseOperator.from_coo([1.5, 0.25, 0.0], [0], [2], -2.0)
-    assert np.array_equal(op.to_dense(), [[1.5, 0.0, -2.0], [0.0, 0.25, 0.0], [-2.0, 0.0, 0.0]])
+    assert np.array_equal(op.matrix.toarray(), [[1.5, 0.0, -2.0], [0.0, 0.25, 0.0], [-2.0, 0.0, 0.0]])
     assert op.matrix.nnz == 4   # the zero diagonal entry is not stored
 
 
@@ -71,7 +72,7 @@ def test_from_coo_takes_one_amplitude_per_pair():
     ref = np.diag(diag)
     for r, c, a in zip(rows, cols, amps):
         ref[r, c] = ref[c, r] = a
-    assert np.array_equal(SparseOperator.from_coo(diag, rows, cols, amps).to_dense(), ref)
+    assert np.array_equal(SparseOperator.from_coo(diag, rows, cols, amps).matrix.toarray(), ref)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -102,7 +103,7 @@ def test_rydberg_drive_connects_single_flips():
     atoms, full, c6, omega, delta = _random_rydberg(3)
     constrained = enumerate_rydberg(atoms.n_atoms, RungConstraint(atoms.n_legs, 1))
     for basis in (full, constrained):
-        m = rydberg_hamiltonian(atoms, omega, delta, c6, basis).to_dense()
+        m = rydberg_hamiltonian(atoms, omega, delta, c6, basis).matrix.toarray()
         np.fill_diagonal(m, 0.0)
         expected = np.zeros_like(m)
         for i, s in enumerate(basis.states):
@@ -254,20 +255,25 @@ PRODUCT_CASES = {   # (local dimension d, builder); no chain's site count is a m
 
 @pytest.mark.parametrize("case", PRODUCT_CASES)
 def test_grouped_product_equals_the_csr(case):
-    """The grouped-matmul product equals the product with the CSR that ``matrix``
-    assembles, for a real and a complex vector, and the 1-norm and the
-    preconditioner floor, taken from the diagonal and the hop alone, equal the CSR's."""
+    """The grouped-matmul product, for a real and a complex vector, and the CSR that
+    ``matrix`` assembles from the same groups both equal diag + sum_s I (x) hop (x) I,
+    built one site at a time by ``scipy.sparse.kron`` and so sharing no group matrix
+    with them; the 1-norm and the preconditioner floor, taken from the diagonal and
+    the hop alone, equal the reference's."""
     d, build = PRODUCT_CASES[case]
     op = build()
     assert isinstance(op, FlipOperator) and len(op.hop) == d and op.dim == d**op.n_sites
-    csr = SparseOperator(op.dim, op.matrix)
+    n = op.n_sites
+    ref = SparseOperator(sum((sp.kron(sp.identity(d ** (n - 1 - s)), sp.kron(op.hop, sp.identity(d**s)))
+                              for s in range(n)), sp.diags(op.diag)).tocsr())
     rng = np.random.default_rng(1)
     real = rng.standard_normal(op.dim)
     for x in (real, real + 1j * rng.standard_normal(op.dim)):
-        ref = csr @ x
-        assert np.linalg.norm(op @ x - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert op.norm1() == pytest.approx(csr.norm1(), rel=1e-12)
-    assert op.max_off_diagonal() == csr.max_off_diagonal()
+        expected = ref @ x
+        assert np.linalg.norm(op @ x - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert (op.matrix != ref.matrix).nnz == 0   # every element, exactly
+    assert op.norm1() == pytest.approx(ref.norm1(), rel=1e-12)
+    assert op.max_off_diagonal() == ref.max_off_diagonal()
 
 
 def test_rydberg_hamiltonian_rejects_a_basis_that_is_no_rung_product():
@@ -347,7 +353,7 @@ def test_effective_chain_matches_brute_force(bc, j2):
         chain = replace(coeffs, longrange=longrange)
         h = effective_spin1_hamiltonian(chain, n_sites, bc)
         ref = _brute_force_effective(chain, n_sites, bc)
-        assert np.allclose(h.to_dense(), ref, atol=1e-13)
+        assert np.allclose(h.matrix.toarray(), ref, atol=1e-13)
 
 
 @pytest.mark.parametrize("zero_zero", [False, True], ids=["obc", "00bc"])
@@ -378,7 +384,8 @@ def test_longrange_terms_and_warning():
     assert np.allclose(h2.matrix.diagonal() - base.matrix.diagonal(), extra)
     # a range given twice adds up: a range-1 entry shifts R and R'
     again = effective_spin1_hamiltonian(replace(coeffs, longrange=((1, 0.03, 0.07),)), 3)
-    assert np.allclose(again.to_dense(), effective_spin1_hamiltonian(replace(coeffs, R=0.13, Rp=0.27), 3).to_dense())
+    shifted = effective_spin1_hamiltonian(replace(coeffs, R=0.13, Rp=0.27), 3)
+    assert np.allclose(again.matrix.toarray(), shifted.matrix.toarray())
     with pytest.warns(UserWarning):
         effective_spin1_hamiltonian(replace(coeffs, longrange=((3, 0.1, 0.1),)), 3)
     # on a ring of 5 sites range 3 is ring distance 2, already the range-2 term's
@@ -391,7 +398,7 @@ def test_periodic_range_k_chain_is_translation_invariant(n_sites):
     """Under PBC each pair at ring distance k is coupled once, so a cyclic site
     shift leaves H unchanged."""
     coeffs = coeffs_two_leg(1000.0, 1.0, 0.5, 0.5, k_max=n_sites // 2)
-    h = effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC).to_dense()
+    h = effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC).matrix.toarray()
     ref = _brute_force_effective(coeffs, n_sites, BoundaryCondition.PBC)
     assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
     basis = Spin1Basis(n_sites)
@@ -416,7 +423,7 @@ def test_periodic_three_atom_rung_chain_is_translation_invariant(rung, n_sites):
     every site keeps the bulk D and a cyclic site shift leaves H unchanged."""
     coeffs = THREE_ATOM_RUNGS[rung]()
     assert coeffs.d_first != coeffs.D and coeffs.d_last != coeffs.D
-    h = effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC).to_dense()
+    h = effective_spin1_hamiltonian(coeffs, n_sites, BoundaryCondition.PBC).matrix.toarray()
     ref = _brute_force_effective(coeffs, n_sites, BoundaryCondition.PBC)
     assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
     basis = Spin1Basis(n_sites)
@@ -465,7 +472,7 @@ def test_charge_representation_sector():
     assert op.dim == len(cfg)
     assert _is_symmetric(op)
     # hopping moves one unit between neighboring links: column sums preserved
-    m = op.to_dense()
+    m = op.matrix.toarray()
     np.fill_diagonal(m, 0.0)
     for a, b in zip(*np.nonzero(m)):
         diff = cfg[a] - cfg[b]
@@ -500,7 +507,7 @@ def test_charge_representation_matches_brute_force(n_sites):
     op, cfg = sqed_charge_hamiltonian(t, n_sites)
     ref, ref_cfg = _brute_force_charge(t, n_sites)
     assert np.array_equal(cfg, ref_cfg)
-    h = op.to_dense()
+    h = op.matrix.toarray()
     assert np.allclose(np.diag(h), np.diag(ref), rtol=1e-12, atol=1e-12)
     np.fill_diagonal(h, 0.0)
     np.fill_diagonal(ref, 0.0)
@@ -550,7 +557,7 @@ def test_cahm_definition():
         diag -= t.Y * m[:, i] * m[:, i + 1]
     assert np.allclose(h.matrix.diagonal(), diag)
     # off-diagonal is -(X/2) per ladder flip
-    off = h.to_dense()
+    off = h.matrix.toarray()
     np.fill_diagonal(off, 0.0)
     assert np.all(np.unique(off[off != 0]) == [-0.3])
 

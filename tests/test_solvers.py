@@ -48,7 +48,7 @@ def _random_operator(n, seed, density=0.05):
     rng = np.random.default_rng(seed)
     m = sp.random(n, n, density=density, random_state=rng, format="csr")
     m = m + m.T + sp.diags(rng.standard_normal(n))
-    return SparseOperator(n, m.tocsr())
+    return SparseOperator(m.tocsr())
 
 
 def _physical_instances():
@@ -71,7 +71,7 @@ def test_dense_eigs_residuals_small():
 
 def test_dense_limit_enforced():
     h = _random_operator(10, 0)
-    h_big = SparseOperator(DENSE_DIM_LIMIT + 1, sp.eye(DENSE_DIM_LIMIT + 1, format="csr"))
+    h_big = SparseOperator(sp.eye(DENSE_DIM_LIMIT + 1, format="csr"))
     with pytest.raises(SolverError):
         dense_eigs(h_big)
     assert dense_eigs(h, k=1).eigenvalues.shape == (1,)
@@ -81,16 +81,16 @@ def test_dense_limit_enforced():
 def test_dense_eigs_subset_matches_full_eigh(k):
     """k < dim computes only k eigenpairs; they are the lowest k of the full eigh."""
     h = _random_operator(100, 1)
-    full_vals, full_vecs = np.linalg.eigh(h.to_dense())
+    full_vals, full_vecs = np.linalg.eigh(h.matrix.toarray())
     res = dense_eigs(h, k=k)
     assert res.eigenvalues.shape == (k,)
     np.testing.assert_allclose(res.eigenvalues, full_vals[:k], rtol=0, atol=1e-12)
     assert res.eigenvectors.shape == (h.dim, k)
     overlaps = np.abs(np.sum(res.eigenvectors * full_vecs[:, :k], axis=0))
     np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
-    direct = np.linalg.norm(h.to_dense() @ res.eigenvectors - res.eigenvectors * res.eigenvalues, axis=0)
+    direct = np.linalg.norm(h.matrix.toarray() @ res.eigenvectors - res.eigenvectors * res.eigenvalues, axis=0)
     np.testing.assert_allclose(res.residuals, direct, rtol=0, atol=1e-13)
-    assert np.all(res.residuals <= 1e-10 * np.abs(h.to_dense()).sum(axis=0).max())
+    assert np.all(res.residuals <= 1e-10 * np.abs(h.matrix.toarray()).sum(axis=0).max())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -211,7 +211,7 @@ def test_chain_energy_equals_the_csr_path(n_sites):
     """The matrix-free chain gives the ground energy of the same chain's CSR to 1e-12."""
     h = _sweep_chain(n_sites)
     e, _, _ = ground_state(h)
-    e_csr, _, _ = ground_state(SparseOperator(h.dim, h.matrix))
+    e_csr, _, _ = ground_state(SparseOperator(h.matrix))
     assert e == pytest.approx(e_csr, rel=1e-12, abs=0)
 
 
@@ -322,7 +322,7 @@ def test_ground_state_drops_p_from_a_degenerate_basis(monkeypatch):
 def test_ground_state_tiny(n):
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n))
-    h = SparseOperator(n, sp.csr_matrix(m + m.T))
+    h = SparseOperator(sp.csr_matrix(m + m.T))
     ref = dense_eigs(h, k=1)
     e, psi, _ = ground_state(h)
     assert e == pytest.approx(ref.eigenvalues[0], abs=1e-12)
@@ -436,7 +436,7 @@ def test_normalize_zero_vector():
 def test_krylov_step_matches_expm():
     h = _random_operator(60, 2)
     psi = normalize(np.random.default_rng(0).standard_normal(60).astype(complex))
-    exact = sla.expm(-1j * 0.05 * h.to_dense()) @ psi
+    exact = sla.expm(-1j * 0.05 * h.matrix.toarray()) @ psi
     approx = krylov_evolve(h, psi, 0.05, 0.05)[1][-1]
     assert np.linalg.norm(exact - approx) < 1e-10
 
@@ -467,7 +467,7 @@ def test_evolve_accurate_at_large_step(dt):
     """A step that keeps the norm but not the state is caught against expm,
     on the nine-atom ladder evolved to t = 1 us."""
     h, psi0 = _nine_atom_ladder()
-    exact = sla.expm(-1j * h.to_dense()) @ psi0
+    exact = sla.expm(-1j * h.matrix.toarray()) @ psi0
     _, states, _ = krylov_evolve(h, psi0, 1.0, dt)
     assert np.linalg.norm(states[-1] - exact) <= 1e-10
 
@@ -525,13 +525,13 @@ def test_evolve_error_within_its_bound(case, t_total, dt):
     elif case == "ladder":
         h, psi = _nine_atom_ladder()
     elif case == "dim-1":
-        h = SparseOperator(1, sp.csr_matrix([[3.7]]))
+        h = SparseOperator(sp.csr_matrix([[3.7]]))
         psi = np.array([0.6 + 0.8j])
     else:
         h = _two_level_atom(1.7 if case == "two-level" else 0.0)
         psi = np.array([1.0, 0.0])
     times, states, report = krylov_evolve(h, psi, t_total, dt)
-    vals, vecs = np.linalg.eigh(h.to_dense())
+    vals, vecs = np.linalg.eigh(h.matrix.toarray())
     amplitudes = vecs.T @ normalize(psi.astype(complex))
     errors = [np.linalg.norm(state - vecs @ (np.exp(-1j * vals * t) * amplitudes))
               for t, state in zip(times, states)]
@@ -551,7 +551,7 @@ def test_evolve_advances_where_the_first_grid_point_fails():
     eps |h| t, in the reference as well) lies outside the bound."""
     h, t_total = 1e4, 10.0
     psi = np.array([1.0 + 1j * math.sqrt(2)]) / math.sqrt(3)
-    times, states, report = krylov_evolve(SparseOperator(1, sp.csr_matrix([[h]])), psi, t_total, 0.1)
+    times, states, report = krylov_evolve(SparseOperator(sp.csr_matrix([[h]])), psi, t_total, 0.1)
     assert report["windows"] > 1
     rounding = 8 * np.finfo(float).eps * h * t_total
     assert np.abs(states[:, 0] - np.exp(-1j * h * times) * psi[0]).max() <= report["error_bound"] + rounding
@@ -564,7 +564,7 @@ def test_evolve_above_exact_norm_limit_matches_expm():
     psi = normalize(np.random.default_rng(1).standard_normal(60) + 1j)
     times, states, _ = krylov_evolve(h, psi, 3 * dt, dt)
     for t, state in zip(times, states):
-        exact = sla.expm(-1j * t * h.to_dense()) @ psi
+        exact = sla.expm(-1j * t * h.matrix.toarray()) @ psi
         assert np.linalg.norm(state - exact) <= 1e-10
 
 
@@ -599,7 +599,7 @@ def _ladder_case(kind, n_rungs, delta0=0.0, shift=None, max_excited=None):
 def _perturbed_two_leg():
     h, basis, d = _ladder_case("two-leg", 4)
     noise = np.random.default_rng(7).uniform(-1.0, 1.0, h.dim)
-    return SparseOperator(h.dim, (h.matrix + sp.diags(noise)).tocsr()), basis, d
+    return SparseOperator((h.matrix + sp.diags(noise)).tocsr()), basis, d
 
 
 SECTOR_CASES = {
@@ -624,7 +624,7 @@ def test_sector_eigenstates_match_full_eigh(case):
     assert len(res.sectors) == 2 ** len(symmetries)
     assert sum(res.sectors) == h.dim
 
-    w, v = np.linalg.eigh(h.to_dense())
+    w, v = np.linalg.eigh(h.matrix.toarray())
     np.testing.assert_allclose(res.eigenvalues, w, rtol=1e-9, atol=1e-9 * np.abs(w).max())
     sector, _ = project_to_spin1(basis, d)
     ref_overlaps = np.sum(v[sector] ** 2, axis=0)
@@ -637,7 +637,7 @@ def test_sector_eigenstates_match_full_eigh(case):
     x = res.eigenvectors
     assert x.shape == (h.dim, k)
     assert np.abs(x.T @ x - np.eye(k)).max() < 1e-10
-    assert np.linalg.norm(h.to_dense() @ x - x * res.eigenvalues[band], axis=0).max() <= bound
+    assert np.linalg.norm(h.matrix.toarray() @ x - x * res.eigenvalues[band], axis=0).max() <= bound
 
 
 def test_sector_residuals_bound_an_imperfect_symmetry():
@@ -648,11 +648,11 @@ def test_sector_residuals_bound_an_imperfect_symmetry():
     h, basis, d = SECTOR_CASES["two-leg"][0]()
     bump = np.zeros(h.dim)
     bump[basis.index_of(0b01)] = 0.5 * SYMMETRY_TOL * spla.norm(h.matrix, 1)   # not on its image 0b10
-    h = SparseOperator(h.dim, (h.matrix + sp.diags(bump)).tocsr())
+    h = SparseOperator((h.matrix + sp.diags(bump)).tocsr())
     res, _, band = sector_eigenstates(h, basis, d, 3 ** (basis.n_atoms // d.n_legs))
     assert res.symmetries == ("leg", "mirror")
     x = res.eigenvectors
-    full = np.linalg.norm(h.to_dense() @ x - x * res.eigenvalues[band], axis=0)
+    full = np.linalg.norm(h.matrix.toarray() @ x - x * res.eigenvalues[band], axis=0)
     assert full.max() > 0.1 * bump.max()
     assert np.all(res.residuals[band] >= full)
 
