@@ -257,6 +257,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("[task] dt must be positive")
     if evolved and cfg.t_total < 0:
         raise ConfigError("[task] t_total must be >= 0")
+    if evolved and abs(cfg.t_total / cfg.dt - round(cfg.t_total / cfg.dt)) > 1e-9 * max(1, cfg.t_total / cfg.dt):
+        raise ConfigError(f"[task] t_total = {cfg.t_total} must be a whole number of dt = {cfg.dt} steps")
     if cfg.task == "spectrum" and cfg.k < 1:
         raise ConfigError("[task] k must be >= 1")
     if cfg.task == "sweep":
@@ -495,8 +497,8 @@ def _evolve(cfg: RunConfig, model: Model):
     U = I is never applied.  Each basis state lies in one orbit, so each row of
     U holds at most one nonzero and |U phi|^2 = (U o U)|phi|^2: the site tables
     T are folded into the sector once, as (U o U)^T T, and no sample is embedded.
-    Returns the sample times, their site profiles and the run summary with the
-    propagator's report.
+    Each window of samples becomes profiles as it comes; returns the sample
+    times, their site profiles and the run summary with the propagator's report.
     """
     psi = initial_state(cfg, model)
     names, u, h = [], None, model.op
@@ -505,11 +507,13 @@ def _evolve(cfg: RunConfig, model: Model):
         if names:
             u, psi = block, block.T @ psi
             h = SparseOperator((u.T @ h.matrix @ u).tocsr())
-    times, states, report = krylov_evolve(h, psi, cfg.t_total, cfg.dt)
     tables = site_tables(model.basis, model.atoms)
     if u is not None:
         tables = tuple(u.multiply(u).T @ t for t in tables)
-    profiles = site_profiles(states, tables)
+    times, profiles = [], []
+    for window, states, report in krylov_evolve(h, psi, cfg.t_total, cfg.dt):
+        times.extend(window)
+        profiles += site_profiles(states, tables)
     return times, profiles, {"n_steps": len(times) - 1, "symmetries": names, "sector": h.dim, **report}
 
 

@@ -202,10 +202,12 @@ def ground_state(
 def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
     """Trajectory of exp(-i H t) psi sampled every ``dt``, by Lanczos windows.
 
-    Returns ``(times, states, report)`` with ``states[k]`` the state at
-    ``times[k]`` (``states[0]`` the normalized psi) and ``report`` the number of
-    ``windows``, the ``matvecs`` (products with H) and the ``error_bound`` on
-    every ||states[k] - exp(-i H times[k]) psi||, rounding aside.
+    Checks ``dt`` and ``t_total`` (a whole number of dt steps, to 1e-9
+    relative) at the call, then yields one ``(times, states, report)`` per
+    window: its slice of the grid, a fresh block with ``states[k]`` the state at
+    ``times[k]``, and the running ``windows``, ``matvecs`` (products with H) and
+    ``error_bound`` on every ||states[k] - exp(-i H times[k]) psi||, rounding
+    aside.  The first item is the normalized psi alone, at t = 0.
 
     A window runs m = KRYLOV_DIM Lanczos steps from its start state v, without
     reorthogonalisation, and diagonalises T = S Lambda S^T once; its samples are
@@ -215,19 +217,24 @@ def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
     <= 0.1 / spread(T) with a factor-2 margin.  The window runs to the largest
     grid point where that is <= KRYLOV_TOL, between samples if need be, and the
     next window starts there; the bounds of the windows add up.  A breakdown
-    beta_j = 0 makes the subspace exact.  Beyond the samples, memory is the
-    (m + 1) dim complex numbers of the Lanczos vectors and the residual.
+    beta_j = 0 makes the subspace exact.  Beyond the window's block of samples,
+    memory is the (m + 1) dim complex numbers of the Lanczos vectors and the residual.
     """
     if dt <= 0 or t_total < 0:
         raise ValueError(f"dt must be positive and t_total >= 0, got dt = {dt}, t_total = {t_total}")
-    n_steps = int(round(t_total / dt))
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, h.dim), dtype=complex)
-    states[0] = normalize(np.asarray(psi, dtype=complex))
+    n_steps = round(t_total / dt)
+    if abs(t_total / dt - n_steps) > 1e-9 * max(1, t_total / dt):
+        raise ValueError(f"t_total = {t_total} is not a whole number of dt = {dt} steps")
+    return _krylov_windows(h, psi, np.arange(n_steps + 1) * dt)
+
+
+def _krylov_windows(h: Operator, psi: np.ndarray, times: np.ndarray):
+    x = normalize(np.asarray(psi, dtype=complex))
+    start, k, report = 0.0, 1, {"windows": 0, "matvecs": 0, "error_bound": 0.0}
+    yield times[:1], x[None].copy(), dict(report)
     v = np.empty((min(KRYLOV_DIM, h.dim), h.dim), dtype=complex)
     alpha, beta = np.zeros(len(v)), np.zeros(len(v))   # beta[j] couples v[j] and v[j + 1]
-    x, start, k, report = states[0], 0.0, 1, {"windows": 0, "matvecs": 0, "error_bound": 0.0}
-    while k <= n_steps:
+    while k < len(times):
         beta0 = np.linalg.norm(x)
         v[0] = x / beta0
         for j in range(len(v)):
@@ -262,16 +269,17 @@ def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
         tau, last = i * step, i == n_grid
         if not last and crude * tau < KRYLOV_TOL:   # the crude bound reaches further (dim 1, say)
             tau, err = KRYLOV_TOL / crude, KRYLOV_TOL
-        end = n_steps + 1 if last else int(np.searchsorted(times, start + tau, side="right"))
+        end = len(times) if last else int(np.searchsorted(times, start + tau, side="right"))
         coeffs = (np.exp(-1j * np.outer(times[k:end] - start, lam)) * c) @ s.T
-        for state, coeff in zip(states[k:end], coeffs):   # one GEMV each: no block temporaries
+        states = np.empty((end - k, h.dim), dtype=complex)
+        for state, coeff in zip(states, coeffs):   # one GEMV each: no block temporaries
             np.matmul(coeff, v[:m], out=state)
         x = (np.exp(-1j * tau * lam) * c) @ s.T @ v[:m]
         report["windows"] += 1
         report["matvecs"] += m
         report["error_bound"] += float(err)
+        yield times[k:end], states, dict(report)
         start, k = start + tau, end
-    return times, states, report
 
 
 def _symmetry_blocks(dim: int, perms, chis) -> list[sp.csr_matrix]:

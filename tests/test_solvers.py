@@ -43,6 +43,8 @@ from rydladder.basis import rung_permutations
 from rydladder.solvers import (DENSE_DIM_LIMIT, KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL, SYMMETRY_TOL, normalize,
                                symmetry_sectors)
 
+from references import trajectory
+
 
 def _random_operator(n, seed, density=0.05):
     rng = np.random.default_rng(seed)
@@ -171,7 +173,7 @@ def test_complete_basis_solves_leave_the_csr_unbuilt(two_leg_4096):
     _, e_dense = two_leg_4096
     h = _two_leg()
     e, psi, _ = ground_state(h)
-    _, states, report = krylov_evolve(h, psi, 0.1, 0.05)
+    _, states, report = trajectory(h, psi, 0.1, 0.05)
     assert "matrix" not in vars(h)
     residual = np.linalg.norm(h.matrix @ psi - e * psi)
     assert residual <= RESIDUAL_TOL * spla.norm(h.matrix, 1)
@@ -437,7 +439,7 @@ def test_krylov_step_matches_expm():
     h = _random_operator(60, 2)
     psi = normalize(np.random.default_rng(0).standard_normal(60).astype(complex))
     exact = sla.expm(-1j * 0.05 * h.matrix.toarray()) @ psi
-    approx = krylov_evolve(h, psi, 0.05, 0.05)[1][-1]
+    approx = trajectory(h, psi, 0.05, 0.05)[1][-1]
     assert np.linalg.norm(exact - approx) < 1e-10
 
 
@@ -468,7 +470,7 @@ def test_evolve_accurate_at_large_step(dt):
     on the nine-atom ladder evolved to t = 1 us."""
     h, psi0 = _nine_atom_ladder()
     exact = sla.expm(-1j * h.matrix.toarray()) @ psi0
-    _, states, _ = krylov_evolve(h, psi0, 1.0, dt)
+    _, states, _ = trajectory(h, psi0, 1.0, dt)
     assert np.linalg.norm(states[-1] - exact) <= 1e-10
 
 
@@ -476,7 +478,7 @@ def test_krylov_unitarity_and_energy_conservation():
     for h in _physical_instances():
         psi0 = np.zeros(h.dim, dtype=complex)
         psi0[0] = 1.0
-        times, states, _ = krylov_evolve(h, psi0, t_total=0.5, dt=0.01)
+        times, states, _ = trajectory(h, psi0, t_total=0.5, dt=0.01)
         e0 = np.real(np.vdot(states[0], h.matrix @ states[0]))
         for k in range(1, len(times)):
             assert abs(np.linalg.norm(states[k]) - 1.0) < 1e-10 * k
@@ -488,9 +490,9 @@ def test_krylov_time_reversal():
     h = _physical_instances()[1]
     psi0 = np.zeros(h.dim, dtype=complex)
     psi0[h.dim // 3] = 1.0
-    _, fwd, _ = krylov_evolve(h, psi0, 0.3, 0.01)
+    _, fwd, _ = trajectory(h, psi0, 0.3, 0.01)
     # propagate backwards by conjugation: exp(+iHt) psi = conj(exp(-iHt) conj(psi))
-    _, back, _ = krylov_evolve(h, np.conj(fwd[-1]), 0.3, 0.01)
+    _, back, _ = trajectory(h, np.conj(fwd[-1]), 0.3, 0.01)
     assert np.linalg.norm(np.conj(back[-1]) - psi0) < 1e-8
 
 
@@ -501,7 +503,7 @@ def test_two_level_rabi_closed_form():
     basis = enumerate_rydberg(1)
     h = rydberg_hamiltonian(atoms, omega, delta, 100.0, basis)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    times, states, _ = krylov_evolve(h, psi0, 2.0, 0.001)
+    times, states, _ = trajectory(h, psi0, 2.0, 0.001)
     w = math.sqrt(omega**2 + delta**2)
     for t, psi in zip(times[::200], states[::200]):
         p_r = abs(psi[1]) ** 2
@@ -530,7 +532,7 @@ def test_evolve_error_within_its_bound(case, t_total, dt):
     else:
         h = _two_level_atom(1.7 if case == "two-level" else 0.0)
         psi = np.array([1.0, 0.0])
-    times, states, report = krylov_evolve(h, psi, t_total, dt)
+    times, states, report = trajectory(h, psi, t_total, dt)
     vals, vecs = np.linalg.eigh(h.matrix.toarray())
     amplitudes = vecs.T @ normalize(psi.astype(complex))
     errors = [np.linalg.norm(state - vecs @ (np.exp(-1j * vals * t) * amplitudes))
@@ -551,7 +553,7 @@ def test_evolve_advances_where_the_first_grid_point_fails():
     eps |h| t, in the reference as well) lies outside the bound."""
     h, t_total = 1e4, 10.0
     psi = np.array([1.0 + 1j * math.sqrt(2)]) / math.sqrt(3)
-    times, states, report = krylov_evolve(SparseOperator(sp.csr_matrix([[h]])), psi, t_total, 0.1)
+    times, states, report = trajectory(SparseOperator(sp.csr_matrix([[h]])), psi, t_total, 0.1)
     assert report["windows"] > 1
     rounding = 8 * np.finfo(float).eps * h * t_total
     assert np.abs(states[:, 0] - np.exp(-1j * h * times) * psi[0]).max() <= report["error_bound"] + rounding
@@ -562,7 +564,7 @@ def test_evolve_above_exact_norm_limit_matches_expm():
     h = _random_operator(60, 2)
     dt = 10.0
     psi = normalize(np.random.default_rng(1).standard_normal(60) + 1j)
-    times, states, _ = krylov_evolve(h, psi, 3 * dt, dt)
+    times, states, _ = trajectory(h, psi, 3 * dt, dt)
     for t, state in zip(times, states):
         exact = sla.expm(-1j * t * h.matrix.toarray()) @ psi
         assert np.linalg.norm(state - exact) <= 1e-10
@@ -574,6 +576,51 @@ def test_krylov_rejects_bad_dt():
         krylov_evolve(h, np.ones(10, dtype=complex), 1.0, 0.0)
     with pytest.raises(ValueError, match="t_total >= 0"):
         krylov_evolve(h, np.ones(10, dtype=complex), -1.0, 0.1)
+
+
+def test_krylov_rejects_t_total_off_the_dt_grid():
+    """t_total must be a whole number of dt steps: 1.0 at dt = 0.6 ran to 1.2, and
+    at dt = 0.3 stopped at 0.9; 1.0 / 0.002 = 500.00000000000006 is whole."""
+    h = _random_operator(10, 0)
+    for dt in (0.6, 0.3):
+        with pytest.raises(ValueError, match="whole number of dt"):
+            krylov_evolve(h, np.ones(10, dtype=complex), 1.0, dt)
+    times, _, _ = trajectory(h, np.ones(10, dtype=complex), 1.0, 0.002)
+    np.testing.assert_array_equal(times, np.arange(501) * 0.002)
+
+
+class _CountedOperator:
+    """An operator that counts its products with vectors."""
+
+    def __init__(self, h):
+        self.h, self.dim, self.products = h, h.dim, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.h @ x
+
+
+def test_krylov_windows_contract():
+    """One item per window after psi alone at t = 0: the times concatenate to the
+    grid, each block holds one row per time, and the running report never
+    decreases.  The generator is lazy: the first item takes no product with H,
+    the first window at most KRYLOV_DIM."""
+    h, psi0 = _nine_atom_ladder()
+    items = list(krylov_evolve(h, psi0, 1.0, 0.05))
+    np.testing.assert_array_equal(np.concatenate([t for t, _, _ in items]), np.arange(21) * 0.05)
+    np.testing.assert_array_equal(items[0][1], normalize(psi0)[None])
+    assert all(states.shape == (len(t), h.dim) for t, states, _ in items)
+    reports = [report for _, _, report in items]
+    assert reports[0] == {"windows": 0, "matvecs": 0, "error_bound": 0.0}
+    assert reports[-1]["windows"] == len(items) - 1 > 1
+    for key in ("windows", "matvecs", "error_bound"):
+        assert all(a[key] <= b[key] for a, b in zip(reports, reports[1:]))
+    counted = _CountedOperator(h)
+    windows = krylov_evolve(counted, psi0, 1.0, 0.05)
+    next(windows)
+    assert counted.products == 0
+    _, _, report = next(windows)
+    assert counted.products == report["matvecs"] <= KRYLOV_DIM
 
 
 def test_sector_eigenstates_band():
