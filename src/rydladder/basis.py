@@ -11,6 +11,7 @@ integers with site 1 as the most significant digit and digit values
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,44 +39,44 @@ class RungConstraint:
 
 @dataclass(frozen=True)
 class RydbergBasis:
+    """The product over rungs of the bit patterns ``constraint`` admits (of all
+    2^n_atoms configurations without one), rung 1 the least significant digit of
+    the mixed-radix index, so that the configurations ascend with it."""
+
     n_atoms: int
-    states: np.ndarray          # sorted configuration integers
     constraint: RungConstraint | None = None
+
+    def __post_init__(self):
+        if self.n_atoms > MAX_ATOMS:
+            raise BasisError(f"{self.n_atoms} atoms exceeds the {MAX_ATOMS}-atom enumeration limit")
+        if self.constraint is not None and self.n_atoms % self.constraint.n_legs != 0:
+            raise BasisError("n_atoms is not a multiple of the rung size")
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        rungs = self.constraint or RungConstraint(1, 1)   # no cap: single atoms, either state
+        return len(rungs.patterns()) ** (self.n_atoms // rungs.n_legs)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The configuration integers, ascending, built on first read."""
+        if self.constraint is None:
+            return np.arange(1 << self.n_atoms, dtype=np.int64)
+        nl, states = self.constraint.n_legs, np.zeros(1, dtype=np.int64)
+        for r in reversed(range(self.n_atoms // nl)):   # rung 1 last: the least significant digit
+            states = (states[:, None] | (self.constraint.patterns() << (r * nl))[None, :]).ravel()
+        return states
 
     def index_of(self, config: int | np.ndarray) -> np.ndarray:
         """Position of configuration(s) in the enumeration; -1 if absent."""
         cfg = np.atleast_1d(config)
-        if self.dim == 1 << self.n_atoms:   # complete basis: each configuration is its own index
-            out = np.where((cfg >= 0) & (cfg < self.dim), cfg, -1)
-        else:
-            idx = np.searchsorted(self.states, cfg)
-            ok = (idx < self.dim) & (self.states[np.minimum(idx, self.dim - 1)] == cfg)
-            out = np.where(ok, idx, -1)
+        idx = np.minimum(np.searchsorted(self.states, cfg), len(self.states) - 1)
+        out = np.where(self.states[idx] == cfg, idx, -1)
         return out if np.ndim(config) else int(out[0])
 
 
 def enumerate_rydberg(n_atoms: int, constraint: RungConstraint | None = None) -> RydbergBasis:
-    if n_atoms > MAX_ATOMS:
-        raise BasisError(f"{n_atoms} atoms exceeds the {MAX_ATOMS}-atom enumeration limit")
-    if constraint is None:
-        states = np.arange(1 << n_atoms, dtype=np.int64)
-        return RydbergBasis(n_atoms, states)
-    nl = constraint.n_legs
-    if n_atoms % nl != 0:
-        raise BasisError("n_atoms is not a multiple of the rung size")
-    n_rungs = n_atoms // nl
-    # Admissible per-rung bit patterns, then a mixed-radix product over rungs.
-    patterns = constraint.patterns()
-    states = np.zeros(1, dtype=np.int64)
-    for r in range(n_rungs):
-        shifted = patterns << (r * nl)
-        states = (states[:, None] | shifted[None, :]).ravel()
-    states.sort()
-    return RydbergBasis(n_atoms, states, constraint)
+    return RydbergBasis(n_atoms, constraint)
 
 
 @dataclass(frozen=True)
@@ -155,21 +156,16 @@ def rung_permutations(basis: RydbergBasis, n_legs: int) -> dict[str, np.ndarray]
     """Index maps of the two rung-level bit permutations on a basis.
 
     ``"leg"`` reverses each rung's bit pattern (leg reflection) and
-    ``"mirror"`` reverses the rung order.  ``perm[i]`` is the index of the
-    image of state ``i``, or -1 when the image is not in the basis.
+    ``"mirror"`` reverses the rung order; ``perm[i]`` is the index of the image
+    of state ``i``.  Both act on the digits of the index: the leg reflection
+    replaces each digit by the position of its bit-reversed pattern, which keeps
+    a popcount cap, so every image is in the basis; the mirror reverses the digits.
     """
-    if basis.n_atoms % n_legs != 0:
-        raise BasisError("basis does not match the rung size")
-    rung, leg = np.divmod(np.arange(basis.n_atoms), n_legs)
-    targets = {
-        "leg": rung * n_legs + (n_legs - 1 - leg),
-        "mirror": (basis.n_atoms // n_legs - 1 - rung) * n_legs + leg,
-    }
-    out = {}
-    for name, target in targets.items():
-        images = np.zeros_like(basis.states)
-        for a, b in enumerate(target):
-            images |= ((basis.states >> a) & 1) << b
-        out[name] = basis.index_of(images)
-    return out
-
+    rungs = basis.constraint or RungConstraint(n_legs, n_legs)   # no cap: every pattern
+    if basis.n_atoms % n_legs != 0 or rungs.n_legs != n_legs:
+        raise BasisError(f"the basis's rungs are not {n_legs} atoms")
+    patterns = rungs.patterns()
+    reverse = sum(((patterns >> b) & 1) << (n_legs - 1 - b) for b in range(n_legs))
+    leg = np.searchsorted(patterns, reverse)   # the position of each pattern's bit reversal
+    index = np.arange(basis.dim).reshape((len(patterns),) * (basis.n_atoms // n_legs))
+    return {"leg": index[np.ix_(*[leg] * index.ndim)].ravel(), "mirror": index.T.ravel()}

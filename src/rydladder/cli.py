@@ -59,7 +59,7 @@ from .hamiltonians import (Operator, SparseOperator, effective_spin1_hamiltonian
 from .observables import (classify_phase, order_parameters, renyi_entropy, site_profiles, site_tables,
                           susceptibility_peak)
 from .solvers import (SolverError, dense_eigs, ground_state, krylov_evolve, sector_eigenstates,
-                      symmetry_sectors)
+                      symmetry_sectors, time_steps)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,6 +125,12 @@ class RunConfig:
     threads: int = 1
 
 
+def _parse_float(raw: str) -> float:
+    if not np.isfinite(value := float(raw)):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
@@ -135,12 +141,12 @@ def _parse_bool(raw: str) -> bool:
 # Converter per key, read off the RunConfig annotations (strings under postponed
 # evaluation); the targets dict is read from its keys, and rho and units are
 # read into a_x and the scale of the energies.
-_CONVERTERS = {"int": int, "int | None": int, "float": float, "float | None": float,
+_CONVERTERS = {"int": int, "int | None": int, "float": _parse_float, "float | None": _parse_float,
                "bool": _parse_bool, "str": str.strip,
                "tuple": lambda raw: tuple(m.strip() for m in raw.split(","))}
 _TARGET_KEYS = ("U", "X", "Y", "Yp")
 _KEY_CONVERTERS = {f.name: _CONVERTERS[f.type] for f in fields(RunConfig) if f.type in _CONVERTERS}
-_KEY_CONVERTERS.update(dict.fromkeys(_TARGET_KEYS, float), rho=float, units=str.strip)
+_KEY_CONVERTERS.update(dict.fromkeys(_TARGET_KEYS, _parse_float), rho=_parse_float, units=str.strip)
 # sweep axes are always drive energies, so start/stop scale too
 _ENERGY_KEYS = {"omega", "delta", "delta0", "start", "stop", "c6", *_TARGET_KEYS}
 
@@ -240,9 +246,6 @@ def _validate(cfg: RunConfig):
         if cfg.direction == "forward" and MATCH_CASES[cfg.match_case] != cfg.kind:
             raise ConfigError(f"[task] match_case = {cfg.match_case} matches a "
                               f"{MATCH_CASES[cfg.match_case].value} ladder, not kind = {cfg.kind}")
-    reads_ladder = cfg.task in ("geom", "coeffs") or (cfg.task == "match" and cfg.direction == "forward")
-    if (reads_ladder or {"rydberg", "effective"} & set(built)) and (cfg.a_x <= 0 or cfg.a_y <= 0):
-        raise ConfigError("[geometry] a_x and a_y (or rho) must be positive")
     if (cfg.task == "coeffs" or "effective" in built) and cfg.kind == "three-leg" and cfg.case not in (1, 2):
         raise ConfigError(f"[model] case must be 1 or 2, got {cfg.case}")
     if (cfg.task == "coeffs" or "effective" in built) and cfg.kind == "two-leg" and cfg.k_max < 1:
@@ -253,12 +256,16 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"[model] range_cutoff must be positive, got {cfg.range_cutoff}")
     if "sqed-field" in built and cfg.flavor not in FLAVORS:
         raise ConfigError(f"[model] flavor must be one of {FLAVORS}")
-    if evolved and cfg.dt <= 0:
-        raise ConfigError("[task] dt must be positive")
-    if evolved and cfg.t_total < 0:
-        raise ConfigError("[task] t_total must be >= 0")
-    if evolved and abs(cfg.t_total / cfg.dt - round(cfg.t_total / cfg.dt)) > 1e-9 * max(1, cfg.t_total / cfg.dt):
-        raise ConfigError(f"[task] t_total = {cfg.t_total} must be a whole number of dt = {cfg.dt} steps")
+    reads_ladder = cfg.task in ("geom", "coeffs") or (cfg.task == "match" and cfg.direction == "forward")
+    ladder = reads_ladder or {"rydberg", "effective"} & set(built)
+    try:   # the rules of the ladder, of the Rydberg basis and of the time grid, read from their owners
+        spec = ladder_spec(cfg) if ladder else None
+        if "rydberg" in built:
+            RydbergBasis(spec.n_legs * spec.n_rungs)
+        if evolved:
+            time_steps(cfg.t_total, cfg.dt)
+    except ValueError as exc:   # GeometryError and BasisError among them
+        raise ConfigError(str(exc)) from None
     if cfg.task == "spectrum" and cfg.k < 1:
         raise ConfigError("[task] k must be >= 1")
     if cfg.task == "sweep":
@@ -366,11 +373,9 @@ def initial_state(cfg: RunConfig, model: Model) -> np.ndarray:
         return psi
     if label.startswith("spin:"):
         digits = label[5:]
-        ms = []
-        for ch in digits:
-            if ch not in "+-0":
-                raise ConfigError(f"spin label digits must be +, -, or 0, got {digits!r}")
-            ms.append({"+": 1, "-": -1, "0": 0}[ch])
+        if set(digits) - set("+-0"):
+            raise ConfigError(f"spin label digits must be +, -, or 0, got {digits!r}")
+        ms = ["-0+".index(ch) - 1 for ch in digits]
         rydberg = model.dictionary is not None
         if not (rydberg or isinstance(model.basis, Spin1Basis)):
             raise ConfigError("spin labels need a spin basis or a dictionary-bearing geometry")

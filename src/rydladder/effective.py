@@ -303,9 +303,9 @@ MATCH_CASES = {"three-leg-00bc": LadderKind.THREE_LEG, "two-leg": LadderKind.TWO
 
 
 def _three_leg_y(v: dict) -> tuple[float, float]:
-    """Three-leg Y = 2 V2 - V1 - V3 and Y + Y' = (V1 - V3) / 2 of a coupling table."""
-    v1, v2, v3 = v["V1"], v["V2"], v["V3"]
-    return 2.0 * v2 - v1 - v3, (v1 - v3) / 2.0
+    """Three-leg Y = -(R + R') and Y + Y' = -R of a coupling table's staggered chain."""
+    c = _three_atom_rung_diagonal(v, 0.0, staggered=True)
+    return -(c["R"] + c["Rp"]), -c["R"]
 
 
 def match_forward(

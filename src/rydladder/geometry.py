@@ -63,9 +63,7 @@ class LadderSpec:
         if self.n_rungs < 1:
             raise GeometryError(f"n_rungs must be >= 1, got {self.n_rungs}")
         if self.a_x <= 0 or self.a_y <= 0:
-            raise GeometryError(
-                f"lattice spacings must be positive, got a_x={self.a_x}, a_y={self.a_y}"
-            )
+            raise GeometryError(f"a_x and a_y (or rho) must be positive, got a_x={self.a_x}, a_y={self.a_y}")
         if self.shift is not None and self.kind is not LadderKind.IN_PLANE_TRIANGLE:
             raise GeometryError(f"shift is only valid for in-plane-triangle, not {self.kind.value}")
         if self.prism_height is not None and self.kind is not LadderKind.PRISM:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import BasisError, RydbergBasis, Spin1Basis
+from .basis import BasisError, RungConstraint, RydbergBasis, Spin1Basis
 from .effective import BoundaryCondition, EffectiveCoefficients, TargetCouplings
 from .geometry import AtomArray, pairwise_couplings
 
@@ -211,14 +211,10 @@ def rydberg_hamiltonian(
     v, field = table[:n, :n], -(delta + atoms.detuning_offset)
     if frozen_sources is not None:
         field += table[:n, n:].sum(axis=1)   # each atom's couplings to the sources
-    # a product of rung patterns, or of single atoms on the complete basis
-    size, patterns = (1, np.arange(2)) if basis.constraint is None else (
-        basis.constraint.n_legs, basis.constraint.patterns())
-    if n % size or len(patterns) ** (n // size) != basis.dim:
-        raise BasisError("the basis is not the product of its rung patterns")
-    bits = ((patterns[:, None] >> np.arange(size)) & 1).astype(float)   # (pattern, atom of the rung)
+    rungs = basis.constraint or RungConstraint(1, 1)   # the complete basis: single atoms, either state
+    bits = ((rungs.patterns()[:, None] >> np.arange(rungs.n_legs)) & 1).astype(float)   # (pattern, atom of the rung)
     one_flip = np.abs(bits[:, None] - bits[None]).sum(axis=2) == 1
-    return FlipOperator(n // size, _product_diagonal(bits, field, v), 0.5 * omega * one_flip)
+    return FlipOperator(n // rungs.n_legs, _product_diagonal(bits, field, v), 0.5 * omega * one_flip)
 
 
 def effective_spin1_hamiltonian(

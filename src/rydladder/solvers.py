@@ -202,12 +202,12 @@ def ground_state(
 def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
     """Trajectory of exp(-i H t) psi sampled every ``dt``, by Lanczos windows.
 
-    Checks ``dt`` and ``t_total`` (a whole number of dt steps, to 1e-9
-    relative) at the call, then yields one ``(times, states, report)`` per
-    window: its slice of the grid, a fresh block with ``states[k]`` the state at
-    ``times[k]``, and the running ``windows``, ``matvecs`` (products with H) and
-    ``error_bound`` on every ||states[k] - exp(-i H times[k]) psi||, rounding
-    aside.  The first item is the normalized psi alone, at t = 0.
+    Checks ``dt`` and ``t_total`` (``time_steps``) at the call, then yields one
+    ``(times, states, report)`` per window: its slice of the grid, a fresh block
+    with ``states[k]`` the state at ``times[k]``, and the running ``windows``,
+    ``matvecs`` (products with H) and ``error_bound`` on every ||states[k] -
+    exp(-i H times[k]) psi||, rounding aside.  The first item is the normalized
+    psi alone, at t = 0.
 
     A window runs m = KRYLOV_DIM Lanczos steps from its start state v, without
     reorthogonalisation, and diagonalises T = S Lambda S^T once; its samples are
@@ -220,12 +220,17 @@ def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
     beta_j = 0 makes the subspace exact.  Beyond the window's block of samples,
     memory is the (m + 1) dim complex numbers of the Lanczos vectors and the residual.
     """
-    if dt <= 0 or t_total < 0:
+    return _krylov_windows(h, psi, np.arange(time_steps(t_total, dt) + 1) * dt)
+
+
+def time_steps(t_total: float, dt: float) -> int:
+    """The number of ``dt`` steps in ``t_total``: a finite, whole number to 1e-9 relative."""
+    if not (dt > 0 and t_total >= 0):
         raise ValueError(f"dt must be positive and t_total >= 0, got dt = {dt}, t_total = {t_total}")
-    n_steps = round(t_total / dt)
-    if abs(t_total / dt - n_steps) > 1e-9 * max(1, t_total / dt):
-        raise ValueError(f"t_total = {t_total} is not a whole number of dt = {dt} steps")
-    return _krylov_windows(h, psi, np.arange(n_steps + 1) * dt)
+    ratio = t_total / dt
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1, ratio):
+        raise ValueError(f"t_total = {t_total} is not a finite, whole number of dt = {dt} steps")
+    return round(ratio)
 
 
 def _krylov_windows(h: Operator, psi: np.ndarray, times: np.ndarray):
@@ -311,19 +316,18 @@ def _symmetry_blocks(dim: int, perms, chis) -> list[sp.csr_matrix]:
 def symmetry_sectors(h: Operator, basis: RydbergBasis, n_legs: int, psi: np.ndarray | None = None):
     """Verified rung symmetries of H and the isometries of their sectors.
 
-    A rung permutation (``rung_permutations``) is kept when it maps the basis
-    onto itself and is checked on H itself, ||Pi H Pi^T - H||_1 <=
-    SYMMETRY_TOL ||H||_1.  Given ``psi``, it must also have psi as an exact
-    eigenvector, psi[perm] = +-psi.  Returns ``(names, blocks)``: the kept
-    symmetries and one sparse isometry U_chi per character of the group they
-    generate (``_symmetry_blocks``); given ``psi``, only the block of the
-    character read off those signs, which holds psi and whose U^T H U evolves
-    U^T psi exactly.  With no symmetry kept that block is the identity.
+    A rung permutation (``rung_permutations``) other than the identity is kept
+    when it is checked on H itself, ||Pi H Pi^T - H||_1 <= SYMMETRY_TOL ||H||_1.
+    Given ``psi``, it must also have psi as an exact eigenvector, psi[perm] = +-psi.
+    Returns ``(names, blocks)``: the kept symmetries and one sparse isometry U_chi
+    per character of the group they generate (``_symmetry_blocks``); given ``psi``,
+    only the block of the character read off those signs, which holds psi and
+    whose U^T H U evolves U^T psi exactly; with no symmetry kept, the identity.
     """
     norm1 = h.norm1()
     names, perms = [], []
     for name, perm in rung_permutations(basis, n_legs).items():
-        if np.any(perm < 0) or np.array_equal(perm, np.arange(h.dim)):
+        if np.array_equal(perm, np.arange(h.dim)):
             continue
         if psi is not None and not (np.array_equal(psi[perm], psi) or np.array_equal(psi[perm], -psi)):
             continue

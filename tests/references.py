@@ -1,7 +1,8 @@
 """Independent references that only the tests compare the library against:
 a brute-force fit of the diagonal effective coefficients, the small-drive
 Ising reduction of the two-leg density-wave phase and the reduced density
-matrix of a spin-1 chain; and ``trajectory``, which collects the windows of
+matrix of a spin-1 chain; the rung permutations of a Rydberg basis built
+atom by atom; and ``trajectory``, which collects the windows of
 ``krylov_evolve`` into one array for the tests that read every sample."""
 
 import numpy as np
@@ -119,3 +120,21 @@ def trajectory(h, psi, t_total, dt):
     ``(times, states, report)``, the report that of the last window."""
     times, states, reports = zip(*krylov_evolve(h, psi, t_total, dt))
     return np.concatenate(times), np.concatenate(states), reports[-1]
+
+
+def rung_permutations_by_atoms(basis, n_legs):
+    """The index maps of ``rung_permutations``, built atom by atom: each image
+    configuration is assembled bit by bit from ``basis.states`` and looked up,
+    -1 marking an image outside the basis."""
+    rung, leg = np.divmod(np.arange(basis.n_atoms), n_legs)
+    targets = {
+        "leg": rung * n_legs + (n_legs - 1 - leg),
+        "mirror": (basis.n_atoms // n_legs - 1 - rung) * n_legs + leg,
+    }
+    out = {}
+    for name, target in targets.items():
+        images = np.zeros_like(basis.states)
+        for a, b in enumerate(target):
+            images |= ((basis.states >> a) & 1) << b
+        out[name] = basis.index_of(images)
+    return out

@@ -18,6 +18,8 @@ from rydladder import (
 )
 from rydladder.basis import BasisError, rung_permutations
 
+from references import rung_permutations_by_atoms
+
 
 def test_full_enumeration_counts():
     basis = enumerate_rydberg(5)
@@ -41,12 +43,11 @@ def test_index_of_absent_configuration():
 
 @pytest.mark.parametrize("n_atoms", [1, 5, 14])
 def test_complete_basis_index_matches_lookup(n_atoms):
-    """A complete basis indexes a configuration by itself; the answer is the sorted lookup's."""
+    """A complete basis indexes each configuration by itself."""
     basis = enumerate_rydberg(n_atoms)
     configs = np.random.default_rng(n_atoms).integers(-3, (1 << n_atoms) + 3, 500)
-    idx = np.searchsorted(basis.states, configs)
-    ok = (idx < basis.dim) & (basis.states[np.minimum(idx, basis.dim - 1)] == configs)
-    np.testing.assert_array_equal(basis.index_of(configs), np.where(ok, idx, -1))
+    inside = (configs >= 0) & (configs < 1 << n_atoms)
+    np.testing.assert_array_equal(basis.index_of(configs), np.where(inside, configs, -1))
     assert basis.index_of((1 << n_atoms) - 1) == basis.dim - 1
 
 
@@ -58,12 +59,13 @@ def test_complete_basis_index_rejects_configurations_beyond_it(n_atoms):
     assert basis.index_of(1 << n_atoms) == -1
 
 
-def test_incomplete_unconstrained_basis_looks_configurations_up():
-    """No constraint, yet not every configuration: positions come from the lookup."""
-    basis = RydbergBasis(4, np.array([0b0000, 0b0001, 0b0011]))
-    assert basis.constraint is None
-    assert basis.index_of(np.array([0b0011, 0b0001, 0b0010, 0b0000, 0b1000])).tolist() == [2, 1, -1, 0, -1]
-    assert basis.index_of(0b0011) == 2
+def test_capped_basis_index_marks_configurations_outside_it():
+    """Two two-leg rungs capped at one excitation: 9 of the 16 configurations."""
+    basis = enumerate_rydberg(4, RungConstraint(2, 1))
+    assert basis.states.tolist() == [0b0000, 0b0001, 0b0010, 0b0100, 0b0101, 0b0110, 0b1000, 0b1001, 0b1010]
+    configs = np.array([0b1010, 0b0001, 0b0011, 0b1100, 0b0000, 1 << 4, -1])
+    assert basis.index_of(configs).tolist() == [8, 1, -1, -1, 0, -1, -1]
+    assert basis.index_of(0b0110) == 5
 
 
 @pytest.mark.parametrize("n_legs,max_exc,per_rung", [(2, 1, 3), (3, 1, 4), (3, 2, 7)])
@@ -168,10 +170,29 @@ def test_rung_permutations_move_bits():
         assert np.array_equal(perm[perm], np.arange(basis.dim))   # involutions
 
 
-def test_rung_permutations_mark_missing_images():
-    basis = RydbergBasis(4, np.array([0b0000, 0b0001, 0b0011]))
-    perms = rung_permutations(basis, 2)
-    assert perms["leg"].tolist() == [0, -1, 2]
-    assert perms["mirror"].tolist() == [0, -1, -1]
-    with pytest.raises(BasisError):
-        rung_permutations(basis, 3)
+@pytest.mark.parametrize("n_legs", [1, 2, 3])
+def test_rung_permutations_match_the_atom_by_atom_maps(n_legs):
+    """The digit maps equal the images built bit by bit and looked up, on complete
+    and capped bases, and no image is missing."""
+    for n_rungs in range(1, 6):
+        for cap in (None, *range(n_legs + 1)):
+            basis = enumerate_rydberg(n_legs * n_rungs, None if cap is None else RungConstraint(n_legs, cap))
+            perms, reference = rung_permutations(basis, n_legs), rung_permutations_by_atoms(basis, n_legs)
+            assert perms.keys() == reference.keys()
+            for name, perm in perms.items():
+                np.testing.assert_array_equal(perm, reference[name], err_msg=f"{n_rungs} rungs, cap {cap}, {name}")
+                assert perm.min() >= 0
+
+
+def test_rung_permutations_reject_a_basis_of_other_rungs():
+    for basis in (enumerate_rydberg(4), enumerate_rydberg(6, RungConstraint(2, 1))):
+        with pytest.raises(BasisError, match="rungs are not 3 atoms"):
+            rung_permutations(basis, 3)
+
+
+def test_basis_checks_its_rungs_and_builds_states_on_first_read():
+    with pytest.raises(BasisError, match="multiple of the rung size"):
+        RydbergBasis(5, RungConstraint(2, 1))
+    basis = RydbergBasis(12, RungConstraint(3, 1))
+    assert basis.dim == 4**4 and "states" not in vars(basis)
+    assert len(basis.states) == basis.dim and "states" in vars(basis)

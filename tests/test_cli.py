@@ -20,6 +20,7 @@ from rydladder.cli import (
     ConfigError,
     RunConfig,
     _evolve,
+    _validate,
     build_model,
     fmt,
     initial_state,
@@ -27,7 +28,7 @@ from rydladder.cli import (
     parse_config,
     run,
 )
-from rydladder.solvers import KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL, symmetry_sectors
+from rydladder.solvers import KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL, ground_state, symmetry_sectors
 
 from references import trajectory
 
@@ -485,6 +486,16 @@ def test_build_model_assembles_no_csr(tmp_path, monkeypatch, model):
     assert "matrix" not in vars(op)
     with pytest.raises(AssertionError, match="CSR"):
         op.matrix
+
+
+def test_ground_state_of_a_complete_ladder_builds_no_configuration_list(tmp_path):
+    """The basis is its layout: neither building the ladder's model nor solving for
+    its ground state reads the 2^n configuration integers."""
+    cfg = parse_config(_write(tmp_path, TWO_LEG_RYDBERG.format(out=tmp_path)))
+    model = build_model(cfg)
+    assert model.basis.constraint is None
+    ground_state(model.op, seed=0)
+    assert "states" not in vars(model.basis)
 
 
 def test_initial_state_labels(tmp_path):
@@ -1077,3 +1088,79 @@ def test_ring_of_fewer_than_three_rungs_is_a_config_error(tmp_path, capsys, n_ru
     assert "n_rungs >= 3" in capsys.readouterr().err
     text = text.replace("bc = pbc", "bc = obc")
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("task = gs", "task = evolve\ndt = inf", "dt = 'inf': not a finite number"),
+    ("task = gs", "task = evolve\ndt = nan", "dt = 'nan': not a finite number"),
+    ("task = gs", "task = evolve\nt_total = inf", "t_total = 'inf': not a finite number"),
+    ("task = gs", "task = evolve\nt_total = nan", "t_total = 'nan': not a finite number"),
+    ("task = gs", "task = evolve\nt_total = 1\ndt = 1e-320",
+     "t_total = 1.0 is not a finite, whole number of dt = 1e-320 steps"),
+    ("omega = 2.0", "omega = nan", "omega = 'nan': not a finite number"),
+    ("delta = 20.0", "delta = inf", "delta = 'inf': not a finite number"),
+    ("[drive]", "[drive]\nc6 = nan", "c6 = 'nan': not a finite number"),
+    ("a_y = 4.0", "a_y = nan", "a_y = 'nan': not a finite number"),
+])
+def test_non_finite_values_and_time_grids_are_config_errors(tmp_path, capsys, old, new, message):
+    """An infinite dt once ran with t = nan, a t_total / dt past the float range
+    ended in an OverflowError traceback, and a nan drive or spacing reached the
+    eigensolver; each names its key and exits 2 before any work."""
+    text = BASE.format(out=tmp_path).replace(old, new)
+    assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("gs", "[geometry]", "[geometry]\nshift = 1.0", "shift is only valid for in-plane-triangle, not two-leg"),
+    ("coeffs", "[geometry]", "[geometry]\nprism_height = 2.0", "prism_height is only valid for prism, not two-leg"),
+    ("gs", "n_rungs = 3", "n_rungs = 14", "28 atoms exceeds the 26-atom enumeration limit"),
+])
+def test_ladder_and_basis_rules_are_config_errors(tmp_path, capsys, command, old, new, message):
+    """Geometry keys of another kind, and a Rydberg ladder past the basis's atom
+    limit, once exited 3 as numeric failures."""
+    text = TWO_LEG_RYDBERG.format(out=tmp_path).replace(old, new)
+    assert main([command, "--config", _write(tmp_path, text)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_rydberg_ladder_at_the_atom_limit_is_valid(tmp_path):
+    _validate(parse_config(_write(tmp_path, TWO_LEG_RYDBERG.format(out=tmp_path).replace("n_rungs = 3", "n_rungs = 13"))))
+
+
+EVOLVE_FROM = "task = evolve\nt_total = 0.01\ndt = 0.01\ninitial = "
+
+
+@pytest.mark.parametrize("base, old, new, message", [
+    (BASE, "[geometry]", "[geometry]\na_x = 12.0", "give either a_x or rho, not both"),
+    (BASE, "rho = 0.3333333333333333", "rho = 0", "rho must be positive"),
+    (BASE, "a_y = 4.0\n", "", "rho requires a_y"),
+    (BASE, "[output]", "[outputs]", "unknown section [outputs]"),
+    (BASE, "kind = three-leg", "kind = square", "kind must be one of"),
+    (BASE, "hamiltonian = effective", "hamiltonian = ising", "hamiltonian must be one of"),
+    (BASE, "task = gs", "task = relax", "task must be one of"),
+    (BASE, "task = gs", "task = sweep\naxis = c6", "sweep axis must be omega, delta, or delta0"),
+    (BASE, "task = gs", "task = sweep\nsteps = 0", "steps must be >= 1"),
+    (BASE, "task = gs", "task = compare\ncompare_task = spectrum", "compare_task must be gs or evolve"),
+    (BASE, "task = gs", "task = compare\ncompare_models = rydberg", "compare_models must name two of"),
+    (TWO_LEG_RYDBERG.replace("kind = two-leg", "kind = chain"), "task = gs", EVOLVE_FROM + "spin:000",
+     "spin labels need a spin basis or a dictionary-bearing geometry"),
+    (TWO_LEG_RYDBERG, "task = gs", EVOLVE_FROM + "spin:+++\nconstraint = 0",
+     "spin label 'spin:+++' maps outside the enumerated basis"),
+    (BASE, "task = gs", EVOLVE_FROM + "index:27", "initial state index 27 out of range (dim 27)"),
+    (BASE, "task = gs", EVOLVE_FROM + "neel", "unknown initial state label 'neel'"),
+])
+def test_config_errors_name_their_cause(tmp_path, capsys, base, old, new, message):
+    """Each of these config errors exits 2 and says what is wrong."""
+    text = base.format(out=tmp_path)
+    assert old in text
+    assert main(["run", "--config", _write(tmp_path, text.replace(old, new))]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_manifest_config_that_is_no_object_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, json.dumps({"config": ["kind", "two-leg"]}), "manifest.json")
+    assert main(["run", "--config", path]) == EXIT_CONFIG
+    assert "a manifest's config and its targets must be JSON objects" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from rydladder import (
     LadderKind,
     LadderSpec,
     RungConstraint,
-    RydbergBasis,
     SparseOperator,
     Spin1Basis,
     StateDictionary,
@@ -276,11 +275,10 @@ def test_grouped_product_equals_the_csr(case):
     assert op.max_off_diagonal() == ref.max_off_diagonal()
 
 
-def test_rydberg_hamiltonian_rejects_a_basis_that_is_no_rung_product():
+def test_rydberg_hamiltonian_rejects_a_basis_of_other_atoms():
     atoms, omega, delta, c6, *_ = FLIP_CASES["two-leg"]()
-    basis = RydbergBasis(atoms.n_atoms, np.arange(5))
-    with pytest.raises(BasisError, match="product"):
-        rydberg_hamiltonian(atoms, omega, delta, c6, basis)
+    with pytest.raises(BasisError, match="atoms but the array has"):
+        rydberg_hamiltonian(atoms, omega, delta, c6, enumerate_rydberg(atoms.n_atoms - 2))
 
 
 def _brute_force_effective(coeffs, n_sites, bc):
