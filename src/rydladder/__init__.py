@@ -62,6 +62,7 @@ from .solvers import (
     ground_state,
     krylov_evolve,
     sector_eigenstates,
+    sector_ground_state,
 )
 
 __version__ = "0.1.0"

@@ -152,20 +152,37 @@ def project_to_spin1(basis: RydbergBasis, dictionary: StateDictionary):
     return sector_indices, spins
 
 
-def rung_permutations(basis: RydbergBasis, n_legs: int) -> dict[str, np.ndarray]:
-    """Index maps of the two rung-level bit permutations on a basis.
+def rung_symmetries(basis: RydbergBasis, n_legs: int) -> dict[str, tuple[np.ndarray, bool]]:
+    """The two rung-level bit permutations of a basis as maps of the index's digits.
 
-    ``"leg"`` reverses each rung's bit pattern (leg reflection) and
-    ``"mirror"`` reverses the rung order; ``perm[i]`` is the index of the image
-    of state ``i``.  Both act on the digits of the index: the leg reflection
-    replaces each digit by the position of its bit-reversed pattern, which keeps
-    a popcount cap, so every image is in the basis; the mirror reverses the digits.
+    Each is ``(local, reverse)``: every digit (the position of a rung's pattern)
+    p becomes ``local[p]``, and ``reverse`` reverses the digit order.  ``"leg"``
+    reverses each rung's bit pattern (leg reflection), which keeps a popcount
+    cap, so every image is in the basis; ``"mirror"`` reverses the rung order.
+    Both are involutions, and they commute.
     """
     rungs = basis.constraint or RungConstraint(n_legs, n_legs)   # no cap: every pattern
     if basis.n_atoms % n_legs != 0 or rungs.n_legs != n_legs:
         raise BasisError(f"the basis's rungs are not {n_legs} atoms")
     patterns = rungs.patterns()
     reverse = sum(((patterns >> b) & 1) << (n_legs - 1 - b) for b in range(n_legs))
-    leg = np.searchsorted(patterns, reverse)   # the position of each pattern's bit reversal
-    index = np.arange(basis.dim).reshape((len(patterns),) * (basis.n_atoms // n_legs))
-    return {"leg": index[np.ix_(*[leg] * index.ndim)].ravel(), "mirror": index.T.ravel()}
+    return {"leg": (np.searchsorted(patterns, reverse), False), "mirror": (np.arange(len(patterns)), True)}
+
+
+def digit_images(local: np.ndarray, reverse: bool, n_digits: int) -> np.ndarray:
+    """Index of the image of every index of base-D digits, D = len(local), under
+    a digit map of ``rung_symmetries``: built most significant digit first, as
+    the basis's ``states`` are, so that no (dim, n_digits) table is held."""
+    image, d = np.zeros(1, dtype=np.int64), len(local)
+    for k in range(n_digits):   # digit n_digits - 1 - k moves to digit k under reverse
+        image = (image[:, None] + local * d ** (k if reverse else n_digits - 1 - k)).ravel()
+    return image
+
+
+def rung_permutations(basis: RydbergBasis, n_legs: int) -> dict[str, np.ndarray]:
+    """Index maps of the two rung-level bit permutations on a basis: ``perm[i]``
+    is the index of the image of state i under each of ``rung_symmetries``.
+    Digit arithmetic alone: no configuration is read."""
+    n_rungs = basis.n_atoms // n_legs
+    return {name: digit_images(local, reverse, n_rungs)
+            for name, (local, reverse) in rung_symmetries(basis, n_legs).items()}

@@ -59,7 +59,7 @@ from .hamiltonians import (Operator, SparseOperator, effective_spin1_hamiltonian
 from .observables import (classify_phase, order_parameters, renyi_entropy, site_profiles, site_tables,
                           susceptibility_peak)
 from .solvers import (SolverError, dense_eigs, ground_state, krylov_evolve, sector_eigenstates,
-                      symmetry_sectors, time_steps)
+                      sector_ground_state, symmetry_sectors, time_steps)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -199,7 +199,10 @@ def parse_config(path: str | Path) -> RunConfig:
     if units not in UNITS:
         raise ConfigError(f"units must be one of {UNITS}, got {units!r}")
     scale = TWO_PI if units == "two-pi-mhz" else 1.0
-    values = {key: val * scale if key in _ENERGY_KEYS else val for key, val in values.items()}
+    for key in _ENERGY_KEYS & values.keys():   # finite as given, but 2 pi times it need not be
+        if not np.isfinite(value := values[key] * scale):
+            raise ConfigError(f"{key} = {values[key]!r} {units} is {value} rad/us, not a finite number")
+        values[key] = value
     rho = values.pop("rho", None)
     targets = {key: values.pop(key) for key in list(values) if key in _TARGET_KEYS}
     cfg = RunConfig(**values, targets=targets)
@@ -410,8 +413,18 @@ def _write_csv(path: Path, header: list[str], rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _gs_row(model: Model, seed: int) -> dict:
+def _solve(model: Model, seed: int) -> tuple[float, np.ndarray, dict]:
+    """The certified ground state, a Rydberg ladder's in the trivial sector of its
+    verified rung symmetries (``sector_ground_state``); the report names the
+    ``symmetries`` and the ``sector`` dimension solved in."""
+    if isinstance(model.basis, RydbergBasis):
+        return sector_ground_state(model.op, model.basis, model.atoms.n_legs, seed)
     e0, psi, report = ground_state(model.op, seed=seed)
+    return e0, psi, {**report, "symmetries": (), "sector": model.op.dim}
+
+
+def _gs_row(model: Model, seed: int) -> dict:
+    e0, psi, report = _solve(model, seed)
     row = {"E0": e0, "matvecs": report["products"], "residual": report["residual"]}
     if isinstance(model.basis, Spin1Basis):
         op = order_parameters(psi, model.basis)
@@ -424,7 +437,7 @@ def _gs_row(model: Model, seed: int) -> dict:
             S2=renyi_entropy(psi, n, cut, 2) if n > 1 else 0.0,
             phase_label=classify_phase(op).value,
         )
-    return row
+    return {**row, "symmetries": list(report["symmetries"]), "sector": report["sector"]}
 
 
 def task_geom(cfg: RunConfig, outdir: Path) -> dict:
@@ -465,7 +478,8 @@ def task_match(cfg: RunConfig, outdir: Path) -> dict:
 
 def task_gs(cfg: RunConfig, outdir: Path) -> dict:
     row = _gs_row(build_model(cfg), cfg.seed)
-    _write_csv(outdir / "gs.csv", list(row), [tuple(row.values())])
+    columns = [key for key in row if key not in ("symmetries", "sector")]   # the summary's alone
+    _write_csv(outdir / "gs.csv", columns, [tuple(row[key] for key in columns)])
     return row
 
 
@@ -562,15 +576,15 @@ def task_compare(cfg: RunConfig, outdir: Path) -> dict:
     model_a = build_model(cfg, name_a)
     model_b = build_model(cfg, name_b)
     if cfg.compare_task == "gs":
-        e_a = ground_state(model_a.op, seed=cfg.seed)[0]
-        e_b = ground_state(model_b.op, seed=cfg.seed)[0]
+        e_a, _, report_a = _solve(model_a, cfg.seed)
+        e_b, _, report_b = _solve(model_b, cfg.seed)
         rel = abs(e_a - e_b) / max(abs(e_a), 1e-300)
         _write_csv(
             outdir / "compare_gs.csv",
             [f"E0_{name_a}", f"E0_{name_b}", "abs_deviation", "rel_deviation"],
             [(e_a, e_b, abs(e_a - e_b), rel)],
         )
-        return {"E0_a": e_a, "E0_b": e_b, "max_deviation": abs(e_a - e_b)}
+        return {"E0_a": e_a, "E0_b": e_b, "max_deviation": abs(e_a - e_b), "gs_a": report_a, "gs_b": report_b}
     # compare evolve: paired per-site traces, and each propagation's report
     times, profs_a, report_a = _evolve(cfg, model_a)
     _, profs_b, report_b = _evolve(cfg, model_b)

@@ -72,6 +72,12 @@ class SparseOperator:
         """The largest off-diagonal |H_ij| (0 for a diagonal H), from the symmetric H's upper triangle."""
         return np.abs(sp.triu(self.matrix, 1).data).max(initial=0.0)
 
+    def permutation_defect(self, perm: np.ndarray, local: np.ndarray) -> float:
+        """||Pi H Pi^T - H||_1 for the permutation Pi|i> = |perm[i]>, from the CSR
+        (``local`` is not needed).  It is the 1-norm of Pi^T (Pi H Pi^T - H) Pi =
+        H - Pi^T H Pi, and (Pi^T H Pi)[a, b] = H[perm[a], perm[b]]: no inverse."""
+        return spla.norm(self.matrix[perm][:, perm] - self.matrix, 1)
+
 
 @dataclass(eq=False)
 class FlipOperator:
@@ -101,14 +107,30 @@ class FlipOperator:
     def _groups(self) -> list[tuple[int, np.ndarray]]:
         """(lo, K) per group of q sites from site lo, d^q <= GROUP_DIM: K is the hop
         summed over those sites, a d^q x d^q matrix.  Built on first use."""
-        d = len(self.hop)
         q = 1
-        while q < self.n_sites and d ** (q + 1) <= GROUP_DIM:
+        while q < self.n_sites and len(self.hop) ** (q + 1) <= GROUP_DIM:
             q += 1
-        sums = [self.hop]   # sums[g - 1]: the hop summed over g sites
-        while len(sums) < q:
-            sums.append(np.kron(self.hop, np.eye(len(sums[-1]))) + np.kron(np.eye(d), sums[-1]))
+        sums = self._hop_sums(q)
         return [(lo, sums[min(q, self.n_sites - lo) - 1]) for lo in range(0, self.n_sites, q)]
+
+    def _hop_sums(self, q: int) -> list[np.ndarray]:
+        """sums[g - 1]: the hop summed over g = 1..q adjacent sites, a d^g x d^g
+        matrix whose index has the lowest of them as its least significant digit."""
+        sums = [self.hop]
+        while len(sums) < q:
+            sums.append(np.kron(self.hop, np.eye(len(sums[-1]))) + np.kron(np.eye(len(self.hop)), sums[-1]))
+        return sums
+
+    def digit_hop(self, size: int) -> tuple[int, np.ndarray]:
+        """``(q, K)`` for index digits of ``size`` = d^q states: the sites per digit
+        and the hop summed over them (a rung's hop on the complete basis, where
+        the sites are atoms).  ValueError when the digits are no groups of sites."""
+        q = 1
+        while len(self.hop) ** q < size:
+            q += 1
+        if len(self.hop) ** q != size or self.n_sites % q:
+            raise ValueError(f"digits of {size} states are no groups of the {self.n_sites} sites")
+        return q, self._hop_sums(q)[-1]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """H x for a vector x: diag * x plus, per group, K along that group's
@@ -131,14 +153,30 @@ class FlipOperator:
         return out
 
     def norm1(self) -> float:
+        return self._norm1
+
+    @cached_property
+    def _norm1(self) -> float:
         """||H||_1 = max |H_ii| + sum_s c(p_s), c the hop's absolute column sums,
-        from ``_product_diagonal``: no matrix is built."""
+        from ``_product_diagonal``: no matrix is built.  Computed on first use."""
+        if not self.hop.any():   # diagonal
+            return float(np.abs(self.diag).max())
         c = np.abs(self.hop).sum(axis=0)[:, None]
         n = self.n_sites
         return float((np.abs(self.diag) + _product_diagonal(c, np.ones(n), np.zeros((n, n)))).max())
 
     def max_off_diagonal(self) -> float:
         return float(np.abs(self.hop).max())
+
+    def permutation_defect(self, perm: np.ndarray, local: np.ndarray) -> float:
+        """||Pi H Pi^T - H||_1, exact and with no matrix, for Pi|i> = |perm[i]> a
+        permutation of the index's base-D digits, D = len(local) = d^q (q sites
+        per digit), that maps each digit's state p to ``local[p]``.  It is the
+        1-norm of Pi^T (Pi H Pi^T - H) Pi = Pi^T H Pi - H, the FlipOperator of
+        diag[perm] - diag and of K[local][:, local] - K, K the hop summed over a
+        digit's q sites, whose ``norm1`` is exact."""
+        q, k = self.digit_hop(len(local))
+        return FlipOperator(self.n_sites // q, self.diag[perm] - self.diag, k[np.ix_(local, local)] - k).norm1()
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:

@@ -11,8 +11,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import RydbergBasis, StateDictionary, project_to_spin1, rung_permutations
-from .hamiltonians import Operator
+from .basis import (RydbergBasis, StateDictionary, digit_images, project_to_spin1, rung_permutations,
+                    rung_symmetries)
+from .hamiltonians import FlipOperator, Operator
 
 DENSE_DIM_LIMIT = 4096
 SYMMETRY_TOL = 1e-12   # ||Pi H Pi^T - H||_1 / ||H||_1 below which a permutation is a symmetry
@@ -21,6 +22,7 @@ KRYLOV_DIM = 60        # Lanczos steps per window of krylov_evolve
 KRYLOV_TOL = 1e-13     # the defect bound on the error one window of krylov_evolve adds
 GRAM_TOL = 1e-8        # squared Cholesky pivot of the unit p below which ground_state's LOPCG drops p
 GRAM_SLAB = 16384      # columns per product of the LOPCG Gram: one product of all columns took twice as long from dim 2^16
+MAX_PRODUCTS = 20000   # ground_state's default cap on its products with H
 
 
 class SolverError(RuntimeError):
@@ -150,7 +152,7 @@ def _lopcg(h: Operator, lowest: int, seed: int, precond: np.ndarray, target: flo
 
 def ground_state(
     h: Operator,
-    max_iter: int = 20000,
+    max_iter: int = MAX_PRODUCTS,
     seed: int = 0,
 ) -> tuple[float, np.ndarray, dict]:
     """Certified ground-state pair by preconditioned LOPCG.
@@ -178,6 +180,13 @@ def ground_state(
     is a ``_dot``.  ``max_iter`` caps the products with H.  Deterministic for a
     given seed.
     """
+    return _ground_state(h, max_iter, seed)
+
+
+def _ground_state(h, max_iter: int, seed: int) -> tuple[float, np.ndarray, dict]:
+    """``ground_state``'s body, which ``sector_ground_state`` runs on its sector
+    operator: wrappers of the public name (perfbench's tracer reads the CSR of
+    its argument) see full-space solves only."""
     n = h.dim
     diag = h.diagonal()
     lowest = int(np.argmin(diag))
@@ -189,6 +198,14 @@ def ground_state(
         return float(diag.min()), psi, {"products": 0, "iterations": 0, "residual": 0.0, "bound": bound}
     precond = 1.0 / np.maximum(np.abs(diag - diag.min()), floor)
     psi, products, iterations = _lopcg(h, lowest, seed, precond, bound / 4, max_iter)
+    energy, residual = _certificate(h, psi, bound)
+    return energy, psi, {"products": products + 1, "iterations": iterations, "residual": residual, "bound": bound}
+
+
+def _certificate(h, psi: np.ndarray, bound: float) -> tuple[float, float]:
+    """Normalise psi in place and return its Rayleigh quotient E and true residual
+    ||H psi - E psi||, one product with H; raise :class:`ConvergenceError` when
+    the residual exceeds ``bound``."""
     psi /= math.sqrt(_dot(psi, psi))
     h_psi = h @ psi
     energy = _dot(psi, h_psi)
@@ -196,7 +213,7 @@ def ground_state(
     residual = math.sqrt(_dot(h_psi, h_psi))
     if residual > bound:
         raise ConvergenceError(f"true residual {residual:.3g} > {bound:.3g}", energy)
-    return energy, psi, {"products": products + 1, "iterations": iterations, "residual": residual, "bound": bound}
+    return energy, residual
 
 
 def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
@@ -287,24 +304,65 @@ def _krylov_windows(h: Operator, psi: np.ndarray, times: np.ndarray):
         start, k = start + tau, end
 
 
-def _symmetry_blocks(dim: int, perms, chis) -> list[sp.csr_matrix]:
-    """Sparse isometries U_chi of the group ``perms`` generate, one per
+def _verified_symmetries(h: Operator, basis: RydbergBasis, n_legs: int, psi: np.ndarray | None = None):
+    """The rung symmetries (``rung_symmetries``) that H verifiably has.
+
+    One other than the identity is kept when ||Pi H Pi^T - H||_1 <= SYMMETRY_TOL
+    ||H||_1, taken by H's own ``permutation_defect`` (no CSR of a FlipOperator),
+    and, given ``psi``, when psi[perm] = +-psi exactly.  Returns the kept names,
+    their ``(local, reverse)`` digit maps and index maps, and the digit count.
+    """
+    norm1, n_digits, index_maps = h.norm1(), basis.n_atoms // n_legs, rung_permutations(basis, n_legs)
+    names, maps, perms = [], [], []
+    for name, (local, reverse) in rung_symmetries(basis, n_legs).items():
+        perm = index_maps[name]
+        if np.array_equal(perm, np.arange(h.dim)):
+            continue
+        if psi is not None and not (np.array_equal(psi[perm], psi) or np.array_equal(psi[perm], -psi)):
+            continue
+        if h.permutation_defect(perm, local) <= SYMMETRY_TOL * norm1:
+            names.append(name)
+            maps.append((local, reverse))
+            perms.append(perm)
+    return names, maps, perms, n_digits
+
+
+def _orbits(dim: int, n_digits: int, maps):
+    """Orbits of the group that the commuting involutions ``maps`` generate.
+
+    Returns ``(reps, images, masks)``: the representatives r, ascending, each the
+    least index of its orbit, and per group element g (the identity first, then
+    each generator k composed with every element before it, bit k of its mask
+    set) the images g(r).  Each element's index map is built in turn and
+    dropped: the candidates shrink to the indices that no element so far
+    lowers, and the earlier images with them, so no table of every element's
+    map is held.
+    """
+    elements = [(None, False, 0)]   # (local digit map, None for the identity; reverse; generator mask)
+    for k, (local, reverse) in enumerate(maps):
+        elements += [(local if g is None else local[g], reverse != r, mask | 1 << k) for g, r, mask in elements]
+    reps, images = np.arange(dim), []
+    for local, reverse, _ in elements[1:]:
+        image = digit_images(local, reverse, n_digits)[reps]
+        least = image >= reps
+        reps, images = reps[least], [g[least] for g in images] + [image[least]]
+    return reps, [reps, *images], [mask for *_, mask in elements]
+
+
+def _symmetry_blocks(dim: int, orbits, chis) -> list[sp.csr_matrix]:
+    """Sparse isometries U_chi of the group of ``orbits`` (``_orbits``), one per
     character chi in ``chis`` (bit k set: odd under generator k).
 
-    The generators are commuting involutions.  Column j of U_chi is the
-    normalised sum_g chi(g) |g r_j> over the orbit of representative r_j
-    (QuSpin's symmetry blocks); columns that cancel are dropped, and so are
-    empty blocks.  The trivial group gives the single block U = I.
+    Column j of U_chi is the normalised sum_g chi(g) |g r_j> over the orbit of
+    representative r_j (QuSpin's symmetry blocks); columns that cancel are
+    dropped, and so are empty blocks.  The trivial group gives the single block U = I.
     """
-    elements = [(np.arange(dim), 0)]   # (index map, bit mask of the generators used)
-    for k, perm in enumerate(perms):
-        elements += [(perm[g], mask | 1 << k) for g, mask in elements]
-    reps = np.unique(np.min([g for g, _ in elements], axis=0))
-    cols = np.tile(np.arange(len(reps)), len(elements))
-    rows = np.concatenate([g[reps] for g, _ in elements])
+    reps, images, masks = orbits
+    cols = np.tile(np.arange(len(reps)), len(images))
+    rows = np.concatenate(images)
     blocks = []
     for chi in chis:
-        vals = np.repeat([(-1.0) ** (mask & chi).bit_count() for _, mask in elements], len(reps))
+        vals = np.repeat([(-1.0) ** (mask & chi).bit_count() for mask in masks], len(reps))
         u = sp.csc_matrix((vals, (rows, cols)), shape=(dim, len(reps)))
         norms = np.sqrt(np.asarray(u.multiply(u).sum(axis=0)).ravel())
         keep = np.flatnonzero(norms)
@@ -316,29 +374,116 @@ def _symmetry_blocks(dim: int, perms, chis) -> list[sp.csr_matrix]:
 def symmetry_sectors(h: Operator, basis: RydbergBasis, n_legs: int, psi: np.ndarray | None = None):
     """Verified rung symmetries of H and the isometries of their sectors.
 
-    A rung permutation (``rung_permutations``) other than the identity is kept
-    when it is checked on H itself, ||Pi H Pi^T - H||_1 <= SYMMETRY_TOL ||H||_1.
-    Given ``psi``, it must also have psi as an exact eigenvector, psi[perm] = +-psi.
-    Returns ``(names, blocks)``: the kept symmetries and one sparse isometry U_chi
-    per character of the group they generate (``_symmetry_blocks``); given ``psi``,
-    only the block of the character read off those signs, which holds psi and
-    whose U^T H U evolves U^T psi exactly; with no symmetry kept, the identity.
+    The symmetries are those of ``_verified_symmetries``: checked on H itself,
+    with no CSR of a FlipOperator, and given ``psi`` with psi as an exact
+    eigenvector, psi[perm] = +-psi.  Returns ``(names, blocks)``: the kept
+    symmetries and one sparse isometry U_chi per character of the group they
+    generate (``_symmetry_blocks``); given ``psi``, only the block of the
+    character read off those signs, which holds psi and whose U^T H U evolves
+    U^T psi exactly; with no symmetry kept, the identity.
     """
-    norm1 = h.norm1()
-    names, perms = [], []
-    for name, perm in rung_permutations(basis, n_legs).items():
-        if np.array_equal(perm, np.arange(h.dim)):
-            continue
-        if psi is not None and not (np.array_equal(psi[perm], psi) or np.array_equal(psi[perm], -psi)):
-            continue
-        inv = np.argsort(perm)   # (Pi H Pi^T)[a, b] = H[inv[a], inv[b]]
-        if spla.norm(h.matrix[inv][:, inv] - h.matrix, 1) <= SYMMETRY_TOL * norm1:
-            names.append(name)
-            perms.append(perm)
+    names, maps, perms, n_digits = _verified_symmetries(h, basis, n_legs, psi)
+    orbits = _orbits(h.dim, n_digits, maps)
     if psi is None:
-        return names, _symmetry_blocks(h.dim, perms, range(1 << len(perms)))
+        return names, _symmetry_blocks(h.dim, orbits, range(1 << len(maps)))
     chi = sum(1 << k for k, perm in enumerate(perms) if not np.array_equal(psi[perm], psi))
-    return names, _symmetry_blocks(h.dim, perms, [chi])
+    return names, _symmetry_blocks(h.dim, orbits, [chi])
+
+
+def _gauge(hop: np.ndarray) -> np.ndarray | None:
+    """The +-1 signs g of a hop's states with g_p g_q hop[p, q] <= 0 for every
+    element, g_0 = 1; None when the hop's graph is not connected or no such
+    signs exist (a frustrated cycle)."""
+    g, todo = np.zeros(len(hop)), [0]
+    g[0] = 1.0
+    while todo:
+        p = todo.pop()
+        for q in np.flatnonzero(hop[p]):
+            sign = -g[p] * np.sign(hop[p, q])
+            if g[q] == 0:
+                g[q] = sign
+                todo.append(q)
+            elif g[q] != sign:
+                return None
+    return g if g.all() else None
+
+
+class _TrivialSector:
+    """H on the trivial character of a verified group, matrix-free: a vector holds
+    the coefficient of each normalised orbit sum |r~> = sum_{s in orbit(r)} |s> /
+    sqrt(|orbit(r)|), one per representative r of ``_orbits``.  A product embeds
+    the vector, takes one product with H and reads the result at the
+    representatives, where (U^T y)_r = sqrt(|orbit(r)|) y_r for a y the group
+    fixes.  ``norm1`` and ``max_off_diagonal`` are H's own, and the diagonal is
+    H's at the representatives.  Beyond H it holds the representatives, their
+    weights and each state's orbit as an int32 (the orbit images are dropped)."""
+
+    def __init__(self, h: Operator, orbits):
+        reps, images, _ = orbits
+        self.h, self.reps, self.dim = h, reps, len(reps)
+        # |orbit(r)| = |G| / |stabiliser(r)|, the stabiliser counted among the images
+        self.weight = np.sqrt(len(images) / sum(image == reps for image in images))
+        self.orbit = np.empty(h.dim, dtype=np.int32)   # a gather from it took half the time of |G| scatters
+        index = np.arange(self.dim, dtype=np.int32)
+        for image in images:
+            self.orbit[image] = index
+
+    def embed(self, v: np.ndarray) -> np.ndarray:
+        """U v: every state of the orbit of r takes v_r / sqrt(|orbit(r)|)."""
+        return (v / self.weight)[self.orbit]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return (self.h @ self.embed(v))[self.reps] * self.weight
+
+    def diagonal(self) -> np.ndarray:
+        return self.h.diagonal()[self.reps]
+
+    def norm1(self) -> float:
+        return self.h.norm1()
+
+    def max_off_diagonal(self) -> float:
+        return self.h.max_off_diagonal()
+
+
+def sector_ground_state(h: Operator, basis: RydbergBasis, n_legs: int, seed: int = 0):
+    """``ground_state`` of a Rydberg ladder, solved in the trivial sector of its
+    verified rung symmetries.
+
+    By Perron-Frobenius the ground state is unique and even under every
+    symmetry when four conditions hold, each checked on H: a hop (Omega != 0);
+    a connected hop graph; +-1 signs of each rung's patterns, taking every hop
+    element to <= 0 (``_gauge`` of the hop summed over a rung); and those signs
+    unchanged by each kept symmetry's digit map.  The ladder's graph is the
+    product of the rungs', so the first two hold for it as for one rung, and the
+    product of the rung signs is a gauge of H that the symmetries fix.  A
+    FlipOperator gives the rung's hop; a CSR operator does not, and is solved
+    in the full space.  The symmetries are ``_verified_symmetries``', with no
+    CSR.  ``ground_state`` then runs on the matrix-free ``_TrivialSector``, and
+    its psi is embedded and certified with one full-space product at H's own
+    bound, so ``residual`` and ``bound`` mean what they mean there.  When any
+    condition fails, or no symmetry is kept, the group is trivial (U = I) and
+    the call is ``ground_state(h)``.
+
+    Returns ``(energy, psi, report)``, the report ``ground_state``'s with the
+    ``symmetries`` solved in and the ``sector`` dimension; its ``products``
+    count the sector's and the full-space certificate's.
+    """
+    maps = []
+    if isinstance(h, FlipOperator) and h.max_off_diagonal() > 0:
+        names, maps, _, n_digits = _verified_symmetries(h, basis, n_legs)
+        gauge = _gauge(h.digit_hop(len(maps[0][0]))[1]) if maps else None   # on a rung's patterns
+        if gauge is None or any(not np.array_equal(gauge[local], gauge) for local, _ in maps):
+            maps = []
+    if not maps:
+        energy, psi, report = ground_state(h, seed=seed)
+        return energy, psi, {**report, "symmetries": (), "sector": h.dim}
+    sector = _TrivialSector(h, _orbits(h.dim, n_digits, maps))
+    _, v, report = _ground_state(sector, MAX_PRODUCTS, seed)
+    psi = sector.embed(v)
+    report.update(products=report["products"] + 1, symmetries=tuple(names), sector=sector.dim)
+    del sector   # its orbit map, before the certificate's product
+    energy, report["residual"] = _certificate(h, psi, report["bound"])
+    return energy, psi, report
 
 
 def _block_eigenstates(h: Operator, u: sp.csr_matrix, sector_indices, k: int):

@@ -488,6 +488,30 @@ def test_build_model_assembles_no_csr(tmp_path, monkeypatch, model):
         op.matrix
 
 
+@pytest.mark.parametrize("constraint", ["", "\nconstraint = 1"], ids=["complete", "rung-capped"])
+def test_ladder_gs_solves_in_its_even_sector_with_no_csr(tmp_path, monkeypatch, constraint):
+    """``gs`` on a Rydberg ladder checks its symmetries and the Perron-Frobenius
+    conditions on the operator and solves in the trivial sector, with the one CSR
+    constructor disabled; the summary records the symmetries and the sector, and
+    the energy is the full-space solve's."""
+    def no_csr(cls, *args):
+        raise AssertionError("a CSR was assembled")
+
+    out = tmp_path / "out"
+    text = TWO_LEG_RYDBERG.format(out=out).replace("hamiltonian = rydberg", "hamiltonian = rydberg" + constraint)
+    path = _write(tmp_path, text)
+    monkeypatch.setattr(SparseOperator, "from_coo", classmethod(no_csr))
+    assert main(["gs", "--config", path]) == EXIT_OK
+    monkeypatch.undo()
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    op = build_model(parse_config(path)).op
+    assert summary["symmetries"] == ["leg", "mirror"] and summary["sector"] < op.dim
+    header, row = ((out / "gs.csv").read_text().strip().split("\n"))
+    assert header.split(",")[:3] == ["E0", "matvecs", "residual"] and "sector" not in header
+    assert summary["E0"] == pytest.approx(ground_state(op)[0], rel=1e-12, abs=0)
+    assert 0 <= summary["residual"] <= RESIDUAL_TOL * spla.norm(op.matrix, 1)
+
+
 def test_ground_state_of_a_complete_ladder_builds_no_configuration_list(tmp_path):
     """The basis is its layout: neither building the ladder's model nor solving for
     its ground state reads the 2^n configuration integers."""
@@ -692,6 +716,13 @@ def test_compare_gs_outputs(tmp_path):
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_OK
     lines = (out / "compare_gs.csv").read_text().strip().split("\n")
     assert lines[0] == "E0_rydberg,E0_effective,abs_deviation,rel_deviation"
+    # each side records its solve: the ladder in its even sector, the chain in the full space
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    rydberg, effective = summary["gs_a"], summary["gs_b"]
+    assert (rydberg["symmetries"], effective["symmetries"], effective["sector"]) == (["leg", "mirror"], [], 27)
+    assert rydberg["sector"] < 8**3   # of the 512 states of three three-atom rungs
+    for report in (rydberg, effective):
+        assert 0 <= report["residual"] <= report["bound"] and report["products"] >= 2
 
 
 @pytest.mark.parametrize("hamiltonian, bc, task", [
@@ -1101,11 +1132,13 @@ def test_ring_of_fewer_than_three_rungs_is_a_config_error(tmp_path, capsys, n_ru
     ("delta = 20.0", "delta = inf", "delta = 'inf': not a finite number"),
     ("[drive]", "[drive]\nc6 = nan", "c6 = 'nan': not a finite number"),
     ("a_y = 4.0", "a_y = nan", "a_y = 'nan': not a finite number"),
+    ("omega = 2.0", "omega = 1e308", "omega = 1e+308 two-pi-mhz is inf rad/us, not a finite number"),
 ])
 def test_non_finite_values_and_time_grids_are_config_errors(tmp_path, capsys, old, new, message):
     """An infinite dt once ran with t = nan, a t_total / dt past the float range
-    ended in an OverflowError traceback, and a nan drive or spacing reached the
-    eigensolver; each names its key and exits 2 before any work."""
+    ended in an OverflowError traceback, a nan drive or spacing reached the
+    eigensolver, and a finite drive that 2 pi scales past the float range exited 3
+    in the eigensolver; each names its key and exits 2 before any work."""
     text = BASE.format(out=tmp_path).replace(old, new)
     assert main(["run", "--config", _write(tmp_path, text)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err

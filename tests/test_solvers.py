@@ -37,9 +37,10 @@ from rydladder import (
     project_to_spin1,
     rydberg_hamiltonian,
     sector_eigenstates,
+    sector_ground_state,
 )
 from rydladder import solvers
-from rydladder.basis import rung_permutations
+from rydladder.basis import rung_permutations, rung_symmetries
 from rydladder.solvers import (DENSE_DIM_LIMIT, KRYLOV_DIM, KRYLOV_TOL, RESIDUAL_TOL, SYMMETRY_TOL, normalize,
                                symmetry_sectors)
 
@@ -772,3 +773,103 @@ def test_symmetry_sectors_build_the_block_of_a_state_odd_and_even():
     np.testing.assert_array_equal(u[perms["leg"]], -u)
     np.testing.assert_array_equal(u[perms["mirror"]], u)
     assert np.linalg.norm(u.T @ psi) == pytest.approx(1.0, abs=1e-15)
+
+
+def _bumped_two_leg():
+    """The two-leg case with a diagonal term on one state but not on its leg image
+    (0b10): a FlipOperator that no symmetry maps onto itself."""
+    h, basis, d = SECTOR_CASES["two-leg"][0]()
+    diag = h.diag.copy()
+    diag[basis.index_of(0b01)] += 1e-3
+    return FlipOperator(h.n_sites, diag, h.hop), basis, d
+
+
+@pytest.mark.parametrize("case", [*SECTOR_CASES, "bumped"])
+def test_permutation_defect_equals_the_csr_norm(case):
+    """||Pi H Pi^T - H||_1 from the operator itself (a FlipOperator's diagonal and
+    hop, no CSR) equals the CSR's, to 1e-12 relative, for each rung symmetry."""
+    h, basis, d = _bumped_two_leg() if case == "bumped" else SECTOR_CASES[case][0]()
+    csr = SparseOperator(h.matrix)
+    perms = rung_permutations(basis, d.n_legs)
+    defects = {}
+    for name, (local, _) in rung_symmetries(basis, d.n_legs).items():
+        defects[name] = h.permutation_defect(perms[name], local)
+        assert defects[name] == pytest.approx(csr.permutation_defect(perms[name], local), rel=1e-12, abs=0)
+    if case == "bumped":   # the term moves under both symmetries
+        assert min(defects.values()) > SYMMETRY_TOL * h.norm1()
+
+
+def test_a_hop_that_the_local_map_changes_is_no_symmetry():
+    """On a rung-capped three-leg ladder (patterns 000, 001, 010, 100) a hop of
+    another strength to 100 than to 001 is changed by the leg reflection's pattern
+    map: the reflection is rejected, as the CSR rejects it, and the mirror kept."""
+    h, basis, d = SECTOR_CASES["rung-constrained"][0]()
+    hop = h.hop.copy()
+    hop[0, 3] = hop[3, 0] = 1.5 * hop[0, 1]
+    h = FlipOperator(h.n_sites, h.diag, hop)
+    (local, _), perm = rung_symmetries(basis, 3)["leg"], rung_permutations(basis, 3)["leg"]
+    defect = h.permutation_defect(perm, local)
+    assert defect == pytest.approx(SparseOperator(h.matrix).permutation_defect(perm, local), rel=1e-12)
+    assert defect > SYMMETRY_TOL * h.norm1()
+    names, blocks = symmetry_sectors(h, basis, 3)
+    assert names == ["mirror"] and len(blocks) == 2
+
+
+@pytest.mark.parametrize("case", ["two-leg", "three-leg-delta0", "prism", "in-plane-shift", "rung-constrained"])
+def test_sector_ground_state_matches_the_full_space(case):
+    """The trivial sector of the verified symmetries holds the ground state: its
+    energy equals ``ground_state``'s to 1e-12 relative, the embedded state overlaps
+    the full-space one to 1 - 1e-9, and its residual and bound are the full space's."""
+    make, symmetries = SECTOR_CASES[case]
+    h, basis, d = make()
+    e_full, psi_full, _ = ground_state(h)
+    e, psi, report = sector_ground_state(h, basis, d.n_legs)
+    assert report["symmetries"] == symmetries and report["sector"] < h.dim
+    assert e == pytest.approx(e_full, rel=1e-12, abs=0)
+    assert abs(psi_full @ psi) >= 1 - 1e-9
+    assert report["bound"] == pytest.approx(RESIDUAL_TOL * spla.norm(h.matrix, 1), rel=1e-14)
+    residual = np.linalg.norm(h.matrix @ psi - e * psi)
+    assert report["residual"] == pytest.approx(residual, rel=1e-6, abs=1e-3 * report["bound"])
+    assert residual <= report["bound"]
+
+
+def _frustrated_three_leg():
+    """The rung-capped three-leg ladder with a hop between 001 and 100 too: a
+    triangle of positive hops, which no sign choice takes to <= 0, and which the leg
+    reflection and the mirror still leave unchanged."""
+    h, basis, d = SECTOR_CASES["rung-constrained"][0]()
+    hop = h.hop.copy()
+    hop[1, 3] = hop[3, 1] = hop[0, 1]
+    return FlipOperator(h.n_sites, h.diag, hop), basis, d
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (rydberg_hamiltonian(build_ladder(LadderSpec(LadderKind.TWO_LEG, 4, 3.0, 1.0)), 0.0, 20.0, 40.0,
+                                 enumerate_rydberg(8)), enumerate_rydberg(8), StateDictionary.for_kind("two-leg")),
+    _frustrated_three_leg,
+    lambda: (SparseOperator(SECTOR_CASES["two-leg"][0]()[0].matrix), *SECTOR_CASES["two-leg"][0]()[1:]),
+], ids=["omega-zero", "frustrated", "csr"])
+def test_sector_ground_state_falls_back_to_the_full_space_bitwise(make):
+    """Without a Perron-Frobenius certificate on the operator, Omega = 0, a frustrated
+    hop or a CSR operator (no hop of a rung to read), the group is trivial and the
+    solve is ``ground_state(h)``'s, bit for bit."""
+    h, basis, d = make()
+    if isinstance(h, FlipOperator) and h.max_off_diagonal() > 0:
+        assert symmetry_sectors(h, basis, d.n_legs)[0] == ["leg", "mirror"]   # the symmetries hold
+    e, psi, report = sector_ground_state(h, basis, d.n_legs, seed=2)
+    e_full, psi_full, report_full = ground_state(h, seed=2)
+    assert e == e_full and psi.tobytes() == psi_full.tobytes()
+    assert report == {**report_full, "symmetries": (), "sector": h.dim}
+
+
+def test_sector_ground_state_of_the_benchmark_ladder_takes_at_most_27_products():
+    """The 14-atom two-leg ladder (dim 16384) that takes ``ground_state`` 45
+    products with H solves in its 4224-state even sector in at most 27, the
+    full-space certificate's included, at the same energy to 1e-12."""
+    h = _two_leg(7)
+    basis = enumerate_rydberg(h.n_sites)
+    e, _, report = sector_ground_state(h, basis, 2)
+    assert (report["symmetries"], report["sector"]) == (("leg", "mirror"), 4224)
+    assert report["products"] <= 27
+    assert report["iterations"] == report["products"] - 3   # the start's and both certificates' products
+    assert e == pytest.approx(ground_state(h)[0], rel=1e-12, abs=0)
