@@ -81,26 +81,71 @@ def dense_eigs(h: Operator, k: int | None = None) -> SpectrumResult:
     return SpectrumResult(vals, vecs, np.linalg.norm(r, axis=0), sectors=(h.dim,))
 
 
-def _cholesky(gram: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of ``gram``, or None if it is not positive definite."""
-    try:
-        return np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+def _rayleigh_ritz(dots: list, k: int) -> list | None:
+    """Coefficients c of the lowest Ritz vector sum_i c_i s_i of the k rows s (x, w
+    and, with k = 3, p), at unit norm, from ``dots``: the rows of S S^T, then those
+    of (HS) S^T, as lists of floats.  Returns ``None`` when w lies in span{x}, and
+    drops p (c_2 = 0) when its squared Cholesky pivot, its share of unit norm
+    outside span{x, w}, is below GRAM_TOL.
+
+    The pair is taken in the Cholesky-QR basis of the unit rows: D the inverse row
+    norms, D S S^T D = L L^T, M = L^-1, A = M B M^T with B = D (HS) S^T D
+    symmetrised, y the lowest eigenvector of A and c = D M^T y.  L, M and A are
+    formed in floats, L and M lower triangular with l_00 = m_00 = 1; A alone goes
+    to ``np.linalg.eigh``.  A and c of x and w are the leading parts of those with p.
+    """
+    (g00, _, _), (g10, g11, _), (g20, g21, g22) = dots[:3]
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = dots[3:]
+    d0, d1 = 1 / math.sqrt(g00), 1 / math.sqrt(g11)
+    l10 = g10 * d1 * d0
+    pivot = 1 - l10 * l10
+    if not pivot > 0:   # w in span{x}: no direction left to search
         return None
+    l11 = math.sqrt(pivot)
+    m10, m11 = -l10 / l11, 1 / l11
+    b00, b01, b11 = h00 * d0 * d0, (h01 + h10) / 2 * d0 * d1, h11 * d1 * d1
+    r10, r11 = m10 * b00 + m11 * b01, m10 * b01 + m11 * b11   # row 1 of M B; row 0 is B's
+    a11 = r10 * m10 + r11 * m11
+    if k == 3:
+        d2 = 1 / math.sqrt(g22)
+        l20 = g20 * d2 * d0
+        l21 = (g21 * d2 * d1 - l20 * l10) / l11
+        pivot = 1 - l20 * l20 - l21 * l21
+        k = 3 if pivot >= GRAM_TOL else 2   # else p (nearly) in span{x, w}
+    if k == 2:
+        y0, y1 = np.linalg.eigh([[b00, r10], [r10, a11]])[1][:, 0].tolist()
+        c = [d0 * (y0 + m10 * y1), d1 * m11 * y1, 0.0]
+    else:
+        l22 = math.sqrt(pivot)
+        m20, m21, m22 = -(l20 + l21 * m10) / l22, -l21 * m11 / l22, 1 / l22
+        b02, b12, b22 = (h02 + h20) / 2 * d0 * d2, (h12 + h21) / 2 * d1 * d2, h22 * d2 * d2
+        r20, r21, r22 = (m20 * b00 + m21 * b01 + m22 * b02, m20 * b01 + m21 * b11 + m22 * b12,
+                         m20 * b02 + m21 * b12 + m22 * b22)   # row 2 of M B
+        a21 = r20 * m10 + r21 * m11
+        a = [[b00, r10, r20], [r10, a11, a21], [r20, a21, r20 * m20 + r21 * m21 + r22 * m22]]
+        y0, y1, y2 = np.linalg.eigh(a)[1][:, 0].tolist()
+        c = [d0 * (y0 + m10 * y1 + m20 * y2), d1 * (m11 * y1 + m21 * y2), d2 * m22 * y2]
+    c0, c1, c2 = c
+    norm = math.sqrt(c0 * c0 * g00 + c1 * c1 * g11 + c2 * c2 * g22
+                     + 2 * (c1 * c0 * g10 + c2 * c0 * g20 + c2 * c1 * g21))   # of sum_i c_i s_i
+    return [c0 / norm, c1 / norm, c2 / norm]
 
 
-def _lopcg(h: Operator, lowest: int, seed: int, precond: np.ndarray, target: float, max_iter: int):
+def _lopcg(h: Operator, lowest: int, seed: int, diag: np.ndarray, floor: float, target: float, max_iter: int):
     """LOPCG iterate for the lowest eigenpair of H, until ||Hx - (x.Hx) x|| <= target.
 
     Starts from the basis state ``lowest`` plus a small random part drawn with
     ``seed`` (all sectors reachable), built in the loop's own first row.
     Returns ``(x, products, iterations)``, x of unit norm.  The rows x, w, p and
     their H-images H x, H w, H p are updated in place; H x and H p by linearity,
-    so each step takes the one product H w.
+    so each step takes the one product H w.  w is the residual divided by
+    max(|H_ii - rho|, floor), formed from ``diag`` at the current rho in one
+    scratch vector.
     """
     n = h.dim
-    v = np.zeros((2, 3, n))   # x, w = precond * (Hx - rho x), p = x_new - c_0 x; then their images
+    v = np.zeros((2, 3, n))   # x, w = (Hx - rho x) / max(|H_ii - rho|, floor), p = x_new - c_0 x; their images
     s, hs = v
+    shift = np.empty(n)
     np.random.default_rng(seed).standard_normal(n, out=s[0])
     s[0] *= 1e-3
     s[0] /= np.sqrt(n)
@@ -117,29 +162,21 @@ def _lopcg(h: Operator, lowest: int, seed: int, precond: np.ndarray, target: flo
             break
         if products >= max_iter:
             raise ConvergenceError(f"LOPCG did not converge in {max_iter} products with H", best)
-        s[1] *= precond
+        np.subtract(diag, rho, out=shift)
+        if diag[lowest] - rho < -floor:   # else no H_ii - rho is below -floor, and max(., floor) is max(|.|, floor)
+            np.abs(shift, out=shift)
+        s[1] /= np.maximum(shift, floor, out=shift)
         hs[1] = h @ s[1]
         products += 1
         iterations += 1
-        # Rayleigh-Ritz in the Cholesky-QR basis of the unit rows.  (6, c) x (c, 3) products
-        # over column slabs give S S^T and (HS) S^T, in half the time of two 3-row products.
+        # (6, c) x (c, 3) products over column slabs give S S^T and (HS) S^T, in half the
+        # time of two 3-row products
         dots = np.zeros((6, 3))
         for lo in range(0, n, GRAM_SLAB):
             dots += v[:, :, lo:lo + GRAM_SLAB].reshape(6, -1) @ s[:, lo:lo + GRAM_SLAB].T
-        gram, proj = dots[:k, :k], dots[3:3 + k, :k]
-        d = 1 / np.sqrt(np.diag(gram))
-        unit = gram * np.outer(d, d)
-        chol = _cholesky(unit)
-        if k == 3 and (chol is None or chol[2, 2] ** 2 < GRAM_TOL):   # p (nearly) in span{x, w}
-            k = 2
-            chol = _cholesky(unit[:2, :2])
-        if chol is None:   # w in span{x}: no direction left to search
+        c = _rayleigh_ritz(dots.tolist(), k)
+        if c is None:
             break
-        inv, d = np.linalg.inv(chol), d[:k]
-        _, u = np.linalg.eigh(inv @ ((proj[:k, :k] + proj[:k, :k].T) / 2 * np.outer(d, d)) @ inv.T)
-        c = np.zeros(3)   # c_2 = 0 without p
-        c[:k] = inv.T @ u[:, 0] * d
-        c /= np.sqrt(c[:k] @ gram[:k, :k] @ c[:k])
         x, w, p = v[:, 0], v[:, 1], v[:, 2]   # each row with its image
         w *= c[1]   # p = c_1 w + c_2 p, then x = c_0 x + p; the w row is spent
         p *= c[2]
@@ -147,7 +184,7 @@ def _lopcg(h: Operator, lowest: int, seed: int, precond: np.ndarray, target: flo
         x *= c[0]
         x += p
         k = 3
-    return s[0].copy(), products, iterations   # a copy, so that the other five rows are freed
+    return s[0].copy(), products, iterations   # a copy, so that the other five rows and the shift are freed
 
 
 def ground_state(
@@ -166,19 +203,21 @@ def ground_state(
     state plus a small seeded random part.  Each step takes one product
     H w with the preconditioned residual w, keeps H x and H p by linearity, and
     takes the next x and p from the Rayleigh-Ritz pair of span{x, w, p}: a 3x3
-    ``eigh`` in the Cholesky-QR basis of the unit rows.  p is dropped for that
-    step when its squared Cholesky pivot, its share of unit norm outside
-    span{x, w}, is below GRAM_TOL.  The preconditioner is the clipped Jacobi
-    inverse 1 / max(|H_ii - min H_jj|, floor), the floor being the largest
-    off-diagonal |H_ij|.  The loop stops at a residual of a quarter of the
-    bound; ``ground_state`` returns only when the true residual ||H psi - E psi||
-    <= RESIDUAL_TOL ||H||_1 (exact 1-norm, E the Rayleigh quotient), otherwise
+    ``eigh`` in the Cholesky-QR basis of the unit rows, the basis itself formed
+    in floats (``_rayleigh_ritz``).  p is dropped for that step when its squared
+    Cholesky pivot, its share of unit norm outside span{x, w}, is below
+    GRAM_TOL.  The preconditioner is Davidson's Jacobi inverse shifted to the
+    current Rayleigh quotient rho (J. Comput. Phys. 17, 87 (1975)) and clipped,
+    1 / max(|H_ii - rho|, floor), the floor being the largest off-diagonal
+    |H_ij|.  The loop stops at a residual of a quarter of the bound;
+    ``ground_state`` returns only when the true residual ||H psi - E psi|| <=
+    RESIDUAL_TOL ||H||_1 (exact 1-norm, E the Rayleigh quotient), otherwise
     raises :class:`ConvergenceError` carrying the lowest Rayleigh quotient seen.
     H is read only through its diagonal, its products, ``norm1`` and
-    ``max_off_diagonal``.  Memory is six vectors of length dim, the
-    preconditioner and one product; every inner product and norm of length dim
-    is a ``_dot``.  ``max_iter`` caps the products with H.  Deterministic for a
-    given seed.
+    ``max_off_diagonal``.  Memory is six vectors of length dim, the scratch
+    vector in which each step forms the preconditioner, and one product; every
+    inner product and norm of length dim is a ``_dot``.  ``max_iter`` caps the
+    products with H.  Deterministic for a given seed.
     """
     return _ground_state(h, max_iter, seed)
 
@@ -196,8 +235,7 @@ def _ground_state(h, max_iter: int, seed: int) -> tuple[float, np.ndarray, dict]
         psi = np.zeros(n)
         psi[lowest] = 1.0
         return float(diag.min()), psi, {"products": 0, "iterations": 0, "residual": 0.0, "bound": bound}
-    precond = 1.0 / np.maximum(np.abs(diag - diag.min()), floor)
-    psi, products, iterations = _lopcg(h, lowest, seed, precond, bound / 4, max_iter)
+    psi, products, iterations = _lopcg(h, lowest, seed, diag, floor, bound / 4, max_iter)
     energy, residual = _certificate(h, psi, bound)
     return energy, psi, {"products": products + 1, "iterations": iterations, "residual": residual, "bound": bound}
 
@@ -237,7 +275,7 @@ def krylov_evolve(h: Operator, psi: np.ndarray, t_total: float, dt: float):
     beta_j = 0 makes the subspace exact.  Beyond the window's block of samples,
     memory is the (m + 1) dim complex numbers of the Lanczos vectors and the residual.
     """
-    return _krylov_windows(h, psi, np.arange(time_steps(t_total, dt) + 1) * dt)
+    return _krylov_windows(h, psi, time_steps(t_total, dt), dt)
 
 
 def time_steps(t_total: float, dt: float) -> int:
@@ -250,13 +288,26 @@ def time_steps(t_total: float, dt: float) -> int:
     return round(ratio)
 
 
-def _krylov_windows(h: Operator, psi: np.ndarray, times: np.ndarray):
+def _grid_count(t: float, dt: float, n_steps: int) -> int:
+    """The number of grid times i dt, 0 <= i <= n_steps, at or below t: the right
+    ``np.searchsorted`` of t in the grid, without the grid."""
+    i = max(math.floor(min(t / dt, n_steps)), -1)   # within one of the last such i
+    while i >= 0 and i * dt > t:
+        i -= 1
+    while i < n_steps and (i + 1) * dt <= t:
+        i += 1
+    return i + 1
+
+
+def _krylov_windows(h: Operator, psi: np.ndarray, n_steps: int, dt: float):
+    """``krylov_evolve``'s windows over the grid times i dt, 0 <= i <= n_steps; each
+    window computes its own slice of the grid."""
     x = normalize(np.asarray(psi, dtype=complex))
     start, k, report = 0.0, 1, {"windows": 0, "matvecs": 0, "error_bound": 0.0}
-    yield times[:1], x[None].copy(), dict(report)
+    yield np.zeros(1), x[None].copy(), dict(report)
     v = np.empty((min(KRYLOV_DIM, h.dim), h.dim), dtype=complex)
     alpha, beta = np.zeros(len(v)), np.zeros(len(v))   # beta[j] couples v[j] and v[j + 1]
-    while k < len(times):
+    while k <= n_steps:
         beta0 = np.linalg.norm(x)
         v[0] = x / beta0
         for j in range(len(v)):
@@ -273,7 +324,7 @@ def _krylov_windows(h: Operator, psi: np.ndarray, times: np.ndarray):
         lam, s = sla.eigh_tridiagonal(alpha[:m], beta[:m - 1])
         c = beta0 * s[0]
         defect = beta[m - 1] * s[m - 1] * c   # beta_0 beta_m e_m^T exp(-i T s) e_1 = sum(defect exp(-i lam s))
-        remaining = times[-1] - start
+        remaining = n_steps * dt - start
         n_grid = max(1, int(np.ceil(10 * remaining * (lam[-1] - lam[0]))))
         step = remaining / n_grid
         phases = np.exp(-1j * step * np.outer(np.arange(min(n_grid, 256) + 1), lam))
@@ -291,8 +342,9 @@ def _krylov_windows(h: Operator, psi: np.ndarray, times: np.ndarray):
         tau, last = i * step, i == n_grid
         if not last and crude * tau < KRYLOV_TOL:   # the crude bound reaches further (dim 1, say)
             tau, err = KRYLOV_TOL / crude, KRYLOV_TOL
-        end = len(times) if last else int(np.searchsorted(times, start + tau, side="right"))
-        coeffs = (np.exp(-1j * np.outer(times[k:end] - start, lam)) * c) @ s.T
+        end = n_steps + 1 if last else _grid_count(start + tau, dt, n_steps)
+        times = np.arange(k, end) * dt
+        coeffs = (np.exp(-1j * np.outer(times - start, lam)) * c) @ s.T
         states = np.empty((end - k, h.dim), dtype=complex)
         for state, coeff in zip(states, coeffs):   # one GEMV each: no block temporaries
             np.matmul(coeff, v[:m], out=state)
@@ -300,7 +352,7 @@ def _krylov_windows(h: Operator, psi: np.ndarray, times: np.ndarray):
         report["windows"] += 1
         report["matvecs"] += m
         report["error_bound"] += float(err)
-        yield times[k:end], states, dict(report)
+        yield times, states, dict(report)
         start, k = start + tau, end
 
 
@@ -492,7 +544,10 @@ def _block_eigenstates(h: Operator, u: sp.csr_matrix, sector_indices, k: int):
 
     B is densified in Fortran order, which LAPACK overwrites in place, and the
     eigenvectors are copied once to C order, which the sparse products read; the
-    locals die on return, before the next block is densified."""
+    locals die on return, before the next block is densified.  The residual norms
+    are an einsum over the columns: ``np.linalg.norm(r, axis=0)`` squares r into
+    n^2 temporaries, which grew the heap so that whether a later block fitted into
+    it varied from process to process."""
     b = u.T @ h.matrix @ u
     vals, v = sla.eigh(b.toarray(order="F"), driver="evd", overwrite_a=True)
     v = np.ascontiguousarray(v)
@@ -503,7 +558,7 @@ def _block_eigenstates(h: Operator, u: sp.csr_matrix, sector_indices, k: int):
     kept, r = v[:, keep], b @ v
     v *= vals   # V is read no more: B V - V diag(vals) with no third n^2 array
     r -= v
-    return vals, np.linalg.norm(r, axis=0) + certificate, overlaps, keep, kept
+    return vals, np.sqrt(np.einsum("ij,ij->j", r, r)) + certificate, overlaps, keep, kept
 
 
 def sector_eigenstates(

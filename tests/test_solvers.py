@@ -301,10 +301,12 @@ def test_ground_state_report_and_product_count(two_leg_4096):
 
 
 def test_ground_state_drops_p_from_a_degenerate_basis(monkeypatch):
-    """At Omega = 1e-7 x 2pi the blockade spread is about 1e10 |Omega|: the Jacobi
-    preconditioner is nearly exact and p falls into span{x, w}.  The loop drops p, its
-    Rayleigh-Ritz runs on 2 rows after the first step, and the certificate still holds."""
-    h = _two_leg(5, omega=1e-7)
+    """On one rung at Omega = 1e-7 x 2pi the two singly excited states are degenerate
+    on the diagonal and coupled only through the others, about 1e10 |Omega| away: the
+    search stays in their span, and at the second step p falls into span{x, w}.  The
+    loop drops p, its Rayleigh-Ritz runs on 2 rows in both steps, and the certificate
+    still holds."""
+    h = _two_leg(1, omega=1e-7)
     ref = dense_eigs(h, k=1)
     eigh, sizes = np.linalg.eigh, []
 
@@ -319,6 +321,128 @@ def test_ground_state_drops_p_from_a_degenerate_basis(monkeypatch):
     assert sizes[0] == 2 and 2 in sizes[1:]
     assert np.linalg.norm(h.matrix @ psi - e * psi) <= RESIDUAL_TOL * spla.norm(h.matrix, 1)
     assert e == pytest.approx(ref.eigenvalues[0], rel=1e-12)
+
+
+def _linalg_rayleigh_ritz(dots, k):
+    """The Rayleigh-Ritz step by numpy.linalg: Cholesky of the unit Gram, its
+    inverse and the eigh of the projection, under the same two rules."""
+    dots = np.array(dots)
+    gram, proj = dots[:k, :k], dots[3:3 + k, :k]
+    d = 1 / np.sqrt(np.diag(gram))
+    unit = gram * np.outer(d, d)
+
+    def cholesky(a):
+        try:
+            return np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return None
+
+    chol = cholesky(unit)
+    if k == 3 and (chol is None or chol[2, 2] ** 2 < solvers.GRAM_TOL):
+        k, chol = 2, cholesky(unit[:2, :2])
+    if chol is None:
+        return None
+    inv, d = np.linalg.inv(chol), d[:k]
+    _, u = np.linalg.eigh(inv @ ((proj[:k, :k] + proj[:k, :k].T) / 2 * np.outer(d, d)) @ inv.T)
+    c = np.zeros(3)
+    c[:k] = inv.T @ u[:, 0] * d
+    return c / np.sqrt(c[:k] @ gram[:k, :k] @ c[:k])
+
+
+def _pencil(rng, k, p_out=None, w_out=None):
+    """``dots`` of random rows x, w, p of length 40 and a random symmetric H: the
+    rows of S S^T, then of (HS) S^T.  ``p_out`` (``w_out``) puts p (w) at that
+    norm outside span{x, w} (span{x}); with k = 2 the p row is zero."""
+    s = rng.standard_normal((3, 40)) * rng.uniform(0.1, 10, (3, 1))
+    if w_out is not None:
+        s[1] = 2 * s[0] + w_out * rng.standard_normal(40) * np.linalg.norm(s[0])
+    if p_out is not None:
+        q, _ = np.linalg.qr(s[:2].T)
+        noise = rng.standard_normal(40)
+        noise -= q @ (q.T @ noise)
+        inside = 0.3 * s[0] - 1.7 * s[1]
+        s[2] = inside / np.linalg.norm(inside) + p_out * noise / np.linalg.norm(noise)
+    if k == 2:
+        s[2] = 0
+    a = rng.standard_normal((40, 40))
+    hs = s @ (a + a.T)
+    return (np.vstack([s, hs]) @ s.T).tolist()
+
+
+RITZ_CASES = {   # rows, _pencil's keywords, tolerance: about 500 eps over the least squared pivot kept
+    "random-3": (3, {}, 1e-12),
+    "random-2": (2, {}, 1e-12),
+    "p-kept": (3, {"p_out": 1e-3}, 1e-7),      # squared pivot 1e-6
+    "p-dropped": (3, {"p_out": 3e-5}, 1e-12),  # squared pivot 9e-10 < GRAM_TOL
+    "w-near-x": (3, {"w_out": 1e-4}, 1e-5),    # w's squared pivot about 1e-8
+    "w-in-x": (3, {}, None),
+}
+
+
+@pytest.mark.parametrize("case", list(RITZ_CASES))
+def test_scalar_rayleigh_ritz_matches_linalg(case):
+    """``_rayleigh_ritz`` in floats gives numpy.linalg's Cholesky-QR + eigh step: the
+    same Ritz vector and value, the same drop of p, or the same stop when w lies in
+    span{x} (here x.w just past |x| |w|, a Gram that rounding has made indefinite).
+    A near-singular basis amplifies rounding in both by the inverse squared pivot."""
+    k, kwargs, tol = RITZ_CASES[case]
+    rng = np.random.default_rng(list(RITZ_CASES).index(case))
+    for _ in range(20):
+        dots = _pencil(rng, k, **kwargs)
+        if tol is None:
+            dots[1][0] = dots[0][1] = (1 + 1e-13) * math.sqrt(dots[0][0] * dots[1][1])
+            assert solvers._rayleigh_ritz(dots, k) is None and _linalg_rayleigh_ritz(dots, k) is None
+            continue
+        c, ref = np.array(solvers._rayleigh_ritz(dots, k)), _linalg_rayleigh_ritz(dots, k)
+        assert (c[2] == 0) == (ref[2] == 0) == (case in ("random-2", "p-dropped"))
+        assert np.abs(c - np.sign(c @ ref) * ref).max() <= tol * np.abs(ref).max()
+        proj = np.array(dots[3:])
+        assert c @ proj @ c == pytest.approx(ref @ proj @ ref, rel=tol)
+
+
+def test_sweep_chain_points_take_at_most_160_products():
+    """The eight drive points of the ``sweep-dense`` chain at seed 0 (Omega = 0.5 ...
+    4 x 2pi, N_s = 7, dim 2187) take 158 products with H in all, certificates
+    included; 185 with the preconditioner's shift fixed at the lowest diagonal entry."""
+    total = 0
+    for omega in np.arange(1, 9) * 0.5 * TP:
+        h = effective_spin1_hamiltonian(coeffs_three_leg(2, *SWEEP_DRIVE[:3], omega, SWEEP_DRIVE[4]), 7)
+        _, _, report = ground_state(h, seed=0)
+        assert report["residual"] <= report["bound"]
+        total += report["products"]
+    assert total <= 160
+
+
+def test_ground_state_certifies_where_the_start_lies_above_the_low_diagonal(monkeypatch):
+    """Half of a random operator's diagonal at 2e7 raises the start's Rayleigh
+    quotient about six floors above its lowest diagonal entry, so part of the low
+    diagonal lies more than a floor below rho (|H_ii - rho| is taken) and part within
+    a floor of it (the floor clips).  The solve still certifies, at the dense energy
+    within its bound."""
+    rng = np.random.default_rng(0)
+    n = 200
+    diag = rng.standard_normal(n)
+    diag[rng.permutation(n)[:n // 2]] = 2e7
+    m = sp.random(n, n, density=0.05, random_state=rng, format="csr")
+    h = SparseOperator((m + m.T + sp.diags(diag)).tocsr())
+    floor, seen = h.max_off_diagonal(), {"abs": 0, "clipped": 0}
+    absolute, maximum = np.abs, np.maximum
+
+    def recorded_abs(a, *args, **kwargs):
+        seen["abs"] += np.size(a) == n
+        return absolute(a, *args, **kwargs)
+
+    def recorded_maximum(a, b, *args, **kwargs):
+        seen["clipped"] += np.size(a) == n and bool((a < floor).any())
+        return maximum(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", recorded_abs)
+    monkeypatch.setattr(np, "maximum", recorded_maximum)
+    e, psi, report = ground_state(h)
+    monkeypatch.undo()
+    assert seen["abs"] >= 1 and seen["clipped"] >= 1
+    assert np.linalg.norm(h.matrix @ psi - e * psi) <= RESIDUAL_TOL * spla.norm(h.matrix, 1)
+    assert e == pytest.approx(dense_eigs(h, k=1).eigenvalues[0], abs=report["bound"])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -382,9 +506,10 @@ def test_ground_state_takes_no_blas_level_one_reduction(monkeypatch):
 
 
 def test_ground_state_peak_is_nine_vectors_beyond_the_operator():
-    """At dim 2^16 the solve allocates at most the loop's six rows, the preconditioner
-    and one product's output and scratch: nine vectors of length dim, ten with the
-    diagonal the operator holds.  The start vector is built in the loop's first row."""
+    """At dim 2^16 the solve allocates at most the loop's six rows, the scratch vector
+    in which each step forms the preconditioner, and one product's output and scratch:
+    nine vectors of length dim, ten with the diagonal the operator holds.  The start
+    vector is built in the loop's first row."""
     h = _two_leg(8)
     assert h.dim == 2**16
     tracemalloc.start()
@@ -588,6 +713,24 @@ def test_krylov_rejects_t_total_off_the_dt_grid():
             krylov_evolve(h, np.ones(10, dtype=complex), 1.0, dt)
     times, _, _ = trajectory(h, np.ones(10, dtype=complex), 1.0, 0.002)
     np.testing.assert_array_equal(times, np.arange(501) * 0.002)
+
+
+def test_krylov_windows_of_a_long_run_hold_only_their_own_times():
+    """t_total = 1e9 at dt = 1e-3 is a valid grid of 1e12 steps, whose times alone
+    would take 7.28 TiB: each window computes its own slice of the grid, so the first
+    two items on the nine-atom ladder (dim 512, 98 samples in the first window) stay
+    under 4 MB, at the grid's own times."""
+    h, psi0 = _nine_atom_ladder()
+    tracemalloc.start()
+    try:
+        windows = krylov_evolve(h, psi0, 1e9, 1e-3)
+        (t0, _, _), (t1, states, report) = next(windows), next(windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert report["windows"] == 1 and len(t1) == len(states) >= 1
+    np.testing.assert_array_equal(np.concatenate([t0, t1]), np.arange(len(t1) + 1) * 1e-3)
 
 
 class _CountedOperator:
@@ -862,14 +1005,26 @@ def test_sector_ground_state_falls_back_to_the_full_space_bitwise(make):
     assert report == {**report_full, "symmetries": (), "sector": h.dim}
 
 
-def test_sector_ground_state_of_the_benchmark_ladder_takes_at_most_27_products():
-    """The 14-atom two-leg ladder (dim 16384) that takes ``ground_state`` 45
-    products with H solves in its 4224-state even sector in at most 27, the
-    full-space certificate's included, at the same energy to 1e-12."""
+def test_sector_ground_state_of_the_benchmark_ladder_takes_at_most_24_products():
+    """The 14-atom two-leg ladder (dim 16384) that takes ``ground_state`` 44
+    products with H solves in its 4224-state even sector in at most 24 (23 with the
+    shifted preconditioner, 26 with the fixed one), the full-space certificate's
+    included, at the same energy to 1e-12."""
     h = _two_leg(7)
     basis = enumerate_rydberg(h.n_sites)
     e, _, report = sector_ground_state(h, basis, 2)
     assert (report["symmetries"], report["sector"]) == (("leg", "mirror"), 4224)
-    assert report["products"] <= 27
+    assert report["products"] <= 24
     assert report["iterations"] == report["products"] - 3   # the start's and both certificates' products
     assert e == pytest.approx(ground_state(h)[0], rel=1e-12, abs=0)
+
+
+def test_sector_ground_state_of_the_strongly_driven_sixteen_atom_ladder_takes_at_most_40_products():
+    """At Omega = 10 x 2pi the 16-atom two-leg ladder's 16576-state sector takes 37
+    products with the preconditioner shifted to the Rayleigh quotient (54 with the
+    shift fixed at the lowest diagonal entry), its certificate's included."""
+    h = _two_leg(8, omega=10.0)
+    _, _, report = sector_ground_state(h, enumerate_rydberg(h.n_sites), 2)
+    assert report["sector"] == 16576
+    assert report["products"] <= 40
+    assert report["residual"] <= report["bound"]
